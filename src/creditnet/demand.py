@@ -75,6 +75,10 @@ def sample_demand(network: CreditNetwork, spec: DemandSpec) -> DemandMatrix:
 
     if spec.mode == SKEWED:
         heavy_count = max(1, round(spec.heavy_fraction * n))
+        heavy_pairs = heavy_count * (heavy_count - 1)
+        if spec.heavy_probability == 1.0 and spec.pair_count > heavy_pairs:
+            raise ValueError(f"cannot place {spec.pair_count} distinct pairs among "
+                             f"the {heavy_pairs} between {heavy_count} heavy nodes")
         heavy = rng.sample(range(n), heavy_count)
         light = [v for v in range(n) if v not in set(heavy)]
 

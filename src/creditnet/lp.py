@@ -6,9 +6,15 @@ steady-state requirement that every channel's net flow is zero. Peak
 throughput evaluates that LP at the perfectly balanced state; the floor
 variants evaluate it with channels zeroed out or frozen at hostile balances.
 
+Steady state means F.x = B.x for the forward and backward channel x path
+incidences, so the sending-balance and remaining-capacity limits collapse
+into one row per channel, F.x <= min(b, c - b), beside (F - B).x = 0.
+
 Two solve routes are kept deliberately separate: an exact rational simplex
-for small instances (results are Fractions, tests can assert equality) and
-scipy's HiGHS dual simplex for sweep-scale instances.
+on the dense routing views (results are Fractions, tests can assert
+equality) and scipy's HiGHS dual simplex on sparse matrices built from the
+hop lists. By default the exact route takes 3 * channels * paths <=
+EXACT_CELL_LIMIT.
 """
 
 from __future__ import annotations
@@ -18,10 +24,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from . import simplex
 from .model import (
+    FORWARD,
     BalanceState,
     CreditNetwork,
     FlowVector,
@@ -37,7 +45,8 @@ UNBOUNDED = simplex.UNBOUNDED
 NUMERICAL_FAILURE = simplex.FAILURE
 
 # Auto route selection: exact rational simplex below this many constraint
-# cells, floating point above.
+# cells, floating point above. Throughput LPs count 3 * channels * paths (the
+# forward and backward limit blocks apart, plus the net-shift block).
 EXACT_CELL_LIMIT = 20_000
 
 _ZERO = Fraction(0)
@@ -117,19 +126,13 @@ def solve_lp(problem: LpProblem, exact: bool | None = None) -> LpSolution:
     if exact is None:
         exact = problem.is_exact() and problem.cell_count <= EXACT_CELL_LIMIT
     if exact:
-        status, x, value = simplex.solve_dense(
-            problem.objective,
-            problem.ineq_matrix,
-            problem.ineq_bounds,
-            problem.eq_matrix,
-            problem.eq_bounds,
-        )
-        return LpSolution(status, x, value)
+        return LpSolution(*simplex.solve_dense(
+            problem.objective, problem.ineq_matrix, problem.ineq_bounds,
+            problem.eq_matrix, problem.eq_bounds))
     return _solve_float(problem)
 
 
 def _solve_float(problem: LpProblem) -> LpSolution:
-    c = -np.asarray(problem.objective, dtype=float)
     a_ub = b_ub = a_eq = b_eq = None
     if problem.ineq_matrix:
         a_ub = np.asarray(problem.ineq_matrix, dtype=float)
@@ -137,42 +140,51 @@ def _solve_float(problem: LpProblem) -> LpSolution:
     if problem.eq_matrix:
         a_eq = np.asarray(problem.eq_matrix, dtype=float)
         b_eq = np.asarray(problem.eq_bounds, dtype=float)
+    return _highs(problem.objective, a_ub, b_ub, a_eq, b_eq)
+
+
+def _highs(objective, a_ub, b_ub, a_eq, b_eq) -> LpSolution:
+    c = -np.asarray(objective, dtype=float)
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=(0, None), method="highs-ds")
     if res.status == 0:
         x = np.maximum(res.x, 0.0)
-        return LpSolution(OPTIMAL, tuple(float(v) for v in x), float(-res.fun))
-    if res.status == 2:
-        return LpSolution(INFEASIBLE, (), 0.0)
-    if res.status == 3:
-        return LpSolution(UNBOUNDED, (), 0.0)
-    return LpSolution(NUMERICAL_FAILURE, (), 0.0)
+        # adding 0.0 turns a -0.0 optimum into 0.0
+        return LpSolution(OPTIMAL, tuple(float(v) for v in x), float(-res.fun) + 0.0)
+    status = {2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, NUMERICAL_FAILURE)
+    return LpSolution(status, (), 0.0)
 
 
-def _flow_problem(routing: RoutingSystem, forward_bounds: Sequence,
-                  backward_bounds: Sequence) -> LpProblem:
+def _solve_flow(routing: RoutingSystem, bounds: list, exact: bool) -> LpSolution:
+    """Maximize total path flow s.t. F.x <= bounds and (F - B).x = 0."""
     pcount = routing.path_count
-    return LpProblem(
-        objective=tuple([1] * pcount),
-        ineq_matrix=routing.forward + routing.backward,
-        ineq_bounds=tuple(forward_bounds) + tuple(backward_bounds),
-        eq_matrix=routing.delta,
-        eq_bounds=tuple([0] * routing.edge_count),
-    )
+    zeros = [0] * routing.edge_count
+    if exact:
+        return LpSolution(*simplex.solve_dense(
+            [1] * pcount, routing.forward, bounds, routing.delta, zeros))
+    edges = [e for hops in routing.hops for e, _ in hops]
+    signs = [1.0 if d == FORWARD else -1.0 for hops in routing.hops for _, d in hops]
+    indptr = np.cumsum([0] + [len(hops) for hops in routing.hops])
+    delta = sparse.csr_matrix((signs, edges, indptr),
+                              shape=(pcount, routing.edge_count)).T
+    return _highs([1] * pcount, delta.maximum(0), np.asarray(bounds, dtype=float),
+                  delta, np.asarray(zeros, dtype=float))
 
 
-def _throughput(problem: LpProblem, exact: bool | None) -> ThroughputReport:
-    if problem.variable_count == 0:
+def _throughput(routing: RoutingSystem, forward_bounds: Sequence,
+                backward_bounds: Sequence, exact: bool | None) -> ThroughputReport:
+    if routing.path_count == 0:
         return ThroughputReport(_ZERO, make_flow(()), OPTIMAL)
-    solution = solve_lp(problem, exact=exact)
+    if exact is None:
+        exact = 3 * routing.edge_count * routing.path_count <= EXACT_CELL_LIMIT
+    bounds = [min(f, b) for f, b in zip(forward_bounds, backward_bounds, strict=True)]
+    solution = _solve_flow(routing, bounds, exact)
     if solution.status == INFEASIBLE:
         raise RuntimeError("throughput LP reported infeasible; zero flow is always feasible")
     if solution.status != OPTIMAL:
         return ThroughputReport(float("nan"), make_flow(()), solution.status)
-    if isinstance(solution.objective_value, Fraction):
-        flow = make_flow(solution.x)
-    else:
-        flow = FlowVector(tuple(float(v) for v in solution.x))
+    exact_x = isinstance(solution.objective_value, Fraction)
+    flow = make_flow(solution.x) if exact_x else FlowVector(solution.x)
     return ThroughputReport(solution.objective_value, flow, OPTIMAL)
 
 
@@ -183,7 +195,7 @@ def one_step_throughput(network: CreditNetwork, routing: RoutingSystem,
         raise ValueError("routing system does not match network edge count")
     forward = state.balances
     backward = tuple(c - b for c, b in zip(network.capacities, state.balances))
-    return _throughput(_flow_problem(routing, forward, backward), exact)
+    return _throughput(routing, forward, backward, exact)
 
 
 def max_throughput(network: CreditNetwork, routing: RoutingSystem,
@@ -204,7 +216,7 @@ def min_throughput(network: CreditNetwork, routing: RoutingSystem,
             raise ValueError(f"unpeeled channel index {k} out of range")
     half = [c / 2 if k not in unpeeled else _ZERO
             for k, c in enumerate(network.capacities)]
-    return _throughput(_flow_problem(routing, half, half), exact).psi_value
+    return _throughput(routing, half, half, exact).psi_value
 
 
 def worst_state_throughput(network: CreditNetwork, routing: RoutingSystem,

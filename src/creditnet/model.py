@@ -38,7 +38,7 @@ class CreditNetwork:
     """Undirected capacitated graph with a canonical edge ordering.
 
     Edges are stored as (u, v) with u < v, sorted lexicographically. Every
-    vector in the package (balances, capacities, routing-matrix rows)
+    vector in the package (balances, capacities, routing hops)
     indexes into this order.
     """
 
@@ -223,35 +223,39 @@ def path_nodes(network: CreditNetwork, path: Path) -> list[int]:
 
 @dataclass(frozen=True)
 class RoutingSystem:
-    """Dense 0/1 routing matrices over (canonical edges) x (ordered paths).
+    """Path x channel incidence: each path's validated (edge, direction) hops.
 
-    delta = forward - backward; a feasible flow f changes the state by
-    -delta . f, so circulations (delta . f = 0) leave balances untouched.
-    """
+    The dense (canonical edges) x (ordered paths) views forward, backward and
+    delta = forward - backward are built only when read. A feasible flow f
+    changes the state by -delta . f, so circulations (delta . f = 0) leave
+    balances untouched."""
 
-    forward: tuple[tuple[int, ...], ...]
-    backward: tuple[tuple[int, ...], ...]
-    delta: tuple[tuple[int, ...], ...]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.forward)
+    hops: tuple[tuple[tuple[int, int], ...], ...]
+    edge_count: int
 
     @property
     def path_count(self) -> int:
-        return len(self.forward[0]) if self.forward else 0
+        return len(self.hops)
+
+    def _dense(self, forward_entry: int, backward_entry: int):
+        rows = [[0] * self.path_count for _ in range(self.edge_count)]
+        for p, hops in enumerate(self.hops):
+            for e, d in hops:
+                rows[e][p] = forward_entry if d == FORWARD else backward_entry
+        return tuple(tuple(row) for row in rows)
+
+    forward = property(lambda self: self._dense(1, 0))
+    backward = property(lambda self: self._dense(0, 1))
+    delta = property(lambda self: self._dense(1, -1))
 
 
 def build_routing_system(network: CreditNetwork, paths: PathSet) -> RoutingSystem:
-    """Build forward/backward/delta matrices from a path set.
+    """Validate a path set and keep its hops as the routing incidence.
 
     Rejects paths with out-of-range edge indices or non-contiguous hops,
     naming the offending path index.
     """
     ecount = network.edge_count
-    pcount = len(paths)
-    fwd = [[0] * pcount for _ in range(ecount)]
-    bwd = [[0] * pcount for _ in range(ecount)]
     for pi, path in enumerate(paths):
         cursor = path.source
         seen_edges = set()
@@ -266,20 +270,9 @@ def build_routing_system(network: CreditNetwork, paths: PathSet) -> RoutingSyste
             if tail != cursor:
                 raise ValueError(f"path {pi}: non-contiguous at edge {e}")
             cursor = head
-            if d == FORWARD:
-                fwd[e][pi] = 1
-            else:
-                bwd[e][pi] = 1
         if cursor != path.destination:
             raise ValueError(f"path {pi}: does not end at its destination")
-    delta = tuple(
-        tuple(f - b for f, b in zip(frow, brow)) for frow, brow in zip(fwd, bwd)
-    )
-    return RoutingSystem(
-        forward=tuple(tuple(row) for row in fwd),
-        backward=tuple(tuple(row) for row in bwd),
-        delta=delta,
-    )
+    return RoutingSystem(hops=tuple(p.hops for p in paths), edge_count=ecount)
 
 
 @dataclass(frozen=True)
@@ -305,6 +298,16 @@ def make_flow(values: Iterable) -> FlowVector:
     return FlowVector(tuple(rat(v) for v in values))
 
 
+def _channel_usage(routing: RoutingSystem, flow: FlowVector):
+    """Per-channel totals a flow sends forward and backward, as two lists
+    indexed by direction (FORWARD is 0, BACKWARD is 1)."""
+    usage = ([0] * routing.edge_count, [0] * routing.edge_count)
+    for amount, hops in zip(flow.amounts, routing.hops):
+        for e, d in hops:
+            usage[d][e] += amount
+    return usage
+
+
 def check_feasible(network: CreditNetwork, routing: RoutingSystem,
                    state: BalanceState, flow: FlowVector, tol=None) -> bool:
     """True iff the flow is nonnegative and, per channel, forward usage
@@ -318,13 +321,10 @@ def check_feasible(network: CreditNetwork, routing: RoutingSystem,
     if tol is None:
         tol = 0 if flow.is_exact() else 1e-9
     exact = flow.is_exact() and tol == 0
-    for edge in range(routing.edge_count):
-        cap = network.capacities[edge]
-        bal = state.balances[edge]
+    usage = zip(network.capacities, state.balances, *_channel_usage(routing, flow))
+    for cap, bal, fwd, bwd in usage:
         if not exact:
             cap, bal = float(cap), float(bal)
-        fwd = sum(a for a, r in zip(flow.amounts, routing.forward[edge]) if r)
-        bwd = sum(a for a, r in zip(flow.amounts, routing.backward[edge]) if r)
         if fwd > bal + tol or bwd > (cap - bal) + tol:
             return False
     return True
@@ -333,12 +333,11 @@ def check_feasible(network: CreditNetwork, routing: RoutingSystem,
 def first_violation(network: CreditNetwork, routing: RoutingSystem,
                     state: BalanceState, flow: FlowVector):
     """Lowest-index (edge, direction) whose balance a flow overdraws, or None."""
+    fwd, bwd = _channel_usage(routing, flow)
     for edge in range(routing.edge_count):
-        fwd = sum(a for a, r in zip(flow.amounts, routing.forward[edge]) if r)
-        bwd = sum(a for a, r in zip(flow.amounts, routing.backward[edge]) if r)
-        if fwd > state.balances[edge]:
+        if fwd[edge] > state.balances[edge]:
             return edge, FORWARD
-        if bwd > network.capacities[edge] - state.balances[edge]:
+        if bwd[edge] > network.capacities[edge] - state.balances[edge]:
             return edge, BACKWARD
     return None
 
@@ -357,13 +356,8 @@ def apply_flow(network: CreditNetwork, routing: RoutingSystem,
             f"infeasible flow: channel {edge} overdrawn in the "
             f"{DIRECTION_NAMES[direction]} direction"
         )
-    new_balances = []
-    for edge in range(routing.edge_count):
-        shift = sum(
-            a * dr for a, dr in zip(flow.amounts, routing.delta[edge]) if dr
-        )
-        new_balances.append(state.balances[edge] - shift)
-    return make_state(network, new_balances)
+    fwd, bwd = _channel_usage(routing, flow)
+    return make_state(network, [b - f + r for b, f, r in zip(state.balances, fwd, bwd)])
 
 
 INTERIOR = "interior"

@@ -259,27 +259,13 @@ def enumerate_reachable(
             f"{REACHABLE_STATE_GUARD} guard; coarsen the granularity"
         )
     caps = network.capacities
-    moves = []
-    for p in range(routing.path_count):
-        hops = [
-            (e, FORWARD if routing.forward[e][p] else BACKWARD)
-            for e in range(routing.edge_count)
-            if routing.forward[e][p] or routing.backward[e][p]
-        ]
-        moves.append(hops)
-
     seen = {start}
     frontier = [start]
     while frontier:
         state = frontier.pop()
-        for hops in moves:
-            feasible = True
-            for e, d in hops:
-                room = state.balances[e] if d == FORWARD else caps[e] - state.balances[e]
-                if room < quantum:
-                    feasible = False
-                    break
-            if not feasible:
+        for hops in routing.hops:
+            if any((state.balances[e] if d == FORWARD else caps[e] - state.balances[e])
+                   < quantum for e, d in hops):
                 continue
             balances = list(state.balances)
             for e, d in hops:

@@ -299,3 +299,9 @@ def test_invalid_input_exits_two(tmp_path, capsys):
                "--edges", "2", "--out-dir", str(tmp_path)])
     assert rc == EXIT_BAD_INPUT
     capsys.readouterr()
+    zero_den = tmp_path / "zero.graph"
+    zero_den.write_text("nodes 3\n0 1 1/0\n1 2 20\n", encoding="utf-8")
+    rc = main(["analyze", "--graph", str(zero_den), "--pairs", "2",
+               "--out-dir", str(tmp_path)])
+    assert rc == EXIT_BAD_INPUT
+    assert "zero denominator" in capsys.readouterr().err

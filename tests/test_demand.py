@@ -32,6 +32,11 @@ def test_degenerate_skew_also_saturates():
 def test_overfull_demand_rejected():
     with pytest.raises(ValueError):
         demand.sample_demand(_triangle(), demand.DemandSpec(pair_count=7))
+    # every draw comes from the 2 heavy nodes, which hold only 2 ordered pairs
+    heavy_only = demand.DemandSpec(pair_count=10, mode=demand.SKEWED,
+                                   heavy_fraction=0.1, heavy_probability=1.0)
+    with pytest.raises(ValueError, match="heavy nodes"):
+        demand.sample_demand(_line(20), heavy_only)
 
 
 def test_demand_matrix_validation():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from creditnet import (
     path_from_nodes,
 )
 from creditnet import lp, simplex
+from test_model import small_instance
 
 
 def _triangle(bidirectional):
@@ -133,6 +135,26 @@ def test_line_float_route_matches_exact(line):
     assert abs(report.psi_value - 10.0) < 1e-9
     assert check_feasible(net, routing, state, report.optimal_flow, tol=1e-9)
     assert _delta_residual(routing, report.optimal_flow) <= 1e-9
+
+
+def test_float_route_zero_optimum_is_positive_zero(line):
+    net, _, routing = line
+    value = lp.min_throughput(net, routing, {0, 1}, exact=False)
+    assert value == 0.0
+    assert math.copysign(1.0, value) == 1.0
+
+
+def test_auto_route_boundary_counts_three_blocks(line):
+    # 3 * channels * paths <= EXACT_CELL_LIMIT stays exact; one path more
+    # crosses the line even though the collapsed LP has only 2 blocks
+    net, paths, _ = line
+    count = lp.EXACT_CELL_LIMIT // (3 * net.edge_count)
+    at_limit = PathSet(tuple(paths[i % len(paths)] for i in range(count)))
+    past_limit = PathSet(at_limit.paths + (paths[count % len(paths)],))
+    exact = lp.max_throughput(net, build_routing_system(net, at_limit))
+    approx = lp.max_throughput(net, build_routing_system(net, past_limit))
+    assert isinstance(exact, Fraction) and exact == 20
+    assert isinstance(approx, float) and abs(approx - 20) < 1e-9
 
 
 def test_steady_state_flow_leaves_balances_unchanged(line):
@@ -274,6 +296,27 @@ def test_triangle_throughput_bounded_by_peak(balances):
     assert report.solver_status == "Optimal"
     assert 0 <= report.psi_value <= 30
     assert check_feasible(net, routing, make_state(net, balances), report.optimal_flow)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instance())
+def test_collapsed_lp_matches_three_block_reference(instance):
+    net, _, routing, state = instance
+    room = [c - b for c, b in zip(net.capacities, state.balances)]
+    reference = lp.solve_lp(lp.LpProblem(
+        objective=[1] * routing.path_count,
+        ineq_matrix=routing.forward + routing.backward,
+        ineq_bounds=state.balances + tuple(room),
+        eq_matrix=routing.delta,
+        eq_bounds=[0] * routing.edge_count,
+    ), exact=True)
+    exact = lp.one_step_throughput(net, routing, state, exact=True)
+    approx = lp.one_step_throughput(net, routing, state, exact=False)
+    assert exact.psi_value == reference.objective_value
+    assert abs(approx.psi_value - reference.objective_value) < 1e-9
+    for report, tol in ((exact, 0), (approx, 1e-9)):
+        assert check_feasible(net, routing, state, report.optimal_flow, tol=tol)
+        assert _delta_residual(routing, report.optimal_flow) <= tol
 
 
 # --- export ---
