@@ -17,7 +17,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -160,11 +160,7 @@ def _sweep_cell(args):
     (spec, pairs, graph_seed, demand_seed, mode,
      want_max, want_min, measure) = args
     started = time.perf_counter()
-    network = gen_topology(TopologySpec(
-        kind=spec.kind, node_count=spec.node_count,
-        edge_budget=spec.edge_budget, degree=spec.degree,
-        rewire_prob=spec.rewire_prob, exponent=spec.exponent,
-        total_collateral=spec.total_collateral, seed=graph_seed))
+    network = gen_topology(replace(spec, seed=graph_seed))
     demand = sample_demand(network, DemandSpec(
         pair_count=pairs, mode=mode, seed=demand_seed))
     paths = build_paths(network, demand, seed=demand_seed)
@@ -378,14 +374,7 @@ def cmd_sweep(args) -> int:
     else:
         config = desk_scale_config()
     if args.seed is not None:
-        config = SweepConfig(
-            topologies=config.topologies, densities=config.densities,
-            graph_instances=config.graph_instances,
-            demand_matrices=config.demand_matrices, base_seed=args.seed,
-            demand_mode=config.demand_mode,
-            with_phi_max=config.with_phi_max,
-            with_phi_min=config.with_phi_min,
-            measure_runtime=config.measure_runtime)
+        config = replace(config, base_seed=args.seed)
     rows = run_sweep(config, threads=args.threads)
     directory = _out_dir(args)
     (directory / args.results).write_text(results_csv(rows),

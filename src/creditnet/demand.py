@@ -116,10 +116,19 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
     """
     del seed
     adj = [sorted(nbrs) for nbrs in network.adjacency()]
+    # Distances depend only on the higher endpoint, so each distinct
+    # root gets one traversal and its pairs are routed off it together.
+    by_root: dict[int, list[int]] = {}
+    for index, (s, r) in enumerate(demand):
+        by_root.setdefault(max(s, r), []).append(index)
+    walks: list[list[int] | None] = [None] * len(demand)
+    for root, indices in by_root.items():
+        dist = _bfs_distances(adj, root)
+        for index in indices:
+            lo = min(demand.pairs[index])
+            walks[index] = _lex_min_shortest(adj, dist, lo, root)
     routes = []
-    for s, r in demand:
-        lo, hi = (s, r) if s < r else (r, s)
-        walk = _lex_min_shortest(adj, lo, hi)
+    for (s, r), walk in zip(demand, walks):
         if walk is None:
             raise ValueError(f"no route between {s} and {r}")
         if s > r:
@@ -128,8 +137,8 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
     return PathSet(paths=tuple(routes))
 
 
-def _lex_min_shortest(adj, source, target):
-    dist = _bfs_distances(adj, target)
+def _lex_min_shortest(adj, dist, source, target):
+    """Lexicographically smallest shortest walk, given distances to target."""
     if dist[source] is None:
         return None
     walk = [source]

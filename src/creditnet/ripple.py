@@ -164,6 +164,11 @@ class RipplePrediction:
         return None
 
 
+def _check_channel_count(channel_count: int) -> None:
+    if channel_count < 1:
+        raise ValueError(f"need at least one channel, got {channel_count}")
+
+
 def predict_ripple(dist: PathLengthDistribution, flow_count: int,
                    channel_count: int) -> RipplePrediction:
     """Iterate the expected-additions recursion down from a full board.
@@ -176,6 +181,7 @@ def predict_ripple(dist: PathLengthDistribution, flow_count: int,
     in the starting ripple.  A trajectory that hits zero stays there:
     peeling has stalled and nothing can be processed at lower levels.
     """
+    _check_channel_count(channel_count)
     size = min(flow_count * dist.prob(1), float(channel_count))
     rows = [(channel_count, size)]
     for level in range(channel_count - 1, 0, -1):
@@ -221,6 +227,7 @@ def simulate_iid_peeling(dist: PathLengthDistribution, flow_count: int,
     as single units.  A stalled trial contributes zeros below its stall
     level, mirroring how the analytical trajectory flat-lines.
     """
+    _check_channel_count(channel_count)
     if dist.max_length > channel_count:
         raise ValueError("distribution support exceeds the channel count")
     sums = [0.0] * channel_count

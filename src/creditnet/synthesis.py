@@ -2,23 +2,28 @@
 
 The pipeline runs in two stages.  First a path-length mix is chosen so
 that the predicted ripple trajectory tracks a slowly decaying target
-curve: that is a non-negative least-squares problem with linear side
-constraints, solved by projected gradient with an alternating-projection
-(Dykstra) step onto the constraint polytope.  Second, joint-degree space
-is searched with annealed local moves for a random-graph family whose
-shortest-path length mix matches the stage-one output; candidate joint
-degree matrices are realized, patched to a valid joint degree sequence,
-and scored by Monte Carlo path-length estimates.
+curve: that is a small convex least-squares problem with box bounds, a
+fixed flow total and a monotone tail, solved directly by SLSQP.  Second,
+joint-degree space is searched with annealed local moves for a
+random-graph family whose shortest-path length mix matches the
+stage-one output; candidate joint degree matrices are realized, patched
+to a valid joint degree sequence, and scored by the full-pair
+path-length mix of their realizations, taken from one compiled
+all-pairs shortest-path kernel.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
+from scipy.optimize import Bounds, minimize
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from .model import CreditNetwork, make_network
 from .ripple import PathLengthDistribution, ripple_add_prob
@@ -26,11 +31,9 @@ from .ripple import PathLengthDistribution, ripple_add_prob
 RIPPLE_SCALE = 1.7
 RIPPLE_DECAY = 2.5
 
-# Projected-gradient termination: relative residual change below this
-# across a full window of iterations.
-CONVERGENCE_TOL = 1e-8
-CONVERGENCE_WINDOW = 100
-MAX_GRADIENT_ITERATIONS = 50_000
+# Stage-one SLSQP stop: absolute change of the half squared residual.
+SOLVER_FTOL = 1e-12
+SOLVER_MAX_ITERATIONS = 1000
 
 # Annealed joint-degree search defaults.
 DEFAULT_SEARCH_BUDGET = 5000
@@ -138,74 +141,16 @@ def _length_upper_bounds(target: SynthesisTarget) -> np.ndarray:
     return bounds
 
 
-def _project_monotone_tail(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x[1] >= x[2] >= ...} (index 0 free)."""
-    if len(x) <= 2:
-        return x
-    tail = x[1:]
-    # pool-adjacent-violators on the reversed (non-decreasing) problem
-    values = list(tail[::-1])
-    weights = [1.0] * len(values)
-    blocks = []
-    for v, w in zip(values, weights):
-        blocks.append([v, w])
-        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
-            v2, w2 = blocks.pop()
-            blocks[-1][0] = (blocks[-1][0] * blocks[-1][1] + v2 * w2) \
-                / (blocks[-1][1] + w2)
-            blocks[-1][1] += w2
-    fitted = []
-    for v, w in blocks:
-        fitted.extend([v] * int(round(w)))
-    out = x.copy()
-    out[1:] = np.array(fitted)[::-1]
-    return out
-
-
-def _project_constraints(x: np.ndarray, bounds: np.ndarray, total: float,
-                         cycles: int = 400) -> np.ndarray:
-    """Dykstra's alternating projection onto the feasible polytope."""
-    p_box = np.zeros_like(x)
-    p_sum = np.zeros_like(x)
-    p_mono = np.zeros_like(x)
-    y = x.copy()
-    for _ in range(cycles):
-        prev = y.copy()
-        z = y + p_box
-        y = np.clip(z, 0.0, bounds)
-        p_box = z - y
-        z = y + p_sum
-        y = z + (total - z.sum()) / len(z)
-        p_sum = z - y
-        z = y + p_mono
-        y = _project_monotone_tail(z)
-        p_mono = z - y
-        if np.max(np.abs(y - prev)) < 1e-13:
-            break
-    return y
-
-
-def _polish_feasible(x: np.ndarray, bounds: np.ndarray,
-                     total: float) -> np.ndarray:
-    """Plain alternating projections converge into the intersection."""
-    y = x.copy()
-    for _ in range(20_000):
-        y = np.clip(y, 0.0, bounds)
-        y = _project_monotone_tail(y)
-        y = y + (total - y.sum()) / len(y)
-        if (np.all(y >= -1e-12) and np.all(y <= bounds + 1e-12)
-                and np.all(y[2:] <= y[1:-1] + 1e-12)):
-            break
-    return np.clip(y, 0.0, bounds) + 0.0
-
-
 def optimize_path_length_dist(target: SynthesisTarget) -> OptimizedPathLengths:
     """Least-squares fit of per-length flow counts to the target ripple.
 
     Minimizes the residual against the design system subject to
     non-negativity, a fixed flow total, the length-1 budget cap, the
     per-length degree cap, a hard path-length cutoff, and monotone
-    non-increase from length 2 onward.
+    non-increase from length 2 onward.  The problem is a small convex
+    QP, solved directly by SLSQP with the analytic gradient; the
+    residual history holds the start, every solver iterate and the
+    result.
     """
     k = target.channel_budget
     m = float(target.flow_budget)
@@ -218,30 +163,35 @@ def optimize_path_length_dist(target: SynthesisTarget) -> OptimizedPathLengths:
     matrix = build_design_matrix(k, len(bounds), target.ripple_scale,
                                  target.ripple_decay)
     goal = target_vector(k, target.ripple_scale, target.ripple_decay)
+    size = len(bounds)
+    # Row i - 1 reads x[i] - x[i + 1] >= 0 for i >= 1.
+    tail = (np.eye(size) - np.eye(size, k=1))[1:-1]
+    constraints = [{"type": "eq", "fun": lambda x: np.array([x.sum() - m]),
+                    "jac": lambda x: np.ones((1, size))}]
+    if len(tail):
+        constraints.append({"type": "ineq", "fun": lambda x: tail @ x,
+                            "jac": lambda x: tail})
 
-    step = 1.0 / max(np.linalg.norm(matrix, 2) ** 2, 1e-12)
-    x = _project_constraints(np.full(len(bounds), m / len(bounds)), bounds, m)
-    history = [float(np.linalg.norm(matrix @ x - goal))]
-    converged = False
-    for it in range(MAX_GRADIENT_ITERATIONS):
-        gradient = matrix.T @ (matrix @ x - goal)
-        x = _project_constraints(x - step * gradient, bounds, m)
-        history.append(float(np.linalg.norm(matrix @ x - goal)))
-        if it >= CONVERGENCE_WINDOW:
-            past = history[-1 - CONVERGENCE_WINDOW]
-            if abs(past - history[-1]) < CONVERGENCE_TOL * max(past, 1e-12):
-                converged = True
-                break
-    x = _polish_feasible(x, bounds, m)
-    residual = float(np.linalg.norm(matrix @ x - goal))
-    history.append(residual)
+    def residual(x) -> float:
+        return float(np.linalg.norm(matrix @ x - goal))
+
+    x0 = np.full(size, m / size)
+    history = [residual(x0)]
+    solution = minimize(
+        lambda x: 0.5 * float(np.sum((matrix @ x - goal) ** 2)), x0,
+        jac=lambda x: matrix.T @ (matrix @ x - goal), method="SLSQP",
+        bounds=Bounds(np.zeros(size), bounds), constraints=constraints,
+        options={"ftol": SOLVER_FTOL, "maxiter": SOLVER_MAX_ITERATIONS},
+        callback=lambda xk: history.append(residual(xk)))
+    x = solution.x
+    history.append(residual(x))
     probabilities = tuple(float(v) for v in x / x.sum())
     return OptimizedPathLengths(
         distribution=PathLengthDistribution(probabilities),
         flow_counts=tuple(float(v) for v in x),
-        residual=residual,
+        residual=history[-1],
         residual_history=tuple(history),
-        converged=converged,
+        converged=bool(solution.success),
     )
 
 
@@ -255,7 +205,7 @@ def search_flow_budget(target: SynthesisTarget, low: int, high: int,
         flows = int(round(flows))
         if flows not in cache:
             cache[flows] = optimize_path_length_dist(
-                _with_flow_budget(target, flows))
+                replace(target, flow_budget=flows))
         return cache[flows].residual
 
     a, b = float(low), float(high)
@@ -270,20 +220,6 @@ def search_flow_budget(target: SynthesisTarget, low: int, high: int,
         d = a + phi * (b - a)
     best = min(cache, key=lambda flows: cache[flows].residual)
     return best, cache[best]
-
-
-def _with_flow_budget(target: SynthesisTarget,
-                      flows: int) -> SynthesisTarget:
-    return SynthesisTarget(
-        channel_budget=target.channel_budget,
-        node_budget=target.node_budget,
-        flow_budget=flows,
-        max_path_length=target.max_path_length,
-        max_degree=target.max_degree,
-        jdd_max_degree=target.jdd_max_degree,
-        ripple_scale=target.ripple_scale,
-        ripple_decay=target.ripple_decay,
-    )
 
 
 @dataclass(frozen=True)
@@ -504,18 +440,11 @@ def patch_jdd_sequence(counts: dict[int, dict[int, int]]
     return fixed
 
 
-def synthesize_graph(jdd: JointDegreeDistribution, node_budget: int,
-                     channel_budget: int, seed: int,
-                     total_collateral=10_000) -> CreditNetwork:
-    """Realize the joint degree mix and keep the largest component.
-
-    The node budget is advisory: the realized size follows from the
-    degree mix and the channel budget, and the largest-component cut
-    shaves a few percent off both.
-    """
-    del node_budget
-    counts = sample_edge_counts(jdd, channel_budget, seed)
-    counts = patch_jdd_sequence(counts)
+def _realize_edges(jdd: JointDegreeDistribution, channel_budget: int,
+                   seed: int) -> tuple[int, list[tuple[int, int]]]:
+    """Node count and sorted edge list of one realization's largest
+    component, relabeled to 0..n-1 in node order."""
+    counts = patch_jdd_sequence(sample_edge_counts(jdd, channel_budget, seed))
     ok, reasons = validate_jdd_sequence(counts)
     if not ok:
         raise RuntimeError(f"unrealizable joint degree sequence: "
@@ -529,14 +458,40 @@ def synthesize_graph(jdd: JointDegreeDistribution, node_budget: int,
     relabel = {old: new for new, old in enumerate(keep)}
     edges = sorted((min(relabel[u], relabel[v]), max(relabel[u], relabel[v]))
                    for u, v in graph.subgraph(keep).edges())
-    from fractions import Fraction
+    return len(keep), edges
+
+
+def synthesize_graph(jdd: JointDegreeDistribution, node_budget: int,
+                     channel_budget: int, seed: int,
+                     total_collateral=10_000) -> CreditNetwork:
+    """Realize the joint degree mix and keep the largest component.
+
+    The node budget is advisory: the realized size follows from the
+    degree mix and the channel budget, and the largest-component cut
+    shaves a few percent off both.
+    """
+    del node_budget
+    node_count, edges = _realize_edges(jdd, channel_budget, seed)
     cap = Fraction(total_collateral) / len(edges)
-    return make_network(len(keep), edges, [cap] * len(edges))
+    return make_network(node_count, edges, [cap] * len(edges))
+
+
+def _distances(node_count: int, edges) -> np.ndarray:
+    """All-pairs hop counts of an undirected graph; inf where unreachable."""
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    graph = csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+                       shape=(node_count, node_count))
+    return shortest_path(graph, directed=False, unweighted=True)
+
+
+def _length_counts(lengths: np.ndarray) -> list[int]:
+    """Pairs per hop count 1..max, from a flat array of hop counts >= 1."""
+    return [int(c) for c in np.bincount(lengths.astype(np.int64))[1:]]
 
 
 @dataclass(frozen=True)
 class PathLengthEstimate:
-    """Monte Carlo shortest-path length mix with per-bin standard errors."""
+    """Sampled shortest-path length mix with per-bin standard errors."""
 
     distribution: PathLengthDistribution
     standard_errors: tuple[float, ...]
@@ -550,27 +505,40 @@ def estimate_plength_from_jdd(jdd: JointDegreeDistribution, node_budget: int,
                               samples: int, seed: int) -> PathLengthEstimate:
     """Histogram shortest-path lengths over sampled realizations.
 
-    Pairs are drawn as full breadth-first fans from shuffled sources,
+    Each realization contributes up to `demand_pairs` pairs, taken as
+    whole distance rows (nearest targets first) of shuffled sources,
     which matches uniform ordered-pair demand in distribution while
-    costing one traversal per source.  Realized node/edge counts are
-    averaged over the sampled realizations: the component cut makes
-    them drift below the budgets for fragmenting degree mixes.
+    costing one row per source.  A budget of at least n(n-1) takes every
+    ordered pair, so the histogram is the realization's exact full-pair
+    mix.  Realized node/edge counts are averaged over the sampled
+    realizations: the component cut makes them drift below the budgets
+    for fragmenting degree mixes.
     """
-    lengths: list[int] = []
+    del node_budget
+    if demand_pairs < 1:
+        raise ValueError("need at least one demand pair")
+    lengths = []
     node_total = 0
     edge_total = 0
     for s in range(samples):
-        network = synthesize_graph(jdd, node_budget, channel_budget,
-                                   seed + 7919 * s)
-        node_total += network.node_count
-        edge_total += network.edge_count
-        rng = random.Random(f"plen:{seed}:{s}")
-        lengths.extend(_sample_path_lengths(network, demand_pairs, rng))
-    top = max(lengths)
-    counts = [0] * top
-    for d in lengths:
-        counts[d - 1] += 1
-    n = len(lengths)
+        node_count, edges = _realize_edges(jdd, channel_budget,
+                                           seed + 7919 * s)
+        node_total += node_count
+        edge_total += len(edges)
+        dist = _distances(node_count, edges)
+        order = list(range(node_count))
+        random.Random(f"plen:{seed}:{s}").shuffle(order)
+        left = demand_pairs
+        for source in order:
+            row = dist[source]
+            # the sorted row starts with the source itself at distance 0
+            row = np.sort(row[np.isfinite(row)])[1:left + 1]
+            lengths.append(row)
+            left -= len(row)
+            if left == 0:
+                break
+    counts = _length_counts(np.concatenate(lengths))
+    n = sum(counts)
     probs = tuple(c / n for c in counts)
     errors = tuple(math.sqrt(p * (1.0 - p) / n) for p in probs)
     return PathLengthEstimate(
@@ -582,53 +550,12 @@ def estimate_plength_from_jdd(jdd: JointDegreeDistribution, node_budget: int,
     )
 
 
-def _sample_path_lengths(network: CreditNetwork, pair_budget: int, rng):
-    adj = network.adjacency()
-    order = list(range(network.node_count))
-    rng.shuffle(order)
-    lengths = []
-    for source in order:
-        dist = [-1] * network.node_count
-        dist[source] = 0
-        queue = [source]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        for v in queue[1:]:
-            lengths.append(dist[v])
-            if len(lengths) >= pair_budget:
-                return lengths
-    return lengths
-
-
 def exact_path_length_distribution(network: CreditNetwork
                                    ) -> PathLengthDistribution:
     """Full-pair shortest-path length mix of one concrete topology."""
-    adj = network.adjacency()
-    lengths: list[int] = []
-    for source in range(network.node_count):
-        dist = [-1] * network.node_count
-        dist[source] = 0
-        queue = [source]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        lengths.extend(dist[v] for v in queue[1:])
-    top = max(lengths)
-    counts = [0] * top
-    for d in lengths:
-        counts[d - 1] += 1
-    total = len(lengths)
+    dist = _distances(network.node_count, network.edges)
+    counts = _length_counts(dist[np.isfinite(dist) & (dist > 0)])
+    total = sum(counts)
     return PathLengthDistribution(tuple(c / total for c in counts))
 
 
@@ -775,9 +702,11 @@ def optimize_jdd(target_dist: PathLengthDistribution,
 
     Moves shift a sliver of probability mass between two degree-pair
     cells.  Candidates are scored by the exact full-pair distance to
-    the target path-length mix, averaged over a fixed set of wiring
-    seeds (common random numbers, so the landscape is deterministic and
-    the search cannot chase sampling luck), plus a penalty on realized
+    the target path-length mix (each realization is asked for 2n^2
+    pairs; a budget of at least its n(n-1) ordered pairs gives the exact
+    full-pair mix), averaged over a fixed set of wiring seeds (common
+    random numbers, so the landscape is deterministic and the search
+    cannot chase sampling luck), plus a penalty on realized
     node/edge counts that drift outside the band around the budgets.
     A geometric cooling schedule decides uphill acceptance, and the
     result is re-checked against the start on held-out wiring seeds so

@@ -305,3 +305,9 @@ def test_invalid_input_exits_two(tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == EXIT_BAD_INPUT
     assert "zero denominator" in capsys.readouterr().err
+    dist_file = tmp_path / "dist.csv"
+    dist_file.write_text("d,probability\n1,1.0\n", encoding="utf-8")
+    rc = main(["predict", "--dist", str(dist_file), "--flows", "3",
+               "--channels", "0", "--out-dir", str(tmp_path)])
+    assert rc == EXIT_BAD_INPUT
+    assert "at least one channel" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import networkx as nx
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
+from creditnet.model import make_network
 from creditnet.ripple import PathLengthDistribution, ripple_add_prob
 from creditnet.synthesis import (
     BUDGET_EXHAUSTED,
@@ -122,17 +125,53 @@ def test_optimizer_satisfies_all_constraints(fitted_small):
 
 
 def test_optimizer_frozen_fit(fitted_small):
-    _, out = fitted_small
-    assert out.residual == pytest.approx(4.1025074808, rel=1e-6)
+    target, out = fitted_small
+    assert out.residual == pytest.approx(4.1025070606, rel=1e-6)
     # the length-1 count pins at the density cap on this board
     assert out.flow_counts[0] == pytest.approx(2 * 300 * 260 / (100 * 99),
                                                abs=1e-6)
-    assert out.distribution.prob(2) == pytest.approx(0.49490474, abs=1e-6)
+    assert out.distribution.prob(2) == pytest.approx(0.49508410, abs=1e-6)
+    assert _kkt_gap(target, out) <= 1e-6
     history = out.residual_history
-    assert len(history) >= 100
     for older, newer in zip(history, history[1:]):
         assert newer <= older + 1e-9
     assert history[-1] == pytest.approx(out.residual, abs=1e-12)
+
+
+def _kkt_gap(target, out, active_tol=1e-6):
+    """Distance of the objective gradient from the cone of the active
+    constraint normals (the flow-total multiplier takes either sign),
+    relative to the size of the gradient at zero."""
+    x = np.array(out.flow_counts)
+    size = len(x)
+    k, n = target.channel_budget, target.node_budget
+    m = float(target.flow_budget)
+    matrix, goal = build_design_matrix(k, size), target_vector(k)
+    caps = [min(m, target.max_degree ** i * m / n) for i in range(1, size + 1)]
+    caps[0] = min(caps[0], 2.0 * k * m / (n * (n - 1)))
+    unit = np.eye(size)
+    normals = [np.ones(size), -np.ones(size)]
+    for i in range(size):
+        if x[i] <= active_tol:
+            normals.append(unit[i])
+        if caps[i] - x[i] <= active_tol:
+            normals.append(-unit[i])
+    for i in range(1, size - 1):
+        if x[i] - x[i + 1] <= active_tol:
+            normals.append(unit[i] - unit[i + 1])
+    gradient = matrix.T @ (matrix @ x - goal)
+    _, gap = nnls(np.array(normals).T, gradient)
+    return gap / np.linalg.norm(matrix.T @ goal)
+
+
+@pytest.mark.parametrize("budgets", [(300, 100, 260), (200, 80, 250),
+                                     (120, 40, 30), (120, 40, 300),
+                                     (1500, 300, 900)])
+def test_optimizer_meets_kkt_conditions(budgets):
+    target = SynthesisTarget(*budgets)
+    out = optimize_path_length_dist(target)
+    assert out.converged
+    assert _kkt_gap(target, out) <= 1e-6
 
 
 def test_optimizer_respects_hard_length_cutoff():
@@ -419,3 +458,69 @@ def test_jdd_csv_round_trip():
                 jdd.pair_mass(a, b), abs=1e-12)
     with pytest.raises(ValueError, match="row 2"):
         read_jdd_csv("0.5\n0.25,0.25,0.1\n")
+
+
+def _bfs_fans(node_count, edges):
+    """Plain BFS from every source in turn: (source, distances to the
+    other reachable nodes in queue order)."""
+    adj = [[] for _ in range(node_count)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for source in range(node_count):
+        dist = {source: 0}
+        queue = [source]
+        for u in queue:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        yield source, [dist[v] for v in queue[1:]]
+
+
+def _histogram(lengths):
+    counts = [0] * max(lengths)
+    for d in lengths:
+        counts[d - 1] += 1
+    return tuple(c / len(lengths) for c in counts)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=1,
+                         max_size=2 * n))
+    return n, sorted(edges)
+
+
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_exact_mix_matches_plain_bfs(graph):
+    n, edges = graph
+    network = make_network(n, edges, [Fraction(1)] * len(edges))
+    lengths = [d for _, fan in _bfs_fans(n, edges) for d in fan]
+    assert exact_path_length_distribution(network).probabilities \
+        == _histogram(lengths)
+
+
+@given(st.dictionaries(st.integers(1, 5), st.integers(2, 12),
+                       min_size=1, max_size=3),
+       st.integers(8, 40), st.integers(1, 400), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_sampled_mix_matches_bfs_queue_truncation(hist, channels, budget,
+                                                   seed):
+    jdd = neutral_mixing_jdd(hist, 5)
+    network = synthesize_graph(jdd, 0, channels, seed)
+    n = network.node_count
+    budget = min(budget, n * (n - 1) - 1) if n > 2 else 1
+    est = estimate_plength_from_jdd(jdd, 0, channels, demand_pairs=budget,
+                                    samples=1, seed=seed)
+    fans = dict(_bfs_fans(n, network.edges))
+    order = list(range(n))
+    random.Random(f"plen:{seed}:0").shuffle(order)
+    lengths = []
+    for source in order:
+        lengths.extend(fans[source][:budget - len(lengths)])
+    assert est.pair_count == len(lengths) == budget
+    assert est.distribution.probabilities == _histogram(lengths)
