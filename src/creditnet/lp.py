@@ -15,6 +15,9 @@ on the dense routing views (results are Fractions, tests can assert
 equality) and scipy's HiGHS dual simplex on sparse matrices built from the
 hop lists. By default the exact route takes 3 * channels * paths <=
 EXACT_CELL_LIMIT.
+
+one_step_throughput reports the solver status with its value; the peak and
+floor functions raise RuntimeError when the solver stops short of an optimum.
 """
 
 from __future__ import annotations
@@ -52,59 +55,6 @@ EXACT_CELL_LIMIT = 20_000
 _ZERO = Fraction(0)
 
 
-def _is_float(value) -> bool:
-    return isinstance(value, (float, np.floating))
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    """Standard-form container: maximize objective.x with x >= 0."""
-
-    objective: tuple
-    ineq_matrix: tuple[tuple, ...]
-    ineq_bounds: tuple
-    eq_matrix: tuple[tuple, ...] = ()
-    eq_bounds: tuple = ()
-    lower_bounds: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "objective", tuple(self.objective))
-        object.__setattr__(self, "ineq_matrix", tuple(tuple(r) for r in self.ineq_matrix))
-        object.__setattr__(self, "ineq_bounds", tuple(self.ineq_bounds))
-        object.__setattr__(self, "eq_matrix", tuple(tuple(r) for r in self.eq_matrix))
-        object.__setattr__(self, "eq_bounds", tuple(self.eq_bounds))
-        n = len(self.objective)
-        lows = tuple(self.lower_bounds) if self.lower_bounds else tuple([0] * n)
-        object.__setattr__(self, "lower_bounds", lows)
-        if len(self.ineq_matrix) != len(self.ineq_bounds):
-            raise ValueError("inequality matrix and bounds disagree in length")
-        if len(self.eq_matrix) != len(self.eq_bounds):
-            raise ValueError("equality matrix and bounds disagree in length")
-        for row in self.ineq_matrix + self.eq_matrix:
-            if len(row) != n:
-                raise ValueError("constraint row width does not match objective")
-        if len(lows) != n or any(v != 0 for v in lows):
-            raise ValueError("all variables must be lower-bounded at 0")
-
-    @property
-    def variable_count(self) -> int:
-        return len(self.objective)
-
-    @property
-    def cell_count(self) -> int:
-        return (len(self.ineq_matrix) + len(self.eq_matrix)) * len(self.objective)
-
-    def is_exact(self) -> bool:
-        if any(_is_float(v) for v in self.objective):
-            return False
-        if any(_is_float(v) for v in self.ineq_bounds + self.eq_bounds):
-            return False
-        for row in self.ineq_matrix + self.eq_matrix:
-            if any(_is_float(v) for v in row):
-                return False
-        return True
-
-
 @dataclass(frozen=True)
 class LpSolution:
     status: str
@@ -117,30 +67,6 @@ class ThroughputReport:
     psi_value: Fraction | float
     optimal_flow: FlowVector
     solver_status: str
-
-
-def solve_lp(problem: LpProblem, exact: bool | None = None) -> LpSolution:
-    """Maximize the problem; deterministic vertex solution for fixed input."""
-    if problem.variable_count == 0:
-        return LpSolution(OPTIMAL, (), _ZERO)
-    if exact is None:
-        exact = problem.is_exact() and problem.cell_count <= EXACT_CELL_LIMIT
-    if exact:
-        return LpSolution(*simplex.solve_dense(
-            problem.objective, problem.ineq_matrix, problem.ineq_bounds,
-            problem.eq_matrix, problem.eq_bounds))
-    return _solve_float(problem)
-
-
-def _solve_float(problem: LpProblem) -> LpSolution:
-    a_ub = b_ub = a_eq = b_eq = None
-    if problem.ineq_matrix:
-        a_ub = np.asarray(problem.ineq_matrix, dtype=float)
-        b_ub = np.asarray(problem.ineq_bounds, dtype=float)
-    if problem.eq_matrix:
-        a_eq = np.asarray(problem.eq_matrix, dtype=float)
-        b_eq = np.asarray(problem.eq_bounds, dtype=float)
-    return _highs(problem.objective, a_ub, b_ub, a_eq, b_eq)
 
 
 def _highs(objective, a_ub, b_ub, a_eq, b_eq) -> LpSolution:
@@ -188,6 +114,12 @@ def _throughput(routing: RoutingSystem, forward_bounds: Sequence,
     return ThroughputReport(solution.objective_value, flow, OPTIMAL)
 
 
+def _optimal_value(report: ThroughputReport) -> Fraction | float:
+    if report.solver_status != OPTIMAL:
+        raise RuntimeError(f"throughput LP ended with status {report.solver_status}")
+    return report.psi_value
+
+
 def one_step_throughput(network: CreditNetwork, routing: RoutingSystem,
                         state: BalanceState, exact: bool | None = None) -> ThroughputReport:
     """Best total flow sendable from `state` without shifting any balance."""
@@ -201,7 +133,7 @@ def one_step_throughput(network: CreditNetwork, routing: RoutingSystem,
 def max_throughput(network: CreditNetwork, routing: RoutingSystem,
                    exact: bool | None = None) -> Fraction | float:
     """Throughput ceiling: the one-step value at the perfectly balanced state."""
-    return one_step_throughput(network, routing, center_state(network), exact=exact).psi_value
+    return _optimal_value(one_step_throughput(network, routing, center_state(network), exact))
 
 
 def min_throughput(network: CreditNetwork, routing: RoutingSystem,
@@ -216,7 +148,7 @@ def min_throughput(network: CreditNetwork, routing: RoutingSystem,
             raise ValueError(f"unpeeled channel index {k} out of range")
     half = [c / 2 if k not in unpeeled else _ZERO
             for k, c in enumerate(network.capacities)]
-    return _throughput(routing, half, half, exact).psi_value
+    return _optimal_value(_throughput(routing, half, half, exact))
 
 
 def worst_state_throughput(network: CreditNetwork, routing: RoutingSystem,
@@ -238,63 +170,4 @@ def worst_state_throughput(network: CreditNetwork, routing: RoutingSystem,
         else:
             balances.append(c / 2)
     state = make_state(network, balances)
-    return one_step_throughput(network, routing, state, exact=exact).psi_value
-
-
-def _lp_number(value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("boolean coefficient")
-    if isinstance(value, int):
-        return str(value)
-    frac = Fraction(value) if not _is_float(value) else None
-    if frac is not None:
-        if frac.denominator == 1:
-            return str(frac.numerator)
-        scaled = frac.denominator
-        while scaled % 2 == 0:
-            scaled //= 2
-        while scaled % 5 == 0:
-            scaled //= 5
-        if scaled == 1:
-            from .fileio import format_rational
-
-            return format_rational(frac)
-        return repr(float(frac))
-    return repr(float(value))
-
-
-def _lp_terms(coefficients: Sequence, names: Sequence[str]) -> str:
-    parts: list[str] = []
-    for coef, name in zip(coefficients, names, strict=True):
-        if coef == 0:
-            continue
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        body = name if mag == 1 else f"{_lp_number(mag)} {name}"
-        if not parts:
-            parts.append(body if sign == "+" else f"- {body}")
-        else:
-            parts.append(f"{sign} {body}")
-    return " ".join(parts) if parts else f"0 {names[0]}"
-
-
-def cplex_lp_text(problem: LpProblem, name: str = "lp",
-                  var_names: Sequence[str] | None = None) -> str:
-    """Render the problem in CPLEX LP text format for external solvers."""
-    n = problem.variable_count
-    if var_names is None:
-        var_names = [f"x_{j}" for j in range(n)]
-    lines = [f"\\ {name}", "Maximize", f" obj: {_lp_terms(problem.objective, var_names)}"]
-    lines.append("Subject To")
-    row_id = 0
-    for row, bound in zip(problem.ineq_matrix, problem.ineq_bounds):
-        lines.append(f" c{row_id}: {_lp_terms(row, var_names)} <= {_lp_number(bound)}")
-        row_id += 1
-    for row, bound in zip(problem.eq_matrix, problem.eq_bounds):
-        lines.append(f" c{row_id}: {_lp_terms(row, var_names)} = {_lp_number(bound)}")
-        row_id += 1
-    lines.append("Bounds")
-    for vname in var_names:
-        lines.append(f" 0 <= {vname}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    return _optimal_value(one_step_throughput(network, routing, state, exact))

@@ -221,6 +221,22 @@ def path_nodes(network: CreditNetwork, path: Path) -> list[int]:
     return nodes
 
 
+def channel_paths(edge_count: int, paths: PathSet) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Channel -> path index, the transpose of the path hops.
+
+    Entry e lists the (path index, direction) pairs of every hop on channel
+    e, in path order. Rejects edge indices outside [0, edge_count), naming
+    the offending path index.
+    """
+    index: list[list[tuple[int, int]]] = [[] for _ in range(edge_count)]
+    for pi, path in enumerate(paths):
+        for e, d in path.hops:
+            if not 0 <= e < edge_count:
+                raise ValueError(f"path {pi}: edge index {e} out of range")
+            index[e].append((pi, d))
+    return tuple(tuple(entry) for entry in index)
+
+
 @dataclass(frozen=True)
 class RoutingSystem:
     """Path x channel incidence: each path's validated (edge, direction) hops.

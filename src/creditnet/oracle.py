@@ -25,6 +25,7 @@ from .model import (
     CreditNetwork,
     PathSet,
     RoutingSystem,
+    channel_paths,
     make_state,
 )
 
@@ -84,16 +85,13 @@ def max_deadlock_exact(
     rather than a silent bound.
     """
     ecount = network.edge_count
+    on_edge = channel_paths(ecount, paths)
     if ecount > max_edges:
         return DeadlockAssignment(UNSOLVED, frozenset(), (), None)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
 
-    path_hops = [tuple(p.hops) for p in paths]
-    paths_on_edge: list[list[int]] = [[] for _ in range(ecount)]
-    for pi, hops in enumerate(path_hops):
-        for edge, _ in hops:
-            paths_on_edge[edge].append(pi)
-    order = sorted(range(ecount), key=lambda e: (-len(paths_on_edge[e]), e))
+    path_hops = [p.hops for p in paths]
+    order = sorted(range(ecount), key=lambda e: (-len(on_edge[e]), e))
 
     best_count = 0
     best_blocking: dict[int, int] = {}
@@ -109,16 +107,13 @@ def max_deadlock_exact(
                     return False
                 continue
             assign[e] = v
-            if v != OPEN_BOTH:
-                for p in paths_on_edge[e]:
+            for p, d in on_edge[e]:
+                if v != OPEN_BOTH:
                     needs[p] = True
-            for p in paths_on_edge[e]:
-                for he, hd in path_hops[p]:
-                    if he == e:
-                        nundec[p] -= 1
-                        if _hop_blocks(v, hd):
-                            nblock[p] += 1
-            for p in paths_on_edge[e]:
+                nundec[p] -= 1
+                if _hop_blocks(v, d):
+                    nblock[p] += 1
+            for p, _ in on_edge[e]:
                 if nblock[p] > 0 or not needs[p]:
                     continue
                 if nundec[p] == 0:
@@ -213,10 +208,9 @@ def export_ilp(network: CreditNetwork, paths: PathSet) -> str:
             terms.append(xname)
         joined = " - ".join(terms)
         lines.append(f" opn_{pi}: y_{pi} - {joined} >= {1 - len(path.hops)}")
-    for e in range(network.edge_count):
-        for pi, path in enumerate(paths):
-            if any(he == e for he, _ in path.hops):
-                lines.append(f" dlk_{e}_{pi}: z_{e} - y_{pi} >= 0")
+    for e, on_edge in enumerate(channel_paths(network.edge_count, paths)):
+        for pi, _ in on_edge:
+            lines.append(f" dlk_{e}_{pi}: z_{e} - y_{pi} >= 0")
     lines.append("Binaries")
     names = []
     for e in range(network.edge_count):

@@ -15,9 +15,10 @@ the deadlock-prone region (exact answers live in the oracle module).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .model import BACKWARD, FORWARD, CreditNetwork, PathSet
+from .model import BACKWARD, FORWARD, CreditNetwork, PathSet, channel_paths
 
 SUCCESS = "Success"
 FAILURE = "Failure"
@@ -30,23 +31,23 @@ def opposite(channel: DirectedChannel) -> DirectedChannel:
     return (edge, BACKWARD if direction == FORWARD else FORWARD)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PeelingGraph:
-    """Mutable bipartite state: flows on one side, directed channels on the other."""
+    """Bipartite graph: flows on one side, directed channels on the other.
+
+    `channel_paths` is the model's channel -> (path, direction) index."""
 
     edge_count: int
     initial_hops: tuple[tuple[DirectedChannel, ...], ...]
-    flow_hops: list[list[DirectedChannel]]
-    alive: list[bool]
-    channel_flows: dict[DirectedChannel, set[int]]
+    channel_paths: tuple[tuple[tuple[int, int], ...], ...]
 
     def degrees(self) -> dict[int, int]:
-        """Current degree of every live flow node."""
-        return {i: len(h) for i, h in enumerate(self.flow_hops) if self.alive[i]}
+        """Degree of every flow node."""
+        return {i: len(h) for i, h in enumerate(self.initial_hops)}
 
     @property
     def flow_count(self) -> int:
-        return sum(self.alive)
+        return len(self.initial_hops)
 
 
 @dataclass(frozen=True)
@@ -58,22 +59,10 @@ class PeelResult:
 
 
 def build_peeling_graph(network: CreditNetwork, paths: PathSet) -> PeelingGraph:
-    initial = []
-    for pi, path in enumerate(paths):
-        for edge, _ in path.hops:
-            if not 0 <= edge < network.edge_count:
-                raise ValueError(f"path {pi}: edge index {edge} out of range")
-        initial.append(tuple(path.hops))
-    channel_flows: dict[DirectedChannel, set[int]] = {}
-    for i, hops in enumerate(initial):
-        for channel in hops:
-            channel_flows.setdefault(channel, set()).add(i)
     return PeelingGraph(
         edge_count=network.edge_count,
-        initial_hops=tuple(initial),
-        flow_hops=[list(h) for h in initial],
-        alive=[True] * len(initial),
-        channel_flows=channel_flows,
+        initial_hops=tuple(path.hops for path in paths),
+        channel_paths=channel_paths(network.edge_count, paths),
     )
 
 
@@ -85,24 +74,22 @@ def peel(graph: PeelingGraph, seed: int, pairing: bool = False) -> PeelResult:
     that reverse forward to be processed immediately after it.
     """
     rng = random.Random(seed)
-    hops = [list(h) for h in graph.flow_hops]
-    alive = list(graph.alive)
-    channel_flows = {c: set(s) for c, s in graph.channel_flows.items()}
+    hops = [list(h) for h in graph.initial_hops]
     total = 2 * graph.edge_count
     processed: set[DirectedChannel] = set()
-    ripple: set[DirectedChannel] = set()
+    released: set[DirectedChannel] = set()  # rippling or processed
+    # kept sorted, so the seeded pick goes by rank without a sort per step
+    ripple: list[DirectedChannel] = []
 
     def release(channel: DirectedChannel) -> None:
-        if channel not in processed and channel not in ripple:
-            ripple.add(channel)
+        if channel not in released:
+            released.add(channel)
+            insort(ripple, channel)
 
     for i, initial in enumerate(graph.initial_hops):
-        if alive[i] and len(initial) == 1:
-            alive[i] = False
-            channel = hops[i][0]
-            channel_flows[channel].discard(i)
+        if len(initial) == 1:
             hops[i] = []
-            release(opposite(channel))
+            release(opposite(initial[0]))
 
     trace = [(0, len(ripple), total)]
     step = 0
@@ -111,24 +98,27 @@ def peel(graph: PeelingGraph, seed: int, pairing: bool = False) -> PeelResult:
         if forced:
             current = forced.pop()
         else:
-            current = rng.choice(sorted(ripple))
-        ripple.discard(current)
+            current = rng.choice(ripple)
+        del ripple[bisect_left(ripple, current)]
         processed.add(current)
         step += 1
-        for i in sorted(channel_flows.get(current, ())):
+        edge, direction = current
+        for i, d in graph.channel_paths[edge]:
+            # a flow with no hops left is done: single-hop flows from the
+            # start, the others once their last channel is processed
+            if d != direction or not hops[i]:
+                continue
             hops[i] = [c for c in hops[i] if c != current]
             degree = len(hops[i])
             if degree == 1:
                 release(opposite(hops[i][0]))
             elif degree == 0:
-                alive[i] = False
                 for channel in graph.initial_hops[i]:
                     release(opposite(channel))
-        channel_flows.pop(current, None)
         trace.append((step, len(ripple), total - step))
         if pairing:
             twin = opposite(current)
-            if twin in ripple:
+            if twin in released and twin not in processed:
                 forced.append(twin)
 
     unpeeled = frozenset(

@@ -61,6 +61,8 @@ class SynthesisTarget:
     def __post_init__(self):
         if min(self.channel_budget, self.node_budget, self.flow_budget) <= 0:
             raise ValueError("budgets must be positive")
+        if self.node_budget < 2:
+            raise ValueError("node budget must be >= 2: a channel joins two nodes")
         if self.max_path_length < 2 or self.max_degree < 2:
             raise ValueError("path length and degree caps must be >= 2")
 
@@ -268,9 +270,13 @@ class JointDegreeDistribution:
 
 
 def jdd_from_graph(graph: nx.Graph) -> JointDegreeDistribution:
-    degree = dict(graph.degree())
-    top = max(degree.values())
-    matrix = [[0.0] * top for _ in range(top)]
+    return _joint_degree_matrix(graph, max(d for _, d in graph.degree()))
+
+
+def _joint_degree_matrix(graph: nx.Graph, cap: int) -> JointDegreeDistribution:
+    """The graph's edge-endpoint degree mix; degrees above `cap` count as `cap`."""
+    degree = {u: min(d, cap) for u, d in graph.degree()}
+    matrix = [[0.0] * cap for _ in range(cap)]
     edges = graph.number_of_edges()
     for u, v in graph.edges():
         a, b = degree[u], degree[v]
@@ -687,9 +693,9 @@ def _initial_guess(target_dist: PathLengthDistribution,
         guess = _hub_and_chain_jdd(target, chain_nodes, chain_len, 0)
         if guess is not None:
             return guess
-    return _clamped_jdd(nx.gnm_random_graph(n, target.channel_budget,
-                                            seed=0),
-                        target.jdd_max_degree)
+    return _joint_degree_matrix(nx.gnm_random_graph(n, target.channel_budget,
+                                                    seed=0),
+                                target.jdd_max_degree)
 
 
 def optimize_jdd(target_dist: PathLengthDistribution,
@@ -772,20 +778,6 @@ def optimize_jdd(target_dist: PathLengthDistribution,
     status = MATCHED if final_best <= match_tol else BUDGET_EXHAUSTED
     return JddSearchResult(jdd=best, distance=final_best,
                            evaluations=evaluations, status=status)
-
-
-def _clamped_jdd(graph: nx.Graph, cap: int) -> JointDegreeDistribution:
-    degree = {u: min(d, cap) for u, d in graph.degree()}
-    matrix = [[0.0] * cap for _ in range(cap)]
-    edges = graph.number_of_edges()
-    for u, v in graph.edges():
-        a, b = degree[u], degree[v]
-        if a == b:
-            matrix[a - 1][a - 1] += 1.0 / edges
-        else:
-            matrix[a - 1][b - 1] += 0.5 / edges
-            matrix[b - 1][a - 1] += 0.5 / edges
-    return JointDegreeDistribution(tuple(tuple(row) for row in matrix))
 
 
 def _move_mass(jdd: JointDegreeDistribution, rng: random.Random,

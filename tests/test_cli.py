@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +25,7 @@ from creditnet.fileio import (
     save_graph,
     write_paths,
 )
+from creditnet import lp
 from creditnet.lp import max_throughput, min_throughput
 from creditnet.model import build_routing_system
 from creditnet.peeling import build_peeling_graph, peel
@@ -285,6 +287,21 @@ def test_export_ilp_writes_program(tmp_path, capsys):
     assert "Minimize" in text and "Binaries" in text
 
 
+def test_solver_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # 3 * 50 channels * 200 pairs is past the exact route, so HiGHS runs
+    rc = main(["gen", "--kind", "ErdosRenyi", "--nodes", "24",
+               "--edges", "50", "--seed", "4", "--out-dir", str(tmp_path)])
+    assert rc == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(lp, "linprog", lambda *a, **k: SimpleNamespace(status=4))
+    rc = main(["analyze", "--graph", str(tmp_path / "graph.txt"),
+               "--pairs", "200", "--seed", "9", "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_BUDGET
+    assert "NumericalFailure" in captured.err
+    assert "nan" not in captured.out
+
+
 def test_invalid_input_exits_two(tmp_path, capsys):
     graph_file, _ = _line_files(tmp_path)
     rc = main(["demand", "--graph", str(graph_file), "--pairs", "500",
@@ -311,3 +328,7 @@ def test_invalid_input_exits_two(tmp_path, capsys):
                "--channels", "0", "--out-dir", str(tmp_path)])
     assert rc == EXIT_BAD_INPUT
     assert "at least one channel" in capsys.readouterr().err
+    rc = main(["optimize-dist", "--channels", "10", "--nodes", "1",
+               "--flows", "5", "--out-dir", str(tmp_path)])
+    assert rc == EXIT_BAD_INPUT
+    assert "node budget" in capsys.readouterr().err

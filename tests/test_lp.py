@@ -1,10 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from creditnet import (
     PathSet,
@@ -97,12 +99,21 @@ def test_simplex_agrees_with_float_route():
         # box rows keep the region bounded regardless of the random rows
         rows += [[1 if j == i else 0 for j in range(nvars)] for i in range(nvars)]
         bounds += [10] * nvars
-        problem = lp.LpProblem(obj, rows, bounds)
-        exact = lp.solve_lp(problem, exact=True)
-        approx = lp.solve_lp(problem, exact=False)
-        assert exact.status == "Optimal"
-        assert approx.status == "Optimal"
-        assert abs(float(exact.objective_value) - approx.objective_value) < 1e-7
+        status, _, value = simplex.solve_dense(obj, rows, bounds)
+        approx = linprog([-v for v in obj], A_ub=rows, b_ub=bounds,
+                         bounds=(0, None), method="highs-ds")
+        assert status == "Optimal"
+        assert approx.status == 0
+        assert abs(float(value) + approx.fun) < 1e-7
+
+
+def test_simplex_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="inequality row width"):
+        simplex.solve_dense((1, 1), ((1,),), (5,))
+    with pytest.raises(ValueError, match="equality row width"):
+        simplex.solve_dense((1, 1), (), (), ((1, 1, 1),), (0,))
+    with pytest.raises(ValueError):
+        simplex.solve_dense((1,), ((1,), (1,)), (5,))
 
 
 # --- one-step throughput on the worked line instance ---
@@ -232,6 +243,18 @@ def test_worst_state_rejects_out_of_range_balance(line):
         lp.worst_state_throughput(net, routing, {0: 25})
 
 
+def test_solver_failure_raises_instead_of_nan(line, monkeypatch):
+    net, _, routing = line
+    monkeypatch.setattr(lp, "linprog", lambda *a, **k: SimpleNamespace(status=4))
+    report = lp.one_step_throughput(net, routing, center_state(net), exact=False)
+    assert report.solver_status == lp.NUMERICAL_FAILURE
+    for call in (lambda: lp.max_throughput(net, routing, exact=False),
+                 lambda: lp.min_throughput(net, routing, {1}, exact=False),
+                 lambda: lp.worst_state_throughput(net, routing, {}, exact=False)):
+        with pytest.raises(RuntimeError, match="NumericalFailure"):
+            call()
+
+
 # --- invariants ---
 
 
@@ -303,50 +326,15 @@ def test_triangle_throughput_bounded_by_peak(balances):
 def test_collapsed_lp_matches_three_block_reference(instance):
     net, _, routing, state = instance
     room = [c - b for c, b in zip(net.capacities, state.balances)]
-    reference = lp.solve_lp(lp.LpProblem(
-        objective=[1] * routing.path_count,
-        ineq_matrix=routing.forward + routing.backward,
-        ineq_bounds=state.balances + tuple(room),
-        eq_matrix=routing.delta,
-        eq_bounds=[0] * routing.edge_count,
-    ), exact=True)
+    status, _, reference = simplex.solve_dense(
+        [1] * routing.path_count,
+        routing.forward + routing.backward, state.balances + tuple(room),
+        routing.delta, [0] * routing.edge_count)
     exact = lp.one_step_throughput(net, routing, state, exact=True)
     approx = lp.one_step_throughput(net, routing, state, exact=False)
-    assert exact.psi_value == reference.objective_value
-    assert abs(approx.psi_value - reference.objective_value) < 1e-9
+    assert status == "Optimal"
+    assert exact.psi_value == reference
+    assert abs(approx.psi_value - reference) < 1e-9
     for report, tol in ((exact, 0), (approx, 1e-9)):
         assert check_feasible(net, routing, state, report.optimal_flow, tol=tol)
         assert _delta_residual(routing, report.optimal_flow) <= tol
-
-
-# --- export ---
-
-
-def test_cplex_text_structure():
-    problem = lp.LpProblem(
-        objective=(1, 1),
-        ineq_matrix=((1, 0), (0, 1)),
-        ineq_bounds=(5, Fraction(15, 2)),
-        eq_matrix=((1, -1),),
-        eq_bounds=(0,),
-    )
-    text = lp.cplex_lp_text(problem, name="tiny", var_names=("f_0", "f_1"))
-    lines = text.splitlines()
-    assert lines[0] == "\\ tiny"
-    assert lines[1] == "Maximize"
-    assert lines[2] == " obj: f_0 + f_1"
-    assert " c1: f_1 <= 7.5" in lines
-    assert " c2: f_0 - f_1 = 0" in lines
-    assert "Bounds" in lines
-    assert " 0 <= f_0" in lines
-    assert lines[-1] == "End"
-
-
-def test_lp_problem_rejects_nonzero_lower_bounds():
-    with pytest.raises(ValueError, match="lower-bounded at 0"):
-        lp.LpProblem((1,), ((1,),), (5,), lower_bounds=(1,))
-
-
-def test_lp_problem_rejects_ragged_rows():
-    with pytest.raises(ValueError):
-        lp.LpProblem((1, 1), ((1,),), (5,))

@@ -16,6 +16,7 @@ from creditnet.model import (
     apply_flow,
     build_routing_system,
     center_state,
+    channel_paths,
     check_feasible,
     classify_state,
     make_flow,
@@ -73,6 +74,26 @@ def test_routing_rejects_malformed_paths():
     oob = PathSet((Path(0, 1, ((7, FORWARD),)),))
     with pytest.raises(ValueError, match="out of range"):
         build_routing_system(net, oob)
+
+
+@st.composite
+def _hop_lists(draw):
+    edge_count = draw(st.integers(min_value=1, max_value=6))
+    hop = st.tuples(st.integers(min_value=0, max_value=edge_count - 1),
+                    st.sampled_from((FORWARD, BACKWARD)))
+    paths = draw(st.lists(st.lists(hop, max_size=4), max_size=6))
+    return edge_count, PathSet(tuple(Path(0, 0, tuple(h)) for h in paths))
+
+
+@given(_hop_lists())
+@settings(max_examples=60, deadline=None)
+def test_channel_paths_is_the_hop_transpose(instance):
+    edge_count, paths = instance
+    index = channel_paths(edge_count, paths)
+    assert len(index) == edge_count
+    for e, entry in enumerate(index):
+        assert entry == tuple((p, d) for p, path in enumerate(paths)
+                              for he, d in path.hops if he == e)
 
 
 def test_check_feasible_line_cases(line):

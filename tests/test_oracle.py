@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from creditnet import (
     BACKWARD,
     FORWARD,
+    Path,
     PathSet,
     build_routing_system,
     make_network,
@@ -21,6 +24,7 @@ from creditnet.oracle import (
     max_deadlock_exact,
 )
 from creditnet.peeling import build_peeling_graph, peel
+from test_model import small_instance
 
 
 def _instance(node_count, edges, routes, capacity=10):
@@ -99,6 +103,25 @@ def test_unpeeled_bounds_exact_deadlock_from_above(line):
         stalled = peel(build_peeling_graph(net, paths), seed=1)
         assert exact.status == "Optimal"
         assert exact.deadlocked_edges <= stalled.unpeeled_edges
+
+
+@given(small_instance(), st.integers(min_value=0, max_value=99))
+@settings(max_examples=60, deadline=None)
+def test_unpeeled_count_bounds_exact_deadlock_size(instance, seed):
+    net, paths, _, _ = instance
+    exact = max_deadlock_exact(net, paths)
+    assert exact.status == "Optimal"
+    assert len(peel(build_peeling_graph(net, paths), seed=seed).unpeeled_edges) >= exact.size
+
+
+def test_out_of_range_edge_index_is_rejected():
+    # edge -1 must not alias the last channel
+    net = make_network(3, [(0, 1), (1, 2)], [10, 10])
+    for bad in (-1, 2):
+        paths = PathSet((Path(1, 2, ((bad, FORWARD),)),))
+        for call in (max_deadlock_exact, export_ilp, build_peeling_graph):
+            with pytest.raises(ValueError, match=f"path 0: edge index {bad} out of range"):
+                call(net, paths)
 
 
 def test_edges_without_paths_all_deadlock():

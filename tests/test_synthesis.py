@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
+from creditnet import synthesis
 from creditnet.model import make_network
 from creditnet.ripple import PathLengthDistribution, ripple_add_prob
 from creditnet.synthesis import (
@@ -221,6 +222,15 @@ def test_jdd_from_known_graphs():
     path = jdd_from_graph(nx.path_graph(4))
     assert path.pair_mass(1, 2) == pytest.approx(2 / 3)
     assert path.pair_mass(2, 2) == pytest.approx(1 / 3)
+
+    # a hub of degree 9 over a cap of 4 counts as degree 4, bit for bit
+    clamped = synthesis._joint_degree_matrix(nx.star_graph(9), 4)
+    mass = 0.0
+    for _ in range(9):
+        mass += 0.5 / 9
+    assert clamped.max_degree == 4
+    assert clamped.entries[0][3] == clamped.entries[3][0] == mass
+    assert sum(map(sum, clamped.entries)) == 2 * mass
 
 
 def test_neutral_mixing_is_a_product_measure():
