@@ -65,6 +65,8 @@ class SynthesisTarget:
             raise ValueError("node budget must be >= 2: a channel joins two nodes")
         if self.max_path_length < 2 or self.max_degree < 2:
             raise ValueError("path length and degree caps must be >= 2")
+        if self.jdd_max_degree < 1:
+            raise ValueError("joint degree cap must be >= 1")
 
 
 def target_ripple(remaining: int, scale: float = RIPPLE_SCALE,

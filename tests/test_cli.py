@@ -332,3 +332,7 @@ def test_invalid_input_exits_two(tmp_path, capsys):
                "--flows", "5", "--out-dir", str(tmp_path)])
     assert rc == EXIT_BAD_INPUT
     assert "node budget" in capsys.readouterr().err
+    rc = main(["synthesize", "--channels", "40", "--nodes", "20", "--flows", "30",
+               "--jdd-max-degree", "0", "--budget", "2", "--out-dir", str(tmp_path)])
+    assert rc == EXIT_BAD_INPUT
+    assert "joint degree cap" in capsys.readouterr().err

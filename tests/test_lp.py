@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,8 @@ from creditnet import (
     path_from_nodes,
 )
 from creditnet import lp, simplex
+from creditnet.demand import DemandSpec, build_paths, sample_demand
+from creditnet.topology import ERDOS_RENYI, TopologySpec, gen_topology
 from test_model import small_instance
 
 
@@ -241,6 +245,9 @@ def test_worst_state_rejects_out_of_range_balance(line):
     net, _, routing = line
     with pytest.raises(ValueError, match="channel 0"):
         lp.worst_state_throughput(net, routing, {0: 25})
+    for key in (99, -1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            lp.worst_state_throughput(net, routing, {key: 0})
 
 
 def test_solver_failure_raises_instead_of_nan(line, monkeypatch):
@@ -338,3 +345,100 @@ def test_collapsed_lp_matches_three_block_reference(instance):
     for report, tol in ((exact, 0), (approx, 1e-9)):
         assert check_feasible(net, routing, state, report.optimal_flow, tol=tol)
         assert _delta_residual(routing, report.optimal_flow) <= tol
+
+
+# --- certified route ---
+
+
+def _er_instance(nodes, channels, pairs, seed, demand_seed):
+    net = gen_topology(TopologySpec(kind=ERDOS_RENYI, node_count=nodes,
+                                    edge_budget=channels, seed=seed))
+    demand = sample_demand(net, DemandSpec(pair_count=pairs, seed=demand_seed))
+    return net, build_routing_system(net, build_paths(net, demand))
+
+
+def test_routes_by_size(line):
+    net, _, routing = line
+    assert 3 * routing.edge_count * routing.path_count < lp.CERTIFY_MIN_CELLS
+    state = center_state(net)
+    assert lp.one_step_throughput(net, routing, state).route == lp.SIMPLEX
+    assert lp.one_step_throughput(net, routing, state, exact=False).route == lp.FLOAT
+    with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
+        report = lp.one_step_throughput(net, routing, state)
+    assert report.route == lp.CERTIFIED
+    assert report.psi_value == 20 and isinstance(report.psi_value, Fraction)
+
+
+def test_certified_route_on_large_exact_instance():
+    # 30 channels x 200 paths = 18,000 cells, just under EXACT_CELL_LIMIT;
+    # the float route alone returns 9166.66666666667
+    net, routing = _er_instance(15, 30, 200, seed=0, demand_seed=1)
+    assert 3 * routing.edge_count * routing.path_count == 18_000
+    report = lp.one_step_throughput(net, routing, center_state(net))
+    assert report.route == lp.CERTIFIED
+    assert report.psi_value == Fraction(27500, 3)
+    assert check_feasible(net, routing, center_state(net), report.optimal_flow, tol=0)
+    assert _delta_residual(routing, report.optimal_flow) == 0
+
+
+def _halve_primal(res):
+    # x / 2 stays feasible, but sum(x) falls short of the dual bound
+    res.x = res.x / 2
+
+
+def _zero_primal_and_dual(res):
+    # x = 0 and alpha = gamma = 0 close the gap, but no reduced cost reaches 1
+    res.x = np.zeros_like(res.x)
+    res.ineqlin.marginals = np.zeros_like(res.ineqlin.marginals)
+    res.eqlin.marginals = np.zeros_like(res.eqlin.marginals)
+
+
+def _optimum_on_one_path(res):
+    # sum(x) still equals the dual bound, but one path alone shifts balances
+    res.x = np.zeros_like(res.x)
+    res.x[0] = -res.fun
+
+
+@pytest.mark.parametrize("perturb", [_halve_primal, _zero_primal_and_dual,
+                                     _optimum_on_one_path])
+def test_failed_certificate_falls_back_to_simplex(perturb):
+    net, routing = _er_instance(10, 18, 50, seed=3, demand_seed=10)
+    state = center_state(net)
+    reference = lp.one_step_throughput(net, routing, state)
+    assert reference.route == lp.CERTIFIED
+
+    def perturbed_linprog(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        perturb(res)
+        return res
+
+    with mock.patch.object(lp, "linprog", perturbed_linprog):
+        report = lp.one_step_throughput(net, routing, state)
+    assert report.route == lp.SIMPLEX
+    assert report.psi_value == reference.psi_value
+    assert isinstance(report.psi_value, Fraction)
+    assert check_feasible(net, routing, state, report.optimal_flow, tol=0)
+    assert _delta_residual(routing, report.optimal_flow) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_instance(), st.integers(min_value=1, max_value=6), st.data())
+def test_certified_value_matches_simplex(instance, denominator, data):
+    net, _, routing, _ = instance
+    # balances on the lattice (1/denominator) Z inside [0, capacity]
+    state = make_state(net, [
+        Fraction(data.draw(st.integers(min_value=0, max_value=int(c * denominator))),
+                 denominator)
+        for c in net.capacities])
+    bounds = [min(b, c - b) for c, b in zip(net.capacities, state.balances)]
+    status, _, reference = simplex.solve_dense(
+        [1] * routing.path_count, routing.forward, bounds, routing.delta,
+        [0] * routing.edge_count)
+    with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
+        report = lp.one_step_throughput(net, routing, state)
+    assert status == "Optimal"
+    assert report.route == lp.CERTIFIED
+    assert report.psi_value == reference
+    assert isinstance(report.psi_value, Fraction)
+    assert check_feasible(net, routing, state, report.optimal_flow, tol=0)
+    assert _delta_residual(routing, report.optimal_flow) == 0
