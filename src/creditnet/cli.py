@@ -486,6 +486,8 @@ def cmd_optimize_dist(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    if args.restarts < 1:
+        raise ValueError("need at least one restart")
     target = SynthesisTarget(
         channel_budget=args.channels, node_budget=args.nodes,
         flow_budget=args.flows, max_path_length=args.max_path_length,

@@ -336,3 +336,15 @@ def test_invalid_input_exits_two(tmp_path, capsys):
                "--jdd-max-degree", "0", "--budget", "2", "--out-dir", str(tmp_path)])
     assert rc == EXIT_BAD_INPUT
     assert "joint degree cap" in capsys.readouterr().err
+    small = ["synthesize", "--channels", "40", "--nodes", "20", "--flows",
+             "30", "--out-dir", str(tmp_path)]
+    for flags, message in ((["--budget", "0"], "search budget"),
+                           (["--budget", "-5"], "search budget"),
+                           (["--match-tol", "nan"], "match tolerance"),
+                           (["--restarts", "0"], "restart")):
+        rc = main(small + flags)
+        captured = capsys.readouterr()
+        assert rc == EXIT_BAD_INPUT, flags
+        assert message in captured.err
+        # rejected before any search runs
+        assert "search_status" not in captured.out

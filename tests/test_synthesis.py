@@ -1,6 +1,9 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -534,3 +537,131 @@ def test_sampled_mix_matches_bfs_queue_truncation(hist, channels, budget,
         lengths.extend(fans[source][:budget - len(lengths)])
     assert est.pair_count == len(lengths) == budget
     assert est.distribution.probabilities == _histogram(lengths)
+
+
+@st.composite
+def wide_graphs(draw):
+    """2-200 nodes in several components, isolated nodes included, with
+    labels shuffled so components straddle 64-bit words."""
+    sizes = draw(st.lists(st.integers(1, 70), min_size=1, max_size=6))
+    while sum(sizes) > 199:
+        sizes.pop()
+    sizes.append(1)
+    n = sum(sizes)
+    label = draw(st.permutations(range(n)))
+    edges = set()
+    first = 0
+    for size in sizes:
+        members = range(first, first + size)
+        for i in members[1:]:
+            if draw(st.integers(0, 9)):  # mostly a spanning tree
+                j = draw(st.integers(first, i - 1))
+                edges.add((j, i))
+        extra = draw(st.integers(0, size))
+        for _ in range(extra if size > 1 else 0):
+            u, v = draw(st.lists(st.sampled_from(members), min_size=2,
+                                 max_size=2, unique=True))
+            edges.add((min(u, v), max(u, v)))
+        first += size
+    edges = sorted((min(label[u], label[v]), max(label[u], label[v]))
+                   for u, v in edges)
+    return n, edges
+
+
+@given(wide_graphs(), st.integers(1, 40_000), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_level_histograms_match_bfs_on_wide_graphs(graph, budget, seed):
+    n, edges = graph
+    fans = dict(_bfs_fans(n, edges))
+    lengths = [d for fan in fans.values() for d in fan]
+    if lengths:
+        network = make_network(n, edges, [Fraction(1)] * len(edges))
+        assert exact_path_length_distribution(network).probabilities \
+            == _histogram(lengths)
+    order = list(range(n))
+    random.Random(f"plen:{seed}:0").shuffle(order)
+    truncated = []
+    for source in order:
+        truncated.extend(fans[source][:budget - len(truncated)])
+    if not truncated:
+        return
+    with mock.patch.object(synthesis, "_realize_edges",
+                           lambda jdd, channels, s: (n, edges)):
+        est = estimate_plength_from_jdd(None, 0, 0, demand_pairs=budget,
+                                        samples=1, seed=seed)
+    assert est.pair_count == len(truncated) == min(budget, len(lengths))
+    assert est.distribution.probabilities == _histogram(truncated)
+
+
+def test_realize_edges_leaves_no_reference_cycle(monkeypatch):
+    graphs = []
+
+    def kept(*args, **kwargs):
+        graph = nx_joint_degree_graph(*args, **kwargs)
+        graphs.append(weakref.ref(graph))
+        return graph
+
+    nx_joint_degree_graph = synthesis.nx.joint_degree_graph
+    monkeypatch.setattr(synthesis.nx, "joint_degree_graph", kept)
+    jdd = neutral_mixing_jdd({2: 30, 3: 30, 4: 10}, 6)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        node_count, edges = synthesis._realize_edges(jdd, 105, seed=5)
+        # freed by reference counting alone, not by a later collection
+        assert len(graphs) == 1 and graphs[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    network = synthesize_graph(jdd, 70, 105, seed=5)
+    assert (node_count, edges) == (network.node_count, list(network.edges))
+
+
+def test_jdd_search_rejects_bad_settings():
+    target = SynthesisTarget(channel_budget=100, node_budget=72,
+                             flow_budget=80, jdd_max_degree=8)
+    flat = PathLengthDistribution((0.2, 0.5, 0.3))
+    for bad in ({"budget": 0}, {"budget": -5}, {"eval_seeds": 0},
+                {"match_tol": -0.1}, {"match_tol": math.nan},
+                {"match_tol": math.inf}):
+        with pytest.raises(ValueError):
+            optimize_jdd(flat, target, seed=1, **bad)
+
+
+def test_stalled_search_stops_one_window_after_its_best(monkeypatch):
+    jdd = neutral_mixing_jdd({2: 20, 3: 25, 4: 15}, 8)
+    target = SynthesisTarget(channel_budget=100, node_budget=72,
+                             flow_budget=80, jdd_max_degree=8)
+    target_dist = estimate_plength_from_jdd(
+        jdd, 72, 100, demand_pairs=10 ** 9, samples=1, seed=77).distribution
+    estimates = []
+    real_estimate = synthesis.estimate_plength_from_jdd
+
+    def traced(*args, **kwargs):
+        estimates.append(real_estimate(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(synthesis, "estimate_plength_from_jdd", traced)
+    budget = 20 * synthesis.STALL_WINDOW
+    stopped = optimize_jdd(target_dist, target, seed=3, budget=budget,
+                           eval_seeds=1, initial=jdd)
+    monkeypatch.setattr(synthesis, "estimate_plength_from_jdd",
+                        real_estimate)
+    low_n, high_n = synthesis.REALIZED_NODE_BAND
+    low_k, high_k = synthesis.REALIZED_EDGE_BAND
+    energies = [
+        distribution_distance(est.distribution, target_dist)
+        + 3.0 * (max(0.0, low_n - est.realized_nodes / 72)
+                 + max(0.0, est.realized_nodes / 72 - high_n)
+                 + max(0.0, low_k - est.realized_edges / 100)
+                 + max(0.0, est.realized_edges / 100 - high_k))
+        for est in estimates[:-2]]  # one per evaluation, then the holdouts
+    assert len(energies) == stopped.evaluations < budget
+    last_best = energies.index(min(energies)) + 1
+    assert stopped.evaluations == last_best + synthesis.STALL_WINDOW
+    capped = optimize_jdd(target_dist, target, seed=3,
+                          budget=stopped.evaluations, eval_seeds=1,
+                          initial=jdd)
+    assert capped.evaluations == stopped.evaluations
+    assert capped.jdd == stopped.jdd
+    assert capped.distance == stopped.distance
