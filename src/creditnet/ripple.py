@@ -32,6 +32,8 @@ class PathLengthDistribution:
     def __post_init__(self):
         if not self.probabilities:
             raise ValueError("distribution needs at least one length")
+        if not all(math.isfinite(p) for p in self.probabilities):
+            raise ValueError("probability mass must be finite")
         if any(p < 0 for p in self.probabilities):
             raise ValueError("negative probability mass")
         total = sum(self.probabilities)

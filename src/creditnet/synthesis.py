@@ -11,6 +11,12 @@ to a valid joint degree sequence, and scored by the full-pair
 path-length mix of their realizations.  The search stops once its best
 score has not improved for `STALL_WINDOW` evaluations.
 
+Realizations are wired by the construction of Gjoka, Tillman &
+Markopoulou, "Construction of Simple Graphs with a Target Joint Degree
+Matrix and Beyond" (IEEE INFOCOM 2015), ported here step for step from
+`nx.joint_degree_graph`: the same seed gives the same graph, edge for
+edge, without a networkx graph's per-edge bookkeeping.
+
 Every path-length mix here comes from one kernel, `_level_counts`: a
 breadth-first search from all sources at once on bitset rows, which
 yields per source the number of nodes at each hop count.
@@ -253,6 +259,8 @@ class JointDegreeDistribution:
         for j in range(size):
             for l in range(size):
                 v = self.entries[j][l]
+                if not math.isfinite(v):
+                    raise ValueError("joint degree mass must be finite")
                 if v < -1e-15:
                     raise ValueError("negative joint degree mass")
                 if abs(v - self.entries[l][j]) > 1e-9:
@@ -432,10 +440,9 @@ def patch_jdd_sequence(counts: dict[int, dict[int, int]]
         remainder = sum(fixed[j].values()) % j
         if remainder:
             add_edges(j, j - remainder)
+    # Past this point only the class caps can change, so the loop scans
+    # them alone and validates in full once no class is crowded.
     for _ in range(10_000):
-        ok, reasons = validate_jdd_sequence(fixed)
-        if ok:
-            break
         nodes = _class_sizes(fixed)
         crowded = None
         for j in sorted(fixed):
@@ -450,6 +457,9 @@ def patch_jdd_sequence(counts: dict[int, dict[int, int]]
             if crowded:
                 break
         if crowded is None:
+            ok, reasons = validate_jdd_sequence(fixed)
+            if ok:
+                break
             raise RuntimeError(f"cannot patch joint degree sequence: "
                                f"{reasons[0]}")
         add_edges(crowded, crowded)
@@ -459,26 +469,116 @@ def patch_jdd_sequence(counts: dict[int, dict[int, int]]
 def _realize_edges(jdd: JointDegreeDistribution, channel_budget: int,
                    seed: int) -> tuple[int, list[tuple[int, int]]]:
     """Node count and sorted edge list of one realization's largest
-    component, relabeled to 0..n-1 in node order."""
+    component, relabeled to 0..n-1 in node order.
+
+    The patched counts are wired by `_wire_joint_degrees` (Gjoka et al.,
+    INFOCOM 2015) into the graph `nx.joint_degree_graph(counts,
+    seed=seed)` builds, and the component kept is the one
+    `max(nx.connected_components(graph), key=len)` picks: the first
+    largest when components are scanned from the lowest node id.  So
+    every realization is bit-identical to networkx's.
+    """
     counts = patch_jdd_sequence(sample_edge_counts(jdd, channel_budget, seed))
     ok, reasons = validate_jdd_sequence(counts)
     if not ok:
         raise RuntimeError(f"unrealizable joint degree sequence: "
                            f"{reasons[0]}")
-    try:
-        graph = nx.joint_degree_graph(counts, seed=seed)
-    except nx.NetworkXError as exc:
-        raise RuntimeError(f"joint degree construction failed: {exc}")
-    component = max(nx.connected_components(graph), key=len)
-    keep = sorted(component)
+    adj = _wire_joint_degrees(counts, seed)
+    seen = [False] * len(adj)
+    keep: list[int] = []
+    for root in range(len(adj)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        component = [root]
+        for u in component:
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    component.append(v)
+        if len(component) > len(keep):
+            keep = component
+    keep.sort()
     relabel = {old: new for new, old in enumerate(keep)}
-    # Walk the adjacency, not graph.edges(): that view is cached on the
-    # graph and points back at it, so every realization would live in a
-    # reference cycle until the next full garbage collection.
-    adj = graph.adj
     edges = sorted((relabel[u], relabel[v]) for u in keep for v in adj[u]
                    if u < v)
     return len(keep), edges
+
+
+def _wire_joint_degrees(counts: dict[int, dict[int, int]],
+                        seed: int) -> list[dict[int, None]]:
+    """Adjacency of a simple graph with the given joint degree counts,
+    built step for step as `nx.joint_degree_graph(counts, seed=seed)`
+    builds it: node ids go to the degree classes in `counts` order, the
+    same `randrange` calls draw each candidate pair, and the unsaturated
+    sets are built and shrunk the same way.  Each adjacency is an
+    insertion-ordered dict, as in a networkx graph, so every neighbour
+    switch picks the same nodes.
+    """
+    randrange = random.Random(seed).randrange
+    sizes = {k: sum(row.values()) // k for k, row in counts.items()}
+    members = {}
+    residual: list[int] = []
+    for k, size in sizes.items():
+        members[k] = range(len(residual), len(residual) + size)
+        residual.extend([k] * size)
+    adj: list[dict[int, None]] = [{} for _ in residual]
+    for k, row in counts.items():
+        for l, wanted in row.items():
+            if wanted <= 0 or k < l:
+                continue
+            k_size, l_size = sizes[k], sizes[l]
+            k_nodes, l_nodes = members[k], members[l]
+            k_unsat = {v for v in k_nodes if residual[v] > 0}
+            if k != l:
+                l_unsat = {w for w in l_nodes if residual[w] > 0}
+            else:
+                l_unsat = k_unsat
+                wanted //= 2
+            while wanted > 0:
+                v = k_nodes[randrange(k_size)]
+                w = l_nodes[randrange(l_size)]
+                if v == w or w in adj[v]:
+                    continue
+                if residual[v] == 0:
+                    _switch_neighbour(adj, v, k_unsat, residual)
+                if residual[w] == 0:
+                    _switch_neighbour(adj, w, l_unsat, residual,
+                                      v if k == l else None)
+                adj[v][w] = None
+                adj[w][v] = None
+                residual[v] -= 1
+                residual[w] -= 1
+                wanted -= 1
+                if residual[v] == 0:
+                    k_unsat.discard(v)
+                if residual[w] == 0:
+                    l_unsat.discard(w)
+    return adj
+
+
+def _switch_neighbour(adj: list[dict[int, None]], w: int, unsat: set[int],
+                      residual: list[int], avoid: int | None = None):
+    """Free one stub of the saturated node `w` without changing the
+    joint degrees: move one of its edges to an unsaturated node of the
+    same degree (never `avoid` while that node has a single stub left).
+    """
+    skip = avoid if avoid is not None and residual[avoid] <= 1 else None
+    for w_prime in unsat:
+        if w_prime != skip:
+            break
+    taken = adj[w_prime]
+    for switch in adj[w]:
+        if switch not in taken and switch != w_prime:
+            break
+    del adj[w][switch]
+    del adj[switch][w]
+    adj[w_prime][switch] = None
+    adj[switch][w_prime] = None
+    residual[w] += 1
+    residual[w_prime] -= 1
+    if residual[w_prime] == 0:
+        unsat.remove(w_prime)
 
 
 def synthesize_graph(jdd: JointDegreeDistribution, node_budget: int,
@@ -651,7 +751,7 @@ def synthesize_matched(jdd: JointDegreeDistribution,
                                    seed + 104_729 * r)
         gap = distribution_distance(exact_path_length_distribution(network),
                                     target_dist, "l1")
-        if gap < best_gap:
+        if best is None or gap < best_gap:
             best, best_gap = network, gap
     return best
 

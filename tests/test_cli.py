@@ -348,3 +348,15 @@ def test_invalid_input_exits_two(tmp_path, capsys):
         assert message in captured.err
         # rejected before any search runs
         assert "search_status" not in captured.out
+    nan_jdd = tmp_path / "nan.jdd"
+    nan_jdd.write_text("1\n0,nan\n", encoding="utf-8")
+    nan_dist = tmp_path / "nan.csv"
+    nan_dist.write_text("d,probability\n1,0.5\n2,nan\n", encoding="utf-8")
+    for argv in (small + ["--jdd", str(nan_jdd)],
+                 small + ["--target-dist", str(nan_dist), "--budget", "2"],
+                 ["predict", "--dist", str(nan_dist), "--flows", "3",
+                  "--channels", "5", "--out-dir", str(tmp_path)]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == EXIT_BAD_INPUT, argv
+        assert "must be finite" in captured.err

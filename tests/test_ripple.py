@@ -220,6 +220,9 @@ def test_distribution_helpers_and_validation():
         PathLengthDistribution((0.5, 0.4))
     with pytest.raises(ValueError):
         PathLengthDistribution((1.5, -0.5))
+    for bad in ((1.0, math.nan), (math.nan,), (math.inf, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            PathLengthDistribution(bad)
     with pytest.raises(ValueError):
         distribution_from_lengths([])
 

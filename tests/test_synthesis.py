@@ -1,7 +1,6 @@
 import gc
 import math
 import random
-import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -258,6 +257,9 @@ def test_jdd_matrix_validation():
         JointDegreeDistribution(((-0.1, 0.55), (0.55, 0.0)))
     with pytest.raises(ValueError, match="sums"):
         JointDegreeDistribution(((0.3, 0.1), (0.1, 0.3)))
+    for bad in (((1.0, 0.0), (0.0, math.nan)), ((math.inf, 0.0), (0.0, 0.0))):
+        with pytest.raises(ValueError, match="finite"):
+            JointDegreeDistribution(bad)
 
 
 def test_sample_edge_counts_is_stratified():
@@ -414,6 +416,17 @@ def test_matched_synthesis_keeps_the_best_wiring():
     assert picked <= 0.15
     with pytest.raises(ValueError):
         synthesize_matched(jdd, target_dist, target, seed=9, restarts=0)
+
+
+def test_matched_synthesis_keeps_the_first_wiring_without_a_lower_gap():
+    jdd = neutral_mixing_jdd({2: 20, 3: 25, 4: 15}, 8)
+    target = SynthesisTarget(channel_budget=100, node_budget=72,
+                             flow_budget=80, jdd_max_degree=8)
+    flat = PathLengthDistribution((0.2, 0.5, 0.3))
+    with mock.patch.object(synthesis, "distribution_distance",
+                           lambda a, b, kind: math.nan):
+        network = synthesize_matched(jdd, flat, target, seed=9, restarts=3)
+    assert network == synthesize_graph(jdd, 72, 100, seed=9)
 
 
 def test_jdd_search_recovers_a_self_target():
@@ -593,28 +606,85 @@ def test_level_histograms_match_bfs_on_wide_graphs(graph, budget, seed):
     assert est.distribution.probabilities == _histogram(truncated)
 
 
-def test_realize_edges_leaves_no_reference_cycle(monkeypatch):
-    graphs = []
-
-    def kept(*args, **kwargs):
-        graph = nx_joint_degree_graph(*args, **kwargs)
-        graphs.append(weakref.ref(graph))
-        return graph
-
-    nx_joint_degree_graph = synthesis.nx.joint_degree_graph
-    monkeypatch.setattr(synthesis.nx, "joint_degree_graph", kept)
+def test_realize_edges_leaves_no_reference_cycle():
     jdd = neutral_mixing_jdd({2: 30, 3: 30, 4: 10}, 6)
     enabled = gc.isenabled()
     gc.disable()
     try:
+        gc.collect()
         node_count, edges = synthesis._realize_edges(jdd, 105, seed=5)
-        # freed by reference counting alone, not by a later collection
-        assert len(graphs) == 1 and graphs[0]() is None
+        # everything was freed by reference counting alone
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
     network = synthesize_graph(jdd, 70, 105, seed=5)
     assert (node_count, edges) == (network.node_count, list(network.edges))
+
+
+def _networkx_realization(jdd, channels, seed):
+    """Patched counts, then the wiring adjacency and the largest
+    component's edges as networkx builds them from those counts."""
+    counts = patch_jdd_sequence(sample_edge_counts(jdd, channels, seed))
+    graph = nx.joint_degree_graph(counts, seed=seed)
+    keep = sorted(max(nx.connected_components(graph), key=len))
+    relabel = {old: new for new, old in enumerate(keep)}
+    edges = sorted((relabel[u], relabel[v]) for u in keep
+                   for v in graph.adj[u] if u < v)
+    return counts, [list(graph.adj[u]) for u in graph], (len(keep), edges)
+
+
+@st.composite
+def degree_mixes(draw):
+    """Joint degree mixes on a few random cells, within-class ones
+    included, with caps up to 7 so small classes wire densely."""
+    cap = draw(st.integers(1, 7))
+    cells = [(j, l) for j in range(cap) for l in range(j, cap)]
+    chosen = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=6,
+                           unique=True))
+    weights = draw(st.lists(st.integers(1, 20), min_size=len(chosen),
+                            max_size=len(chosen)))
+    matrix = [[0.0] * cap for _ in range(cap)]
+    for (j, l), w in zip(chosen, weights):
+        mass = w / sum(weights)
+        if j == l:
+            matrix[j][j] += mass
+        else:
+            matrix[j][l] += mass / 2.0
+            matrix[l][j] += mass / 2.0
+    return JointDegreeDistribution(tuple(tuple(row) for row in matrix))
+
+
+@given(degree_mixes(), st.integers(1, 150), st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_realization_is_networkx_construction(jdd, channels, seed):
+    counts, wiring, realized = _networkx_realization(jdd, channels, seed)
+    # same neighbours in the same insertion order, node by node
+    assert [list(row) for row in
+            synthesis._wire_joint_degrees(counts, seed)] == wiring
+    assert synthesis._realize_edges(jdd, channels, seed) == realized
+
+
+@pytest.mark.parametrize("degree,channels", [(3, 15), (4, 12), (3, 60)])
+def test_realization_matches_networkx_through_neighbour_switches(
+        degree, channels):
+    """Regular within-class mixes force switches, including ones that
+    must skip the partner node holding its last stub."""
+    matrix = [[0.0] * 6 for _ in range(6)]
+    matrix[degree - 1][degree - 1] = 1.0
+    jdd = JointDegreeDistribution(tuple(tuple(row) for row in matrix))
+    switch = synthesis._switch_neighbour
+    calls = []
+
+    def spy(adj, w, unsat, residual, avoid=None):
+        calls.append(avoid is not None and residual[avoid] <= 1)
+        return switch(adj, w, unsat, residual, avoid)
+
+    with mock.patch.object(synthesis, "_switch_neighbour", spy):
+        for seed in range(10):
+            assert synthesis._realize_edges(jdd, channels, seed) \
+                == _networkx_realization(jdd, channels, seed)[2]
+    assert any(calls)
 
 
 def test_jdd_search_rejects_bad_settings():
