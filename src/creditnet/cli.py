@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .demand import DemandSpec, MODES, UNIFORM, build_paths, sample_demand
+from .demand import (DemandMatrix, DemandSpec, MODES, UNIFORM, build_paths,
+                     sample_demand)
 from .fileio import (
     format_rational,
     read_demand,
@@ -347,7 +348,6 @@ def cmd_analyze(args) -> int:
                 pair_count=args.pairs, mode=args.mode, seed=_seed(args))))
         else:
             raise ValueError("analyze needs --paths, --demand, or --pairs")
-        from .demand import DemandMatrix
         paths = build_paths(network, DemandMatrix(demand_pairs),
                             seed=_seed(args))
     routing = build_routing_system(network, paths)

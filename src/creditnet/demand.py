@@ -75,10 +75,15 @@ def sample_demand(network: CreditNetwork, spec: DemandSpec) -> DemandMatrix:
 
     if spec.mode == SKEWED:
         heavy_count = max(1, round(spec.heavy_fraction * n))
-        heavy_pairs = heavy_count * (heavy_count - 1)
-        if spec.heavy_probability == 1.0 and spec.pair_count > heavy_pairs:
-            raise ValueError(f"cannot place {spec.pair_count} distinct pairs among "
-                             f"the {heavy_pairs} between {heavy_count} heavy nodes")
+        # A pool picked with certainty holds every draw; with no light
+        # nodes the heavy pool is all n nodes, checked above.
+        for certain, kind, size in ((1.0, "heavy", heavy_count),
+                                    (0.0, "light", n - heavy_count)):
+            pairs = size * (size - 1)
+            if (spec.heavy_probability == certain and size
+                    and spec.pair_count > pairs):
+                raise ValueError(f"cannot place {spec.pair_count} distinct pairs "
+                                 f"among the {pairs} between {size} {kind} nodes")
         heavy = rng.sample(range(n), heavy_count)
         light = [v for v in range(n) if v not in set(heavy)]
 
@@ -116,10 +121,14 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
     """
     del seed
     adj = [sorted(nbrs) for nbrs in network.adjacency()]
+    n = network.node_count
     # Distances depend only on the higher endpoint, so each distinct
     # root gets one traversal and its pairs are routed off it together.
     by_root: dict[int, list[int]] = {}
     for index, (s, r) in enumerate(demand):
+        if not (0 <= s < n and 0 <= r < n):
+            raise ValueError(f"pair ({s}, {r}) names a node outside "
+                             f"0..{n - 1}")
         by_root.setdefault(max(s, r), []).append(index)
     walks: list[list[int] | None] = [None] * len(demand)
     for root, indices in by_root.items():

@@ -6,10 +6,11 @@ curve: that is a small convex least-squares problem with box bounds, a
 fixed flow total and a monotone tail, solved directly by SLSQP.  Second,
 joint-degree space is searched with annealed local moves for a
 random-graph family whose shortest-path length mix matches the
-stage-one output; candidate joint degree matrices are realized, patched
-to a valid joint degree sequence, and scored by the full-pair
-path-length mix of their realizations.  The search stops once its best
-score has not improved for `STALL_WINDOW` evaluations.
+stage-one output; each candidate joint degree matrix is patched to a
+valid joint degree sequence, realized, and scored by the exact
+path-length mix over every ordered pair of its realizations' nodes.
+The search stops once its best score has not improved for
+`STALL_WINDOW` evaluations.
 
 Realizations are wired by the construction of Gjoka, Tillman &
 Markopoulou, "Construction of Simple Graphs with a Target Joint Degree
@@ -17,9 +18,10 @@ Matrix and Beyond" (IEEE INFOCOM 2015), ported here step for step from
 `nx.joint_degree_graph`: the same seed gives the same graph, edge for
 edge, without a networkx graph's per-edge bookkeeping.
 
-Every path-length mix here comes from one kernel, `_level_counts`: a
-breadth-first search from all sources at once on bitset rows, which
-yields per source the number of nodes at each hop count.
+Every path-length mix here comes from one helper, `_full_pair_mix`,
+over one kernel, `_level_counts`: a breadth-first search from all
+sources at once on bitset rows, which yields per source the number of
+nodes at each hop count.
 """
 
 from __future__ import annotations
@@ -459,11 +461,12 @@ def patch_jdd_sequence(counts: dict[int, dict[int, int]]
         if crowded is None:
             ok, reasons = validate_jdd_sequence(fixed)
             if ok:
-                break
+                return fixed
             raise RuntimeError(f"cannot patch joint degree sequence: "
                                f"{reasons[0]}")
         add_edges(crowded, crowded)
-    return fixed
+    raise RuntimeError(f"cannot patch joint degree sequence: degree "
+                       f"{crowded} is still crowded after 10000 rounds")
 
 
 def _realize_edges(jdd: JointDegreeDistribution, channel_budget: int,
@@ -479,10 +482,6 @@ def _realize_edges(jdd: JointDegreeDistribution, channel_budget: int,
     every realization is bit-identical to networkx's.
     """
     counts = patch_jdd_sequence(sample_edge_counts(jdd, channel_budget, seed))
-    ok, reasons = validate_jdd_sequence(counts)
-    if not ok:
-        raise RuntimeError(f"unrealizable joint degree sequence: "
-                           f"{reasons[0]}")
     adj = _wire_joint_degrees(counts, seed)
     seen = [False] * len(adj)
     keep: list[int] = []
@@ -581,16 +580,13 @@ def _switch_neighbour(adj: list[dict[int, None]], w: int, unsat: set[int],
         unsat.remove(w_prime)
 
 
-def synthesize_graph(jdd: JointDegreeDistribution, node_budget: int,
-                     channel_budget: int, seed: int,
-                     total_collateral=10_000) -> CreditNetwork:
+def synthesize_graph(jdd: JointDegreeDistribution, channel_budget: int,
+                     seed: int, total_collateral=10_000) -> CreditNetwork:
     """Realize the joint degree mix and keep the largest component.
 
-    The node budget is advisory: the realized size follows from the
-    degree mix and the channel budget, and the largest-component cut
-    shaves a few percent off both.
+    The realized size follows from the degree mix and the channel
+    budget, and the largest-component cut shaves a few percent off both.
     """
-    del node_budget
     node_count, edges = _realize_edges(jdd, channel_budget, seed)
     cap = Fraction(total_collateral) / len(edges)
     return make_network(node_count, edges, [cap] * len(edges))
@@ -638,85 +634,18 @@ def _level_counts(node_count: int, edges) -> np.ndarray:
     return np.stack(levels, axis=1)
 
 
-def _trimmed(histogram: np.ndarray) -> list[int]:
-    """Pairs per hop count 1..max, without trailing empty lengths."""
-    counts = [int(c) for c in histogram]
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return counts
-
-
-@dataclass(frozen=True)
-class PathLengthEstimate:
-    """Sampled shortest-path length mix with per-bin standard errors."""
-
-    distribution: PathLengthDistribution
-    standard_errors: tuple[float, ...]
-    pair_count: int
-    realized_nodes: float
-    realized_edges: float
-
-
-def estimate_plength_from_jdd(jdd: JointDegreeDistribution, node_budget: int,
-                              channel_budget: int, demand_pairs: int,
-                              samples: int, seed: int) -> PathLengthEstimate:
-    """Histogram shortest-path lengths over sampled realizations.
-
-    Each realization contributes up to `demand_pairs` pairs, taken as
-    whole rows of the bitset kernel's per-source hop-count histogram in
-    a shuffled source order, the last row nearest targets first.  That
-    matches uniform ordered-pair demand in distribution while costing
-    one row per source.  A budget of at least n(n-1) takes every row,
-    so the histogram is the realization's exact full-pair mix.
-    Realized node/edge counts are averaged over the sampled
-    realizations: the component cut makes them drift below the budgets
-    for fragmenting degree mixes.
-    """
-    del node_budget
-    if demand_pairs < 1:
-        raise ValueError("need at least one demand pair")
-    histogram = np.zeros(0, dtype=np.int64)
-    node_total = 0
-    edge_total = 0
-    for s in range(samples):
-        node_count, edges = _realize_edges(jdd, channel_budget,
-                                           seed + 7919 * s)
-        node_total += node_count
-        edge_total += len(edges)
-        order = list(range(node_count))
-        random.Random(f"plen:{seed}:{s}").shuffle(order)
-        rows = _level_counts(node_count, edges)[order]
-        taken = np.cumsum(rows.sum(axis=1))
-        whole = int(np.searchsorted(taken, demand_pairs, side="right"))
-        sample = rows[:whole].sum(axis=0)
-        if whole < node_count:
-            # the next source's row, nearest targets first
-            left = demand_pairs - (int(taken[whole - 1]) if whole else 0)
-            row = rows[whole]
-            sample += np.clip(left - (np.cumsum(row) - row), 0, row)
-        top = max(len(histogram), len(sample))
-        histogram = np.pad(histogram, (0, top - len(histogram))) \
-            + np.pad(sample, (0, top - len(sample)))
-    counts = _trimmed(histogram)
-    n = sum(counts)
-    probs = tuple(c / n for c in counts)
-    errors = tuple(math.sqrt(p * (1.0 - p) / n) for p in probs)
-    return PathLengthEstimate(
-        distribution=PathLengthDistribution(probs),
-        standard_errors=errors,
-        pair_count=n,
-        realized_nodes=node_total / samples,
-        realized_edges=edge_total / samples,
-    )
+def _full_pair_mix(node_count: int, edges) -> PathLengthDistribution:
+    """Shortest-path length mix over every ordered pair of connected
+    nodes."""
+    counts = [int(c) for c in _level_counts(node_count, edges).sum(axis=0)]
+    total = sum(counts)
+    return PathLengthDistribution(tuple(c / total for c in counts))
 
 
 def exact_path_length_distribution(network: CreditNetwork
                                    ) -> PathLengthDistribution:
     """Full-pair shortest-path length mix of one concrete topology."""
-    counts = _trimmed(_level_counts(network.node_count,
-                                    network.edges).sum(axis=0))
-    total = sum(counts)
-    return PathLengthDistribution(tuple(c / total for c in counts))
+    return _full_pair_mix(network.node_count, network.edges)
 
 
 def distribution_distance(a: PathLengthDistribution,
@@ -746,8 +675,7 @@ def synthesize_matched(jdd: JointDegreeDistribution,
     best = None
     best_gap = math.inf
     for r in range(restarts):
-        network = synthesize_graph(jdd, target.node_budget,
-                                   target.channel_budget,
+        network = synthesize_graph(jdd, target.channel_budget,
                                    seed + 104_729 * r)
         gap = distribution_distance(exact_path_length_distribution(network),
                                     target_dist, "l1")
@@ -861,13 +789,12 @@ def optimize_jdd(target_dist: PathLengthDistribution,
     """Annealed local search over joint degree matrices.
 
     Moves shift a sliver of probability mass between two degree-pair
-    cells.  Candidates are scored by the exact full-pair distance to
-    the target path-length mix (each realization is asked for 2n^2
-    pairs; a budget of at least its n(n-1) ordered pairs gives the exact
-    full-pair mix), averaged over a fixed set of wiring seeds (common
-    random numbers, so the landscape is deterministic and the search
-    cannot chase sampling luck), plus a penalty on realized
-    node/edge counts that drift outside the band around the budgets.
+    cells.  Candidates are scored by the distance from the exact
+    full-pair path-length mix of their realizations to the target,
+    averaged over a fixed set of wiring seeds (common random numbers,
+    so the landscape is deterministic and the search cannot chase
+    sampling luck), plus a penalty on realized node/edge counts that
+    drift outside the band around the budgets.
     A geometric cooling schedule decides uphill acceptance.  The search
     ends after `budget` evaluations, or earlier once `STALL_WINDOW`
     evaluations in a row bring no new best energy; `evaluations` in the
@@ -899,15 +826,14 @@ def optimize_jdd(target_dist: PathLengthDistribution,
         gap_total = 0.0
         penalty = 0.0
         for s in seeds:
-            est = estimate_plength_from_jdd(jdd, n, k,
-                                            demand_pairs=2 * n * n,
-                                            samples=1, seed=s)
-            gap_total += distribution_distance(est.distribution, target_dist)
-            rn, rk = est.realized_nodes, est.realized_edges
-            penalty += max(0.0, REALIZED_NODE_BAND[0] - rn / n) \
-                + max(0.0, rn / n - REALIZED_NODE_BAND[1]) \
-                + max(0.0, REALIZED_EDGE_BAND[0] - rk / k) \
-                + max(0.0, rk / k - REALIZED_EDGE_BAND[1])
+            node_count, edges = _realize_edges(jdd, k, s)
+            gap_total += distribution_distance(
+                _full_pair_mix(node_count, edges), target_dist)
+            rn, rk = node_count / n, len(edges) / k
+            penalty += max(0.0, REALIZED_NODE_BAND[0] - rn) \
+                + max(0.0, rn - REALIZED_NODE_BAND[1]) \
+                + max(0.0, REALIZED_EDGE_BAND[0] - rk) \
+                + max(0.0, rk - REALIZED_EDGE_BAND[1])
         return gap_total / len(seeds) + 3.0 * penalty / len(seeds)
 
     train = tuple(seed * 65537 + 211 * s for s in range(eval_seeds))

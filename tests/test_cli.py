@@ -360,3 +360,25 @@ def test_invalid_input_exits_two(tmp_path, capsys):
         captured = capsys.readouterr()
         assert rc == EXIT_BAD_INPUT, argv
         assert "must be finite" in captured.err
+    # on a 10-node graph: node ids out of range, 80 pairs for the 72
+    # among the 9 light nodes, and negative flow and trial counts
+    assert main(["gen", "--kind", "ErdosRenyi", "--nodes", "10", "--edges",
+                 "20", "--out-dir", str(tmp_path)]) == EXIT_OK
+    ten = str(tmp_path / "graph.txt")
+    far = tmp_path / "far.txt"
+    for line, message in (("-2 -1", "pair (-2, -1)"), ("0 12", "pair (0, 12)")):
+        far.write_text(line + "\n", encoding="utf-8")
+        rc = main(["analyze", "--graph", ten, "--demand", str(far),
+                   "--out-dir", str(tmp_path)])
+        assert rc == EXIT_BAD_INPUT, line
+        assert message in capsys.readouterr().err
+    for argv, message in (
+            (["demand", "--graph", ten, "--pairs", "80", "--mode", "Skewed",
+              "--heavy-probability", "0"], "light nodes"),
+            (["predict", "--dist", str(dist_file), "--flows", "-5",
+              "--channels", "10"], "flow count"),
+            (["predict", "--dist", str(dist_file), "--flows", "3",
+              "--channels", "10", "--trials", "-3"], "trial count")):
+        rc = main(argv + ["--out-dir", str(tmp_path)])
+        assert rc == EXIT_BAD_INPUT, argv
+        assert message in capsys.readouterr().err

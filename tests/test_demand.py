@@ -37,6 +37,11 @@ def test_overfull_demand_rejected():
                                    heavy_fraction=0.1, heavy_probability=1.0)
     with pytest.raises(ValueError, match="heavy nodes"):
         demand.sample_demand(_line(20), heavy_only)
+    # every draw comes from the 9 light nodes, which hold only 72
+    light_only = demand.DemandSpec(pair_count=80, mode=demand.SKEWED,
+                                   heavy_probability=0.0)
+    with pytest.raises(ValueError, match="72 between 9 light nodes"):
+        demand.sample_demand(_line(10), light_only)
 
 
 def test_demand_matrix_validation():
@@ -134,6 +139,10 @@ def test_unroutable_pair_raises():
     matrix = demand.DemandMatrix(pairs=((0, 2),))
     with pytest.raises(ValueError):
         demand.build_paths(net, matrix)
+    # node ids outside 0..3: a negative one must not alias a real node
+    for s, r in ((-2, -1), (0, 4), (-1, 2)):
+        with pytest.raises(ValueError, match=rf"pair \({s}, {r}\)"):
+            demand.build_paths(net, demand.DemandMatrix(pairs=((s, r),)))
 
 
 def test_demand_file_round_trip():

@@ -194,6 +194,12 @@ def test_simulation_edge_cases():
 
     with pytest.raises(ValueError):
         simulate_iid_peeling(_soliton_like(50), 10, 5, seed=0, trials=5)
+    with pytest.raises(ValueError, match="flow count"):
+        predict_ripple(dist, -5, 12)
+    with pytest.raises(ValueError, match="flow count"):
+        simulate_iid_peeling(dist, -5, 12, seed=1, trials=5)
+    with pytest.raises(ValueError, match="trial count"):
+        simulate_iid_peeling(dist, 5, 12, seed=1, trials=-3)
 
 
 def test_simulation_seeds_agree_in_distribution():

@@ -1,6 +1,5 @@
 import gc
 import math
-import random
 from fractions import Fraction
 from unittest import mock
 
@@ -21,7 +20,6 @@ from creditnet.synthesis import (
     SynthesisTarget,
     build_design_matrix,
     distribution_distance,
-    estimate_plength_from_jdd,
     exact_path_length_distribution,
     jdd_from_graph,
     neutral_mixing_jdd,
@@ -317,6 +315,11 @@ def test_patch_only_ever_adds_edges():
     for j, row in fixed.items():
         assert row.get(j, 0) % 2 == 0
         assert sum(row.values()) % j == 0
+    # two nodes cannot hold 10^8 within-class edges, and each round of
+    # the patch adds one node, so it runs out of rounds and says so
+    huge = 10 ** 8
+    with pytest.raises(RuntimeError, match="still crowded"):
+        patch_jdd_sequence({huge: {huge: 2 * huge}})
 
 
 @given(st.dictionaries(st.integers(1, 6), st.integers(1, 12),
@@ -332,7 +335,7 @@ def test_patched_sequences_are_always_realizable(hist, channels):
 
 def test_synthesize_graph_shares_collateral_and_connects():
     jdd = neutral_mixing_jdd({2: 30, 3: 30, 4: 10}, 6)
-    network = synthesize_graph(jdd, 70, 105, seed=5)
+    network = synthesize_graph(jdd, 105, seed=5)
     assert sum(network.capacities) == Fraction(10_000)
     assert len(set(network.capacities)) == 1
     # the largest-component cut leaves one connected piece
@@ -346,13 +349,13 @@ def test_synthesize_graph_shares_collateral_and_connects():
                 seen.add(v)
                 frontier.append(v)
     assert len(seen) == network.node_count
-    again = synthesize_graph(jdd, 70, 105, seed=5)
+    again = synthesize_graph(jdd, 105, seed=5)
     assert again.edges == network.edges
 
 
 def test_synthesized_graph_tracks_the_requested_mix():
     jdd = neutral_mixing_jdd({2: 30, 3: 30, 4: 10}, 6)
-    network = synthesize_graph(jdd, 70, 105, seed=5)
+    network = synthesize_graph(jdd, 105, seed=5)
     adj = network.adjacency()
     graph = nx.Graph((u, v) for u in range(network.node_count)
                      for v in adj[u] if u < v)
@@ -367,23 +370,6 @@ def test_synthesized_graph_tracks_the_requested_mix():
     gap = sum(abs(mass(jdd, a, b) - mass(back, a, b))
               for a in range(1, top + 1) for b in range(a, top + 1))
     assert gap <= 0.10
-
-
-def test_estimate_with_full_pair_budget_is_exact():
-    jdd = neutral_mixing_jdd({2: 30, 3: 30, 4: 10}, 6)
-    network = synthesize_graph(jdd, 70, 105, seed=5)
-    est = estimate_plength_from_jdd(jdd, 70, 105, demand_pairs=10 ** 9,
-                                    samples=1, seed=5)
-    exact = exact_path_length_distribution(network)
-    assert distribution_distance(est.distribution, exact, "l1") == 0.0
-    assert est.pair_count == network.node_count * (network.node_count - 1)
-    assert est.realized_nodes == network.node_count
-    assert est.realized_edges == network.edge_count
-    assert all(e >= 0.0 for e in est.standard_errors)
-    again = estimate_plength_from_jdd(jdd, 70, 105, demand_pairs=10 ** 9,
-                                      samples=1, seed=5)
-    assert again.distribution.probabilities \
-        == est.distribution.probabilities
 
 
 def test_distribution_distance_kinds():
@@ -401,15 +387,15 @@ def test_matched_synthesis_keeps_the_best_wiring():
     jdd = neutral_mixing_jdd({2: 20, 3: 25, 4: 15}, 8)
     target = SynthesisTarget(channel_budget=100, node_budget=72,
                              flow_budget=80, jdd_max_degree=8)
-    target_dist = estimate_plength_from_jdd(
-        jdd, 72, 100, demand_pairs=10 ** 9, samples=1, seed=77).distribution
+    target_dist = exact_path_length_distribution(
+        synthesize_graph(jdd, 100, seed=77))
     network = synthesize_matched(jdd, target_dist, target, seed=9,
                                  restarts=4)
     picked = distribution_distance(exact_path_length_distribution(network),
                                    target_dist, "l1")
     gaps = []
     for r in range(4):
-        candidate = synthesize_graph(jdd, 72, 100, seed=9 + 104_729 * r)
+        candidate = synthesize_graph(jdd, 100, seed=9 + 104_729 * r)
         gaps.append(distribution_distance(
             exact_path_length_distribution(candidate), target_dist, "l1"))
     assert picked == pytest.approx(min(gaps), abs=1e-12)
@@ -426,15 +412,15 @@ def test_matched_synthesis_keeps_the_first_wiring_without_a_lower_gap():
     with mock.patch.object(synthesis, "distribution_distance",
                            lambda a, b, kind: math.nan):
         network = synthesize_matched(jdd, flat, target, seed=9, restarts=3)
-    assert network == synthesize_graph(jdd, 72, 100, seed=9)
+    assert network == synthesize_graph(jdd, 100, seed=9)
 
 
 def test_jdd_search_recovers_a_self_target():
     jdd = neutral_mixing_jdd({2: 20, 3: 25, 4: 15}, 8)
     target = SynthesisTarget(channel_budget=100, node_budget=72,
                              flow_budget=80, jdd_max_degree=8)
-    target_dist = estimate_plength_from_jdd(
-        jdd, 72, 100, demand_pairs=10 ** 9, samples=1, seed=77).distribution
+    target_dist = exact_path_length_distribution(
+        synthesize_graph(jdd, 100, seed=77))
     result = optimize_jdd(target_dist, target, seed=3, budget=30,
                           eval_seeds=2, match_tol=0.2, initial=jdd)
     assert result.status == MATCHED
@@ -530,28 +516,6 @@ def test_exact_mix_matches_plain_bfs(graph):
         == _histogram(lengths)
 
 
-@given(st.dictionaries(st.integers(1, 5), st.integers(2, 12),
-                       min_size=1, max_size=3),
-       st.integers(8, 40), st.integers(1, 400), st.integers(0, 10 ** 6))
-@settings(max_examples=40, deadline=None)
-def test_sampled_mix_matches_bfs_queue_truncation(hist, channels, budget,
-                                                   seed):
-    jdd = neutral_mixing_jdd(hist, 5)
-    network = synthesize_graph(jdd, 0, channels, seed)
-    n = network.node_count
-    budget = min(budget, n * (n - 1) - 1) if n > 2 else 1
-    est = estimate_plength_from_jdd(jdd, 0, channels, demand_pairs=budget,
-                                    samples=1, seed=seed)
-    fans = dict(_bfs_fans(n, network.edges))
-    order = list(range(n))
-    random.Random(f"plen:{seed}:0").shuffle(order)
-    lengths = []
-    for source in order:
-        lengths.extend(fans[source][:budget - len(lengths)])
-    assert est.pair_count == len(lengths) == budget
-    assert est.distribution.probabilities == _histogram(lengths)
-
-
 @st.composite
 def wide_graphs(draw):
     """2-200 nodes in several components, isolated nodes included, with
@@ -581,29 +545,15 @@ def wide_graphs(draw):
     return n, edges
 
 
-@given(wide_graphs(), st.integers(1, 40_000), st.integers(0, 10 ** 6))
+@given(wide_graphs())
 @settings(max_examples=60, deadline=None)
-def test_level_histograms_match_bfs_on_wide_graphs(graph, budget, seed):
+def test_level_histograms_match_bfs_on_wide_graphs(graph):
     n, edges = graph
-    fans = dict(_bfs_fans(n, edges))
-    lengths = [d for fan in fans.values() for d in fan]
+    lengths = [d for _, fan in _bfs_fans(n, edges) for d in fan]
     if lengths:
         network = make_network(n, edges, [Fraction(1)] * len(edges))
         assert exact_path_length_distribution(network).probabilities \
             == _histogram(lengths)
-    order = list(range(n))
-    random.Random(f"plen:{seed}:0").shuffle(order)
-    truncated = []
-    for source in order:
-        truncated.extend(fans[source][:budget - len(truncated)])
-    if not truncated:
-        return
-    with mock.patch.object(synthesis, "_realize_edges",
-                           lambda jdd, channels, s: (n, edges)):
-        est = estimate_plength_from_jdd(None, 0, 0, demand_pairs=budget,
-                                        samples=1, seed=seed)
-    assert est.pair_count == len(truncated) == min(budget, len(lengths))
-    assert est.distribution.probabilities == _histogram(truncated)
 
 
 def test_realize_edges_leaves_no_reference_cycle():
@@ -618,7 +568,7 @@ def test_realize_edges_leaves_no_reference_cycle():
     finally:
         if enabled:
             gc.enable()
-    network = synthesize_graph(jdd, 70, 105, seed=5)
+    network = synthesize_graph(jdd, 105, seed=5)
     assert (node_count, edges) == (network.node_count, list(network.edges))
 
 
@@ -702,30 +652,30 @@ def test_stalled_search_stops_one_window_after_its_best(monkeypatch):
     jdd = neutral_mixing_jdd({2: 20, 3: 25, 4: 15}, 8)
     target = SynthesisTarget(channel_budget=100, node_budget=72,
                              flow_budget=80, jdd_max_degree=8)
-    target_dist = estimate_plength_from_jdd(
-        jdd, 72, 100, demand_pairs=10 ** 9, samples=1, seed=77).distribution
-    estimates = []
-    real_estimate = synthesis.estimate_plength_from_jdd
+    target_dist = exact_path_length_distribution(
+        synthesize_graph(jdd, 100, seed=77))
+    mixes = []
+    real_mix = synthesis._full_pair_mix
 
-    def traced(*args, **kwargs):
-        estimates.append(real_estimate(*args, **kwargs))
-        return estimates[-1]
+    def traced(node_count, edges):
+        mixes.append((real_mix(node_count, edges), node_count, len(edges)))
+        return mixes[-1][0]
 
-    monkeypatch.setattr(synthesis, "estimate_plength_from_jdd", traced)
+    monkeypatch.setattr(synthesis, "_full_pair_mix", traced)
     budget = 20 * synthesis.STALL_WINDOW
     stopped = optimize_jdd(target_dist, target, seed=3, budget=budget,
                            eval_seeds=1, initial=jdd)
-    monkeypatch.setattr(synthesis, "estimate_plength_from_jdd",
-                        real_estimate)
+    monkeypatch.setattr(synthesis, "_full_pair_mix", real_mix)
     low_n, high_n = synthesis.REALIZED_NODE_BAND
     low_k, high_k = synthesis.REALIZED_EDGE_BAND
     energies = [
-        distribution_distance(est.distribution, target_dist)
-        + 3.0 * (max(0.0, low_n - est.realized_nodes / 72)
-                 + max(0.0, est.realized_nodes / 72 - high_n)
-                 + max(0.0, low_k - est.realized_edges / 100)
-                 + max(0.0, est.realized_edges / 100 - high_k))
-        for est in estimates[:-2]]  # one per evaluation, then the holdouts
+        distribution_distance(mix, target_dist)
+        + 3.0 * (max(0.0, low_n - nodes / 72)
+                 + max(0.0, nodes / 72 - high_n)
+                 + max(0.0, low_k - edges / 100)
+                 + max(0.0, edges / 100 - high_k))
+        # one per evaluation, then the two holdout energies
+        for mix, nodes, edges in mixes[:-2]]
     assert len(energies) == stopped.evaluations < budget
     last_best = energies.index(min(energies)) + 1
     assert stopped.evaluations == last_best + synthesis.STALL_WINDOW
