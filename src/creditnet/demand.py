@@ -4,15 +4,23 @@ Demand is binary: a pair either wants to transact or it does not, and
 each chosen pair rides exactly one shortest route.  The skewed sampling
 mode concentrates traffic on a small set of hub nodes to mimic the
 uneven activity seen in deployed payment networks.
+
+Routes come off the package's one hop-distance kernel,
+`model.hop_levels`, run on 64 distinct roots at a time, and a next-hop
+table that keeps, for every node and root, the first closer neighbour
+in id order; the tie-break is the lexicographically smallest shortest
+route read from the lower-numbered endpoint.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
-from .model import CreditNetwork, PathSet, path_from_nodes
+import numpy as np
+
+from .model import (BACKWARD, FORWARD, CreditNetwork, Path, PathSet,
+                    closed_arcs, hop_distances)
 
 UNIFORM = "Uniform"
 SKEWED = "Skewed"
@@ -21,6 +29,9 @@ MODES = (UNIFORM, SKEWED)
 
 DEFAULT_HEAVY_FRACTION = 0.10
 DEFAULT_HEAVY_PROBABILITY = 0.70
+
+# Roots routed together: one uint64 word of source bits per node row.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -118,58 +129,70 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
     node happens to send) makes a pair and its reverse use the same
     channels, which keeps round-trip experiments symmetric.  The seed
     parameter is accepted for interface stability but unused.
+
+    Distances depend only on the higher endpoint, the pair's root.  The
+    distinct roots go through `model.hop_distances` in blocks of 64, one
+    uint64 word per node row.  For each (node, root) of a block the
+    next-hop table keeps the first arc in (tail, head) order that is one
+    hop closer to the root, so a walk from the lower endpoint that always
+    takes it is the lexicographically smallest shortest route.  Each
+    block's pairs then walk the table together, one gather per hop.
+    Raises ValueError for the first pair, in demand order, that names a
+    node outside the graph, else for the first that has no route.
     """
     del seed
-    adj = [sorted(nbrs) for nbrs in network.adjacency()]
     n = network.node_count
-    # Distances depend only on the higher endpoint, so each distinct
-    # root gets one traversal and its pairs are routed off it together.
-    by_root: dict[int, list[int]] = {}
-    for index, (s, r) in enumerate(demand):
+    for s, r in demand:
         if not (0 <= s < n and 0 <= r < n):
             raise ValueError(f"pair ({s}, {r}) names a node outside "
                              f"0..{n - 1}")
-        by_root.setdefault(max(s, r), []).append(index)
-    walks: list[list[int] | None] = [None] * len(demand)
-    for root, indices in by_root.items():
-        dist = _bfs_distances(adj, root)
-        for index in indices:
-            lo = min(demand.pairs[index])
-            walks[index] = _lex_min_shortest(adj, dist, lo, root)
-    routes = []
-    for (s, r), walk in zip(demand, walks):
-        if walk is None:
+    arcs = closed_arcs(n, network.edges)
+    arc_count = len(arcs.heads)
+    # One shared hop tuple per arc, and its reverse for walks that are
+    # read from the root back to the lower endpoint.
+    direction = np.where(arcs.tails < arcs.heads, FORWARD, BACKWARD)
+    forward = list(zip(arcs.edge.tolist(), direction.tolist()))
+    backward = list(zip(arcs.edge.tolist(), (1 - direction).tolist()))
+    self_arc = np.flatnonzero(arcs.edge < 0)[:, None]
+    arc_ids = np.arange(arc_count, dtype=np.int32)[:, None]
+
+    pairs = np.array(demand.pairs, dtype=np.int64).reshape(-1, 2)
+    lows = pairs.min(axis=1)
+    roots, root_of = np.unique(pairs.max(axis=1), return_inverse=True)
+    order = np.argsort(root_of, kind="stable")
+    bounds = np.searchsorted(root_of[order],
+                             np.arange(0, len(roots) + _BLOCK, _BLOCK))
+    routes: list[Path | None] = [None] * len(demand)
+    for block, first in enumerate(range(0, len(roots), _BLOCK)):
+        dist = hop_distances(arcs, roots[first:first + _BLOCK])
+        # Next hop toward each root: the first arc one hop closer, or the
+        # node's self-arc where there is none (at the root, or out of
+        # reach).  Summed in place to hold fewer arcs x roots arrays.
+        closer = dist[arcs.heads]
+        closer += 1
+        closer = closer == dist[arcs.tails]
+        step = np.minimum.reduceat(
+            np.where(closer, arc_ids, arc_count), arcs.starts)
+        step = np.where(step < arc_count, step, self_arc)
+        members = order[bounds[block]:bounds[block + 1]]
+        length = dist[lows[members], root_of[members] - first]
+        members, length = members[length > 0], length[length > 0]
+        column = root_of[members] - first
+        here = lows[members]
+        walks = np.empty((len(members), length.max(initial=0)), dtype=np.int64)
+        for hop in range(walks.shape[1]):
+            walks[:, hop] = step[here, column]
+            here = arcs.heads[walks[:, hop]]
+        for index, walk, hops in zip(members.tolist(), walks.tolist(),
+                                     length.tolist()):
+            s, r = demand.pairs[index]
+            walk = walk[:hops]
+            if s < r:
+                route = tuple([forward[a] for a in walk])
+            else:
+                route = tuple([backward[a] for a in reversed(walk)])
+            routes[index] = Path(source=s, destination=r, hops=route)
+    for (s, r), route in zip(demand, routes):
+        if route is None:
             raise ValueError(f"no route between {s} and {r}")
-        if s > r:
-            walk = walk[::-1]
-        routes.append(path_from_nodes(network, walk))
     return PathSet(paths=tuple(routes))
-
-
-def _lex_min_shortest(adj, dist, source, target):
-    """Lexicographically smallest shortest walk, given distances to target."""
-    if dist[source] is None:
-        return None
-    walk = [source]
-    while walk[-1] != target:
-        here = dist[walk[-1]]
-        # Neighbor lists are sorted, so the first strictly-closer
-        # neighbor is the lexicographic choice.
-        for v in adj[walk[-1]]:
-            if dist[v] is not None and dist[v] == here - 1:
-                walk.append(v)
-                break
-    return walk
-
-
-def _bfs_distances(adj, root):
-    dist: list[int | None] = [None] * len(adj)
-    dist[root] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] is None:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist

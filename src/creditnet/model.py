@@ -6,13 +6,19 @@ split is the channel balance. Sending tokens along a directed path shifts
 balance on every channel the path crosses. All arithmetic here is exact
 rational; floating point is only tolerated when checking flows produced by
 the LP solver.
+
+Hop distances come from one kernel, `hop_levels`: a breadth-first search
+from many sources at once on bitset rows.  Route building and every
+path-length mix in synthesis run on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+
+import numpy as np
 
 FORWARD = 0   # the canonical (u, v) orientation with u < v
 BACKWARD = 1  # the reverse orientation (v, u)
@@ -122,6 +128,75 @@ def make_network(node_count: int, edges: Iterable[tuple[int, int]],
         edges=tuple(p[0] for p in pairs),
         capacities=tuple(p[1] for p in pairs),
     )
+
+
+class Arcs(NamedTuple):
+    """Closed-neighbourhood arc list of an undirected graph, sorted by
+    (tail, head): both orientations of every edge plus a self-arc per
+    node, so no node's segment is empty (on an empty segment reduceat
+    returns the next row, not the identity).  edge[a] is the index of arc
+    a's edge in the given edge order, -1 on a self-arc; node v's arcs
+    start at starts[v]."""
+
+    tails: np.ndarray
+    heads: np.ndarray
+    edge: np.ndarray
+    starts: np.ndarray
+
+
+def closed_arcs(node_count: int, edges) -> Arcs:
+    """The arc list of nodes 0..node_count-1 joined by (u, v) edges."""
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    nodes = np.arange(node_count)
+    numbered = np.arange(len(ends))
+    tails = np.concatenate([nodes, ends[:, 0], ends[:, 1]])
+    heads = np.concatenate([nodes, ends[:, 1], ends[:, 0]])
+    edge = np.concatenate([np.full(node_count, -1), numbered, numbered])
+    order = np.argsort(tails * node_count + heads)  # every arc is distinct
+    fan = np.bincount(tails, minlength=node_count)
+    return Arcs(tails[order], heads[order], edge[order], np.cumsum(fan) - fan)
+
+
+def hop_levels(arcs: Arcs, sources) -> Iterator[np.ndarray]:
+    """Breadth-first search from every source at once, on bitsets.
+
+    Rows are nodes and bits are sources: bit j of row v says that v is
+    reached from sources[j].  Each level ORs together the rows of every
+    node's closed neighbourhood (a gather over the arcs, then one
+    segmented OR) and yields the bits it newly set, an
+    (n, ceil(len(sources) / 64)) uint64 array: level d's bit j of row v
+    is set exactly when v lies d hops from sources[j].  The search ends
+    at the first level that sets no bit.  On an undirected graph row
+    v's bits at level d are also the sources d hops from v, so a row
+    popcount with all nodes as sources is a per-node histogram.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    column = np.arange(len(sources))
+    reach = np.zeros((len(arcs.starts), -(-len(sources) // 64)),
+                     dtype=np.uint64)
+    np.bitwise_or.at(reach, (sources, column >> 6),
+                     np.left_shift(np.uint64(1), (column & 63).astype(np.uint64)))
+    while True:
+        grown = np.bitwise_or.reduceat(np.take(reach, arcs.heads, axis=0),
+                                       arcs.starts, axis=0)
+        new = grown & ~reach
+        if not new.any():
+            return
+        reach = grown
+        yield new
+
+
+def hop_distances(arcs: Arcs, sources) -> np.ndarray:
+    """Hop distance from sources[j] to node v at [v, j], -1 where v is
+    unreachable: the kernel's levels unpacked into distance columns."""
+    width = len(sources)
+    dist = np.full((len(arcs.starts), width), -1, dtype=np.int32)
+    dist[np.asarray(sources, dtype=np.int64), np.arange(width)] = 0
+    for level, new in enumerate(hop_levels(arcs, sources), 1):
+        bits = np.unpackbits(new.astype("<u8").view(np.uint8), axis=1,
+                             bitorder="little")[:, :width]
+        dist[bits.view(bool)] = level
+    return dist
 
 
 @dataclass(frozen=True)

@@ -166,11 +166,16 @@ class RipplePrediction:
         return None
 
 
-def _check_counts(flow_count: int, channel_count: int) -> None:
+def _check_inputs(dist: PathLengthDistribution, flow_count: int,
+                  channel_count: int) -> None:
+    """Reject inputs no flow set can have: no channels, a negative flow
+    count, or a path longer than the channel count."""
     if channel_count < 1:
         raise ValueError(f"need at least one channel, got {channel_count}")
     if flow_count < 0:
         raise ValueError(f"flow count must be >= 0, got {flow_count}")
+    if dist.max_length > channel_count:
+        raise ValueError("distribution support exceeds the channel count")
 
 
 def predict_ripple(dist: PathLengthDistribution, flow_count: int,
@@ -185,7 +190,7 @@ def predict_ripple(dist: PathLengthDistribution, flow_count: int,
     in the starting ripple.  A trajectory that hits zero stays there:
     peeling has stalled and nothing can be processed at lower levels.
     """
-    _check_counts(flow_count, channel_count)
+    _check_inputs(dist, flow_count, channel_count)
     size = min(flow_count * dist.prob(1), float(channel_count))
     rows = [(channel_count, size)]
     for level in range(channel_count - 1, 0, -1):
@@ -231,11 +236,9 @@ def simulate_iid_peeling(dist: PathLengthDistribution, flow_count: int,
     as single units.  A stalled trial contributes zeros below its stall
     level, mirroring how the analytical trajectory flat-lines.
     """
-    _check_counts(flow_count, channel_count)
+    _check_inputs(dist, flow_count, channel_count)
     if trials < 0:
         raise ValueError(f"trial count must be >= 0, got {trials}")
-    if dist.max_length > channel_count:
-        raise ValueError("distribution support exceeds the channel count")
     sums = [0.0] * channel_count
     squares = [0.0] * channel_count
     successes = 0

@@ -19,9 +19,10 @@ Matrix and Beyond" (IEEE INFOCOM 2015), ported here step for step from
 edge, without a networkx graph's per-edge bookkeeping.
 
 Every path-length mix here comes from one helper, `_full_pair_mix`,
-over one kernel, `_level_counts`: a breadth-first search from all
-sources at once on bitset rows, which yields per source the number of
-nodes at each hop count.
+over `_level_counts`, which yields per source the number of nodes at
+each hop count.  It counts the levels of the package's one hop-distance
+kernel, `model.hop_levels`: a breadth-first search from all sources at
+once on bitset rows, which also routes every demand pair.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import networkx as nx
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from .model import CreditNetwork, make_network
+from .model import CreditNetwork, closed_arcs, hop_levels, make_network
 from .ripple import PathLengthDistribution, ripple_add_prob
 
 RIPPLE_SCALE = 1.7
@@ -600,35 +601,13 @@ def _level_counts(node_count: int, edges) -> np.ndarray:
     """Hop-count histogram per source: entry [s, d - 1] is the number of
     nodes exactly d hops from s, for d up to the largest finite distance.
 
-    Breadth-first search from every source at once on bitsets: row s of
-    `reach` holds the nodes within the current level of s, one bit each,
-    and one level ORs together the rows of each node's closed
-    neighbourhood (a gather over the CSR neighbour list, then one
-    segmented OR).  The search stops at the first level where no row
-    grows.
+    A popcount over each level of `model.hop_levels` with every node as a
+    source; on an undirected graph row s of a level holds the nodes that
+    level's distance away from s.
     """
-    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    nodes = np.arange(node_count)
-    # Every node lists itself, so no segment is empty: reduceat returns
-    # a segment's first row, not the identity, on an empty one.
-    tails = np.concatenate([nodes, ends[:, 0], ends[:, 1]])
-    heads = np.concatenate([nodes, ends[:, 1], ends[:, 0]])
-    neighbours = heads[np.argsort(tails, kind="stable")]
-    fan = np.bincount(tails, minlength=node_count)
-    starts = np.cumsum(fan) - fan
-    reach = np.zeros((node_count, -(-node_count // 64)), dtype=np.uint64)
-    reach[nodes, nodes >> 6] = np.left_shift(np.uint64(1),
-                                             (nodes & 63).astype(np.uint64))
-    within = np.ones(node_count, dtype=np.int64)
-    levels = []
-    while True:
-        grown = np.bitwise_or.reduceat(np.take(reach, neighbours, axis=0),
-                                       starts, axis=0)
-        size = np.take(_POPCOUNT, grown.view(np.uint8)).sum(axis=1)
-        if np.array_equal(size, within):
-            break
-        levels.append(size - within)
-        reach, within = grown, size
+    levels = [np.take(_POPCOUNT, new.view(np.uint8)).sum(axis=1)
+              for new in hop_levels(closed_arcs(node_count, edges),
+                                    np.arange(node_count))]
     if not levels:
         return np.zeros((node_count, 0), dtype=np.int64)
     return np.stack(levels, axis=1)

@@ -10,6 +10,7 @@ count is part of the deterministic contract, not a tuning knob.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -215,9 +216,9 @@ def snowball_sample(network: CreditNetwork, target_nodes: int,
     adj = network.adjacency()
 
     member = {root}
-    queue = [root]
+    queue = deque([root])
     while queue and len(member) < target_nodes:
-        u = queue.pop(0)
+        u = queue.popleft()
         neighbours = sorted(adj[u])
         rng.shuffle(neighbours)
         for v in neighbours:

@@ -372,13 +372,19 @@ def test_invalid_input_exits_two(tmp_path, capsys):
                    "--out-dir", str(tmp_path)])
         assert rc == EXIT_BAD_INPUT, line
         assert message in capsys.readouterr().err
+    long_dist = tmp_path / "long.csv"
+    long_dist.write_text("d,probability\n" + "".join(
+        f"{d},0.125\n" for d in range(1, 9)), encoding="utf-8")
     for argv, message in (
             (["demand", "--graph", ten, "--pairs", "80", "--mode", "Skewed",
               "--heavy-probability", "0"], "light nodes"),
             (["predict", "--dist", str(dist_file), "--flows", "-5",
               "--channels", "10"], "flow count"),
             (["predict", "--dist", str(dist_file), "--flows", "3",
-              "--channels", "10", "--trials", "-3"], "trial count")):
+              "--channels", "10", "--trials", "-3"], "trial count"),
+            # paths of up to 8 hops on 4 channels, with no --trials
+            (["predict", "--dist", str(long_dist), "--flows", "30",
+              "--channels", "4"], "support exceeds")):
         rc = main(argv + ["--out-dir", str(tmp_path)])
         assert rc == EXIT_BAD_INPUT, argv
         assert message in capsys.readouterr().err

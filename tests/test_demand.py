@@ -1,9 +1,13 @@
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creditnet import demand, fileio
-from creditnet.model import make_network, path_nodes
+from creditnet.model import (PathSet, make_network, path_from_nodes,
+                             path_nodes)
 
 
 def _triangle():
@@ -150,3 +154,124 @@ def test_demand_file_round_trip():
     matrix = demand.sample_demand(net, demand.DemandSpec(pair_count=12, seed=2))
     text = fileio.write_demand(matrix.pairs)
     assert fileio.read_demand(text) == list(matrix.pairs)
+
+
+def _reference_paths(network, matrix):
+    """Routing by one plain BFS per distinct root (the higher endpoint)
+    and a walk from the lower endpoint that always steps to the first
+    neighbour, in id order, one hop closer to the root."""
+    adj = [sorted(nbrs) for nbrs in network.adjacency()]
+    n = network.node_count
+    by_root = {}
+    for index, (s, r) in enumerate(matrix):
+        if not (0 <= s < n and 0 <= r < n):
+            raise ValueError(f"pair ({s}, {r}) names a node outside "
+                             f"0..{n - 1}")
+        by_root.setdefault(max(s, r), []).append(index)
+    walks = [None] * len(matrix)
+    for root, indices in by_root.items():
+        dist = [None] * n
+        dist[root] = 0
+        queue = [root]
+        for u in queue:
+            for v in adj[u]:
+                if dist[v] is None:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        for index in indices:
+            walk = [min(matrix.pairs[index])]
+            if dist[walk[0]] is None:
+                continue
+            while walk[-1] != root:
+                here = dist[walk[-1]]
+                walk.append(next(v for v in adj[walk[-1]]
+                                 if dist[v] == here - 1))
+            walks[index] = walk
+    routes = []
+    for (s, r), walk in zip(matrix, walks):
+        if walk is None:
+            raise ValueError(f"no route between {s} and {r}")
+        routes.append(path_from_nodes(network, walk if s < r else walk[::-1]))
+    return PathSet(paths=tuple(routes))
+
+
+@st.composite
+def routing_cases(draw):
+    """A graph of 2-150 nodes (split into components with isolated nodes,
+    a star with a few chords, or a preferential-attachment graph) and up
+    to 400 distinct pairs, some with their reverse and, sometimes, a few
+    naming nodes outside the graph."""
+    family = draw(st.sampled_from(["components", "star", "attachment"]))
+    n = draw(st.integers(2, 150))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = set()
+    if family == "attachment":
+        attach = rng.randint(1, min(3, n - 1))
+        graph = nx.barabasi_albert_graph(n, attach, seed=rng.randrange(2 ** 32))
+        edges = set(graph.edges())
+    elif family == "star":
+        hub = rng.randrange(n)
+        edges = {(hub, v) for v in range(n) if v != hub and rng.random() < 0.9}
+        for _ in range(rng.randrange(n // 4 + 1)):
+            edges.add(tuple(rng.sample(range(n), 2)))
+    else:
+        label = list(range(n))
+        rng.shuffle(label)
+        first = 0
+        while first < n:
+            size = rng.randint(1, n - first)
+            for i in range(first + 1, first + size):
+                edges.add((label[rng.randrange(first, i)], label[i]))
+            for _ in range(rng.randrange(size) if size > 2 else 0):
+                u, v = rng.sample(range(first, first + size), 2)
+                edges.add((label[u], label[v]))
+            first += size
+    edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    pairs = {}
+    for _ in range(draw(st.integers(0, 400))):
+        s, r = rng.sample(range(n), 2)
+        pairs[(s, r)] = None
+        if rng.random() < 0.3:
+            pairs[(r, s)] = None
+    pairs = list(pairs)
+    if rng.random() < 0.2:
+        for bad in rng.sample([(-1, 0), (n, 1), (0, n + 2), (-3, -2)], 2):
+            pairs.insert(rng.randint(0, len(pairs)), bad)
+    return n, edges, pairs
+
+
+@given(routing_cases())
+@settings(max_examples=80, deadline=None)
+def test_routes_match_plain_bfs_reference(case):
+    n, edges, pairs = case
+    net = make_network(n, edges, [1] * len(edges))
+    matrix = demand.DemandMatrix(pairs=tuple(pairs))
+    try:
+        _reference_paths(net, matrix)
+    except ValueError as error:
+        # the first bad pair in demand order, out-of-range ones first
+        with pytest.raises(ValueError) as raised:
+            demand.build_paths(net, matrix)
+        assert str(raised.value) == str(error)
+        graph = nx.Graph(edges)
+        graph.add_nodes_from(range(n))
+        component = {v: k for k, part in enumerate(nx.connected_components(graph))
+                     for v in part}
+        matrix = demand.DemandMatrix(pairs=tuple(
+            (s, r) for s, r in pairs
+            if s in component and r in component and component[s] == component[r]))
+    paths = demand.build_paths(net, matrix)
+    assert paths == _reference_paths(net, matrix)
+    for path in paths:
+        assert path_from_nodes(net, path_nodes(net, path)) == path
+
+
+def test_routes_cross_a_word_of_roots():
+    # 130 distinct roots on a preferential-attachment graph: three blocks
+    graph = nx.barabasi_albert_graph(150, 2, seed=3)
+    net = make_network(150, list(graph.edges()), [1] * graph.number_of_edges())
+    pairs = tuple((v, v * 37 % 97 % v) for v in range(20, 150)) \
+        + tuple((v * 37 % 97 % v, v) for v in range(20, 150))
+    matrix = demand.DemandMatrix(pairs=pairs)
+    assert len({max(p) for p in pairs}) == 130
+    assert demand.build_paths(net, matrix) == _reference_paths(net, matrix)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,9 @@ from creditnet.model import (
     channel_paths,
     check_feasible,
     classify_state,
+    closed_arcs,
+    hop_distances,
+    hop_levels,
     make_flow,
     make_network,
     make_state,
@@ -256,3 +260,72 @@ def test_zero_flow_is_identity(instance):
     zero = make_flow([0] * len(pathset))
     assert check_feasible(net, routing, b, zero)
     assert apply_flow(net, routing, b, zero).balances == b.balances
+
+
+def _bfs_distance(node_count, edges, source):
+    adj = [[] for _ in range(node_count)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = [-1] * node_count
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+@st.composite
+def split_graphs(draw):
+    """1-200 nodes in random trees plus extra edges, isolated nodes and
+    several components included, with labels shuffled."""
+    n = draw(st.integers(1, 200))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = set()
+    first = 0
+    while first < n:
+        size = rng.randint(1, n - first)
+        for i in range(first + 1, first + size):
+            if rng.random() < 0.9:
+                edges.add((rng.randrange(first, i), i))
+        for _ in range(rng.randrange(size) if size > 1 else 0):
+            u, v = rng.sample(range(first, first + size), 2)
+            edges.add((u, v))
+        first += size
+    edges = {(min(label[u], label[v]), max(label[u], label[v]))
+             for u, v in edges}
+    return n, sorted(edges)
+
+
+@given(split_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_kernel_distances_match_plain_bfs(graph, rng):
+    n, edges = graph
+    arcs = closed_arcs(n, edges)
+    # every source, and a subset in shuffled order that often spans
+    # more than one 64-bit word of source bits
+    subset = rng.sample(range(n), rng.randint(1, n))
+    for sources in (list(range(n)), subset):
+        dist = hop_distances(arcs, sources)
+        assert dist.shape == (n, len(sources))
+        for j, source in enumerate(sources):
+            assert dist[:, j].tolist() == _bfs_distance(n, edges, source)
+        # the level bits are the distance columns, one level at a time
+        levels = list(hop_levels(arcs, sources))
+        assert len(levels) == max(dist.max(), 0)
+        for d, bits in enumerate(levels, 1):
+            for j in range(len(sources)):
+                column = (bits[:, j >> 6] >> (j & 63)) & 1
+                assert column.tolist() == (dist[:, j] == d).astype(int).tolist()
+
+
+def test_kernel_spans_words_on_a_long_line():
+    n = 150
+    edges = [(i, i + 1) for i in range(n - 1)]
+    dist = hop_distances(closed_arcs(n, edges), range(n))
+    assert dist.tolist() == [[abs(u - v) for v in range(n)] for u in range(n)]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -186,6 +187,21 @@ def test_snowball_is_deterministic_and_validates():
         topology.snowball_sample(net, 0, seed=1)
     with pytest.raises(ValueError):
         topology.snowball_sample(net, 201, seed=1)
+
+
+def test_snowball_sample_is_pinned():
+    # Values of the list-queue implementation: the deque's visit order
+    # and the sample must stay the same.
+    spec = topology.TopologySpec(kind=topology.SCALE_FREE_BA, node_count=1000,
+                                 edge_budget=997 * 3, seed=21)
+    sample = topology.snowball_sample(topology.gen_topology(spec), 500, seed=8)
+    assert (sample.node_count, sample.edge_count) == (500, 1259)
+    assert sample.edges[-2:] == ((464, 466), (472, 494))
+    assert sum(sample.capacities) == Fraction(12590000, 2991)
+    digest = hashlib.sha256(
+        repr((sample.edges, sample.capacities)).encode()).hexdigest()
+    assert digest == ("f838f8c0dcef1447d9e19cfad64d156c"
+                      "33cdf0bb2208b406e7e6c9e8edbb3b06")
 
 
 def test_snowball_trapped_in_small_component():
