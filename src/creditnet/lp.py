@@ -22,9 +22,12 @@ Three solve routes; ThroughputReport.route names the one that ran:
   sum_forward alpha_e + sum_hops +-gamma_e must be >= 1, and bounds.alpha
   must equal sum(x). Weak duality then proves sum(x) optimal, returned as a
   Fraction with the rational x.
-* "simplex": an exact rational simplex on the dense routing views. It runs
-  when the certificate fails, and directly below CERTIFY_MIN_CELLS, where
-  it is faster than a linprog call.
+* "simplex": the exact two-phase simplex of creditnet.simplex on the dense
+  routing views, run on an integer tableau (each row a positive integer
+  multiple of the rational row, so no Fraction per cell) with the pivots
+  and the Fraction optimum of a rational tableau. It runs directly below
+  CERTIFY_MIN_CELLS, where it is faster than a linprog call plus the
+  certificate, and when the certificate fails.
 
 By default results are exact (certified or simplex) for
 3 * channels * paths <= EXACT_CELL_LIMIT and float above.
@@ -52,6 +55,7 @@ from .model import (
     RoutingSystem,
     _channel_usage,
     center_state,
+    check_balances,
     make_flow,
     make_state,
 )
@@ -67,10 +71,15 @@ NUMERICAL_FAILURE = simplex.FAILURE
 # net-shift block).
 EXACT_CELL_LIMIT = 20_000
 
-# Exact results below this many cells come from the Fraction simplex
-# directly: a linprog call costs a few ms however small the LP, more than
-# the simplex on such small tableaus (measured crossover 150-360 cells).
-CERTIFY_MIN_CELLS = 200
+# Exact results below this many cells come from the integer-tableau simplex
+# directly. On the four exact-small recipes at 10-50 pairs (phi_max and
+# phi_min LPs, median of 5 seeds, best of 3; Python 3.11, 2-vCPU VM) it took
+# 0.6-5.5 ms against 3.0-7.1 ms for linprog plus the certificate at every
+# size up to 1,950 cells, and first lost at 2,430 cells. The limit stays
+# below 1,950 so that 50-pair criterion-2 LPs (1,950-2,700 cells) stay
+# certified. Values are equal on either route; only the route label and
+# possibly the optimal vertex depend on it.
+CERTIFY_MIN_CELLS = 1_900
 
 # Largest denominator tried when reading HiGHS's floats as rationals.
 CERTIFICATE_DENOMINATOR = 10 ** 6
@@ -201,6 +210,7 @@ def one_step_throughput(network: CreditNetwork, routing: RoutingSystem,
     """Best total flow sendable from `state` without shifting any balance."""
     if routing.edge_count != network.edge_count:
         raise ValueError("routing system does not match network edge count")
+    check_balances(network, state.balances)
     forward = state.balances
     backward = tuple(c - b for c, b in zip(network.capacities, state.balances))
     return _throughput(routing, forward, backward, exact)

@@ -218,15 +218,20 @@ class BalanceState:
         return len(self.balances)
 
 
+def check_balances(network: CreditNetwork, balances: Sequence) -> None:
+    """Raise ValueError unless there is one balance per channel, each within
+    [0, capacity]; the message names the first channel out of range."""
+    if len(balances) != network.edge_count:
+        raise ValueError(f"balance state has {len(balances)} entries for "
+                         f"{network.edge_count} channels")
+    for k, (v, cap) in enumerate(zip(balances, network.capacities)):
+        if not 0 <= v <= cap:
+            raise ValueError(f"balance {v} on channel {k} outside [0, {cap}]")
+
+
 def make_state(network: CreditNetwork, values: Iterable) -> BalanceState:
     b = tuple(rat(v) for v in values)
-    if len(b) != network.edge_count:
-        raise ValueError("balance vector length does not match edge count")
-    for k, v in enumerate(b):
-        if not (0 <= v <= network.capacities[k]):
-            raise ValueError(
-                f"balance {v} on edge {k} outside [0, {network.capacities[k]}]"
-            )
+    check_balances(network, b)
     return BalanceState(b)
 
 
@@ -470,15 +475,10 @@ class StateClass:
 
 
 def classify_state(network: CreditNetwork, state: BalanceState) -> StateClass:
-    if len(state) != network.edge_count:
-        raise ValueError("state length does not match edge count")
+    check_balances(network, state.balances)
     imbalanced = []
     flat = 0
-    for edge, bal in enumerate(state.balances):
-        cap = network.capacities[edge]
-        if not (0 <= bal <= cap):
-            raise ValueError(
-                f"balance {bal} on edge {edge} outside the polytope")
+    for edge, (bal, cap) in enumerate(zip(state.balances, network.capacities)):
         if bal == 0:
             imbalanced.append((edge, FORWARD))
             flat += 1

@@ -26,6 +26,7 @@ from .model import (
     PathSet,
     RoutingSystem,
     channel_paths,
+    check_balances,
     make_state,
 )
 
@@ -243,6 +244,7 @@ def enumerate_reachable(
     single-path, single-quantum moves that stay feasible throughout, so BFS
     over those unit moves enumerates the full discretized reachable set.
     """
+    check_balances(network, start.balances)
     quantum = Fraction(granularity)
     if quantum <= 0:
         raise ValueError("granularity must be positive")

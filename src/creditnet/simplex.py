@@ -1,17 +1,35 @@
-"""Dense two-phase simplex over exact rationals.
+"""Dense two-phase simplex over exact rationals, run on an integer tableau.
 
 Solves   maximize c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
-with Fraction arithmetic throughout, so optima on rational inputs are exact.
-Dantzig pricing switches to Bland's rule after a fixed iteration budget,
-which guarantees termination on degenerate problems.
+exactly on rational inputs. Dantzig pricing switches to Bland's rule after a
+fixed iteration budget, which guarantees termination on degenerate problems.
 
-Meant for small instances (a few hundred cells). Large problems should go
+Every tableau row, and the objective row, is held as a list of Python ints
+that is a positive integer multiple of the rational row a textbook tableau
+would hold. A pivot on row r, column k replaces each other row by
+row * p - row[k] * pivot_row (p = pivot_row[k] > 0, after the pivot row's
+sign is made positive) and divides the result by the gcd of its entries; no
+rational is built per cell. Integer-preserving elimination is Bareiss's
+("Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968); the gcd division keeps entries as
+small as the rational tableau's numerators and denominators.
+
+Every choice reads a sign or a ratio, and a positive row scale changes
+neither: pricing takes the most negative objective entry (first index on
+ties), and the ratio test compares rhs_i / a_i across rows by cross
+multiplication (ties go to the lower basis index). So the pivots are those
+of the rational tableau, and so are the basis and the answer. A basic x_j
+is read as Fraction(rhs, row[j]); the objective row carries its own scale in
+a trailing column, so the optimum is Fraction(row[rhs], row[-1]), exact.
+
+Meant for small instances (a few thousand cells). Large problems should go
 through the floating-point route instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -19,7 +37,6 @@ UNBOUNDED = "Unbounded"
 FAILURE = "NumericalFailure"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Dantzig pricing can cycle on degenerate bases; Bland's rule cannot, so we
 # fall back to it after this many pivots per phase.
@@ -30,26 +47,50 @@ BLAND_SWITCH_FACTOR = 5
 ITERATION_CAP_FACTOR = 400
 
 
-def _as_fraction(value) -> Fraction:
+def _exact(value):
+    """An int or a Fraction as it is, anything else as a Fraction; floats
+    are rejected."""
+    if type(value) is int or type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("exact simplex rejects floats; use the float route")
     return Fraction(value)
 
 
-def _pivot(tab: list[list[Fraction]], obj: list[Fraction], basis: list[int], row: int, col: int) -> None:
-    pivot = tab[row][col]
-    inv = _ONE / pivot
-    prow = [v * inv for v in tab[row]]
-    tab[row] = prow
+def _reduced(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    if g > 1:
+        return [v // g for v in row]
+    return row
+
+
+def _combine(row: list[int], q: int, factor: int, prow: list[int]) -> list[int]:
+    """row * q - factor * prow, reduced; a positive multiple when q > 0.
+
+    zip stops at prow, so a row longer than prow (the objective row and its
+    scale) has its tail multiplied by q.
+    """
+    out = [a * q - factor * b for a, b in zip(row, prow)]
+    out += [a * q for a in row[len(prow):]]
+    return _reduced(out)
+
+
+def _pivot(tab: list[list[int]], obj: list[int], basis: list[int], row: int, col: int) -> None:
+    prow = tab[row]
+    if prow[col] < 0:
+        # dividing by a negative pivot: flip so the row's scale stays positive
+        prow = [-v for v in prow]
+        tab[row] = prow
+    q = prow[col]
     for i, trow in enumerate(tab):
         if i == row:
             continue
         factor = trow[col]
         if factor:
-            tab[i] = [a - factor * b for a, b in zip(trow, prow)]
+            tab[i] = _combine(trow, q, factor, prow)
     factor = obj[col]
     if factor:
-        obj[:] = [a - factor * b for a, b in zip(obj, prow)]
+        obj[:] = _combine(obj, q, factor, prow)
     basis[row] = col
 
 
@@ -61,7 +102,7 @@ def _optimize(tab, obj, basis, banned, rhs_col, ncols) -> str:
     while True:
         entering = None
         if iters < bland_after:
-            best = _ZERO
+            best = 0
             for j in range(ncols - 1):
                 if j in banned:
                     continue
@@ -76,19 +117,18 @@ def _optimize(tab, obj, basis, banned, rhs_col, ncols) -> str:
                     break
         if entering is None:
             return OPTIMAL
+        # ratio rhs_i / a_i < rhs_l / a_l  <=>  rhs_i * a_l < rhs_l * a_i  (a > 0)
         leave = None
-        best_ratio = None
         for i, trow in enumerate(tab):
             a = trow[entering]
             if a > 0:
-                ratio = trow[rhs_col] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+                if leave is None:
+                    leave, best_rhs, best_a = i, trow[rhs_col], a
+                    continue
+                lhs = trow[rhs_col] * best_a
+                rhs = best_rhs * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_rhs, best_a = i, trow[rhs_col], a
         if leave is None:
             return UNBOUNDED
         _pivot(tab, obj, basis, leave, entering)
@@ -97,37 +137,41 @@ def _optimize(tab, obj, basis, banned, rhs_col, ncols) -> str:
             return FAILURE
 
 
+def _integer_row(values: list) -> tuple[list[int], int]:
+    """The exact values times the lcm of their denominators, and that lcm."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def solve_dense(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     """Maximize c.x over the given constraints; return (status, x, value).
 
     x is a tuple of Fractions (empty when not OPTIMAL), value a Fraction.
     All inputs must be exact (int, Fraction, or string); floats are rejected.
     """
-    c = [_as_fraction(v) for v in c]
+    c = [_exact(v) for v in c]
     nvars = len(c)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # each row holds its coefficients with the bound last
+    rows: list[list] = []
     kinds: list[str] = []
     for row, bound in zip(a_ub, b_ub, strict=True):
-        coeffs = [_as_fraction(v) for v in row]
+        coeffs = [_exact(v) for v in row]
         if len(coeffs) != nvars:
             raise ValueError("inequality row width does not match objective")
-        rows.append(coeffs)
-        rhs.append(_as_fraction(bound))
+        rows.append(coeffs + [_exact(bound)])
         kinds.append("le")
     for row, bound in zip(a_eq, b_eq, strict=True):
-        coeffs = [_as_fraction(v) for v in row]
+        coeffs = [_exact(v) for v in row]
         if len(coeffs) != nvars:
             raise ValueError("equality row width does not match objective")
-        rows.append(coeffs)
-        rhs.append(_as_fraction(bound))
+        rows.append(coeffs + [_exact(bound)])
         kinds.append("eq")
     m = len(rows)
 
     if nvars == 0:
-        if any(kinds[i] == "eq" and rhs[i] != 0 for i in range(m)):
+        if any(kinds[i] == "eq" and rows[i][-1] != 0 for i in range(m)):
             return INFEASIBLE, (), _ZERO
-        if any(kinds[i] == "le" and rhs[i] < 0 for i in range(m)):
+        if any(kinds[i] == "le" and rows[i][-1] < 0 for i in range(m)):
             return INFEASIBLE, (), _ZERO
         return OPTIMAL, (), _ZERO
     if m == 0:
@@ -136,9 +180,8 @@ def solve_dense(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
         return OPTIMAL, tuple([_ZERO] * nvars), _ZERO
 
     for i in range(m):
-        if rhs[i] < 0:
+        if rows[i][-1] < 0:
             rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
             if kinds[i] == "le":
                 kinds[i] = "ge"
 
@@ -156,30 +199,35 @@ def solve_dense(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     rhs_col = col
     ncols = col + 1
 
-    tab: list[list[Fraction]] = []
+    # Row i is scale_i times its rational row: slack and artificial
+    # coefficients, +-1 in original units, are +-scale_i here.
+    tab: list[list[int]] = []
     basis: list[int] = []
     for i in range(m):
-        trow = [_ZERO] * ncols
-        trow[:nvars] = rows[i]
+        values, scale = _integer_row(rows[i])
+        trow = [0] * ncols
+        trow[:nvars] = values[:nvars]
         if i in slack_of:
-            trow[slack_of[i]] = _ONE if kinds[i] == "le" else -_ONE
+            trow[slack_of[i]] = scale if kinds[i] == "le" else -scale
         if i in art_of:
-            trow[art_of[i]] = _ONE
-        trow[rhs_col] = rhs[i]
-        tab.append(trow)
+            trow[art_of[i]] = scale
+        trow[rhs_col] = values[nvars]
+        tab.append(_reduced(trow))
         basis.append(slack_of[i] if kinds[i] == "le" else art_of[i])
 
     banned: set[int] = set(art_of.values())
 
     if art_of:
         # Phase 1: maximize minus the artificial sum, priced out for the
-        # rows where an artificial starts basic.
-        obj = [_ZERO] * ncols
+        # rows where an artificial starts basic. The objective row carries
+        # its scale in a trailing column (here 1).
+        obj = [0] * ncols + [1]
         for j in art_of.values():
-            obj[j] = _ONE
+            obj[j] = 1
         for i, bcol in enumerate(basis):
             if bcol in banned:
-                obj = [a - b for a, b in zip(obj, tab[i])]
+                # obj - row / scale_i, where tab[i][bcol] is scale_i
+                obj = _combine(obj, tab[i][bcol], obj[-1], tab[i])
         status = _optimize(tab, obj, basis, set(), rhs_col, ncols)
         if status != OPTIMAL:
             return FAILURE, (), _ZERO
@@ -198,16 +246,15 @@ def solve_dense(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
                 del tab[i]
                 del basis[i]
             else:
-                dummy = [_ZERO] * ncols
+                dummy = [0] * (ncols + 1)
                 _pivot(tab, dummy, basis, i, pivot_col)
 
-    obj = [_ZERO] * ncols
-    for j in range(nvars):
-        obj[j] = -c[j]
+    cost, scale = _integer_row(c)
+    obj = [-v for v in cost] + [0] * (ncols - nvars) + [scale]
     for i, bcol in enumerate(basis):
         factor = obj[bcol]
         if factor:
-            obj = [a - factor * b for a, b in zip(obj, tab[i])]
+            obj = _combine(obj, tab[i][bcol], factor, tab[i])
 
     status = _optimize(tab, obj, basis, banned, rhs_col, ncols)
     if status != OPTIMAL:
@@ -216,5 +263,5 @@ def solve_dense(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     x = [_ZERO] * nvars
     for i, bcol in enumerate(basis):
         if bcol < nvars:
-            x[bcol] = tab[i][rhs_col]
-    return OPTIMAL, tuple(x), obj[rhs_col]
+            x[bcol] = Fraction(tab[i][rhs_col], tab[i][bcol])
+    return OPTIMAL, tuple(x), Fraction(obj[rhs_col], obj[-1])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from creditnet import (
+    BalanceState,
     PathSet,
     apply_flow,
     build_routing_system,
@@ -118,6 +119,202 @@ def test_simplex_rejects_ragged_rows():
         simplex.solve_dense((1, 1), (), (), ((1, 1, 1),), (0,))
     with pytest.raises(ValueError):
         simplex.solve_dense((1,), ((1,), (1,)), (5,))
+
+
+# --- integer tableau against a Fraction-tableau reference ---
+#
+# _reference_solve_dense runs solve_dense's two-phase simplex on a tableau
+# of Fractions: the same pricing, ratio test, tie-break, Bland switch,
+# phase-1 pricing, drive-out and rhs flip, with every cell a rational.
+# Both read simplex.BLAND_SWITCH_FACTOR and ITERATION_CAP_FACTOR at call
+# time, so patching the module patches both sides.
+
+
+def _reference_pivot(tab, obj, basis, row, col):
+    inv = 1 / tab[row][col]
+    prow = [v * inv for v in tab[row]]
+    tab[row] = prow
+    for i, trow in enumerate(tab):
+        factor = trow[col]
+        if i != row and factor:
+            tab[i] = [a - factor * b for a, b in zip(trow, prow)]
+    factor = obj[col]
+    if factor:
+        obj[:] = [a - factor * b for a, b in zip(obj, prow)]
+    basis[row] = col
+
+
+def _reference_optimize(tab, obj, basis, banned, rhs_col, ncols):
+    size = len(tab) + ncols
+    bland_after = simplex.BLAND_SWITCH_FACTOR * size
+    cap = simplex.ITERATION_CAP_FACTOR * size + 1000
+    iters = 0
+    while True:
+        free = [j for j in range(ncols - 1) if j not in banned]
+        if iters < bland_after:
+            entering = min(free, key=lambda j: obj[j], default=None)
+            if entering is not None and obj[entering] >= 0:
+                entering = None
+        else:
+            entering = next((j for j in free if obj[j] < 0), None)
+        if entering is None:
+            return simplex.OPTIMAL
+        leave = best = None
+        for i, trow in enumerate(tab):
+            if trow[entering] > 0:
+                ratio = trow[rhs_col] / trow[entering]
+                if (best is None or ratio < best
+                        or (ratio == best and basis[i] < basis[leave])):
+                    best, leave = ratio, i
+        if leave is None:
+            return simplex.UNBOUNDED
+        _reference_pivot(tab, obj, basis, leave, entering)
+        iters += 1
+        if iters > cap:
+            return simplex.FAILURE
+
+
+def _reference_solve_dense(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    zero = Fraction(0)
+    c = [Fraction(v) for v in c]
+    nvars = len(c)
+    rows = [[Fraction(v) for v in r] for r in list(a_ub) + list(a_eq)]
+    rhs = [Fraction(v) for v in list(b_ub) + list(b_eq)]
+    kinds = ["le"] * len(a_ub) + ["eq"] * len(a_eq)
+    m = len(rows)
+    if nvars == 0:
+        bad = any(k == "eq" and b != 0 or k == "le" and b < 0
+                  for k, b in zip(kinds, rhs))
+        return (simplex.INFEASIBLE if bad else simplex.OPTIMAL), (), zero
+    if m == 0:
+        if any(v > 0 for v in c):
+            return simplex.UNBOUNDED, (), zero
+        return simplex.OPTIMAL, (zero,) * nvars, zero
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+            kinds[i] = "ge" if kinds[i] == "le" else kinds[i]
+    slack_rows = [i for i in range(m) if kinds[i] != "eq"]
+    art_rows = [i for i in range(m) if kinds[i] != "le"]
+    slack_of = {i: nvars + k for k, i in enumerate(slack_rows)}
+    art_of = {i: nvars + len(slack_rows) + k for k, i in enumerate(art_rows)}
+    rhs_col = nvars + len(slack_rows) + len(art_rows)
+    ncols = rhs_col + 1
+    tab, basis = [], []
+    for i in range(m):
+        trow = rows[i] + [zero] * (ncols - nvars)
+        if i in slack_of:
+            trow[slack_of[i]] = Fraction(1 if kinds[i] == "le" else -1)
+        if i in art_of:
+            trow[art_of[i]] = Fraction(1)
+        trow[rhs_col] = rhs[i]
+        tab.append(trow)
+        basis.append(slack_of[i] if kinds[i] == "le" else art_of[i])
+    banned = set(art_of.values())
+    if art_of:
+        obj = [Fraction(1 if j in banned else 0) for j in range(ncols)]
+        for i, bcol in enumerate(basis):
+            if bcol in banned:
+                obj = [a - b for a, b in zip(obj, tab[i])]
+        if _reference_optimize(tab, obj, basis, set(), rhs_col, ncols) != simplex.OPTIMAL:
+            return simplex.FAILURE, (), zero
+        if obj[rhs_col] != 0:
+            return simplex.INFEASIBLE, (), zero
+        for i in range(len(tab) - 1, -1, -1):
+            if basis[i] not in banned:
+                continue
+            pivot_col = next((j for j in range(rhs_col)
+                              if j not in banned and tab[i][j] != 0), None)
+            if pivot_col is None:
+                del tab[i]
+                del basis[i]
+            else:
+                _reference_pivot(tab, [zero] * ncols, basis, i, pivot_col)
+    obj = [-v for v in c] + [zero] * (ncols - nvars)
+    for i, bcol in enumerate(basis):
+        factor = obj[bcol]
+        if factor:
+            obj = [a - factor * b for a, b in zip(obj, tab[i])]
+    status = _reference_optimize(tab, obj, basis, banned, rhs_col, ncols)
+    if status != simplex.OPTIMAL:
+        return status, (), zero
+    x = [zero] * nvars
+    for i, bcol in enumerate(basis):
+        if bcol < nvars:
+            x[bcol] = tab[i][rhs_col]
+    return simplex.OPTIMAL, tuple(x), obj[rhs_col]
+
+
+_ENTRIES = st.one_of(st.integers(min_value=-4, max_value=4),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def _dense_lps(draw):
+    """Small LPs with <=, = and redundant = rows, bounds of both signs and
+    many zeros, so infeasible, unbounded and degenerate cases all occur."""
+    nvars = draw(st.integers(min_value=0, max_value=5))
+    row = st.lists(_ENTRIES, min_size=nvars, max_size=nvars)
+    c = draw(row)
+    a_ub = draw(st.lists(row, max_size=5))
+    b_ub = draw(st.lists(_ENTRIES, min_size=len(a_ub), max_size=len(a_ub)))
+    a_eq = draw(st.lists(row, max_size=3))
+    b_eq = draw(st.lists(_ENTRIES, min_size=len(a_eq), max_size=len(a_eq)))
+    if a_eq and draw(st.booleans()):
+        # a repeated equality leaves an artificial basic at level zero
+        a_eq.append(list(a_eq[0]))
+        b_eq.append(b_eq[0])
+    if nvars and draw(st.booleans()):
+        # box rows x_j <= bound keep more of the draws bounded
+        box = draw(st.integers(min_value=0, max_value=4))
+        a_ub += [[int(j == i) for j in range(nvars)] for i in range(nvars)]
+        b_ub += [box] * nvars
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+def _assert_matches_reference(lp_args):
+    got = simplex.solve_dense(*lp_args)
+    assert got == _reference_solve_dense(*lp_args)
+    assert all(type(v) is Fraction for v in got[1])
+    assert type(got[2]) is Fraction
+
+
+# Pinned LPs on which a wrong tie-break, a missing sign flip in the
+# drive-out pivot or a lost objective scale changes (status, x, value);
+# random draws hit the first two only about once in 10,000.
+_PINNED_LPS = [
+    # ratio ties under Bland's rule: the first tied row is not the lowest basis
+    ((0, 1, 1, 1), ((0, 0, 0, 1), (-1, 2, 0, 0), (0, 1, 0, -1), (2, -1, 0, -1),
+                    (0, 1, 1, 0)), (4, 2, 2, 2, 2)),
+    # ratio ties where the higher basis index would end on another optimum
+    ((1, 1, 0, 0), ((1, 2, 0, 1), (1, 0, 0, -1), (2, -1, 0, 0)), (4, 2, 4)),
+    # the degenerate artificial leaves on a negative entry
+    ((Fraction(5, 3), 2), (), (), ((-2, Fraction(-18, 5)),), (0,)),
+    # x = 19/96; the optimum -19/96 needs the objective row's scale
+    ((-1,), (), (), ((16,),), (Fraction(19, 6),)),
+]
+
+
+@pytest.mark.parametrize("lp_args", _PINNED_LPS)
+@pytest.mark.parametrize("bland", [simplex.BLAND_SWITCH_FACTOR, 0])
+def test_integer_tableau_matches_reference_on_pinned_lps(lp_args, bland, monkeypatch):
+    monkeypatch.setattr(simplex, "BLAND_SWITCH_FACTOR", bland)
+    _assert_matches_reference(lp_args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dense_lps())
+def test_integer_tableau_matches_reference(lp_args):
+    _assert_matches_reference(lp_args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dense_lps())
+def test_integer_tableau_matches_reference_under_bland(lp_args):
+    # BLAND_SWITCH_FACTOR = 0 runs Bland's rule from the first pivot
+    with mock.patch.object(simplex, "BLAND_SWITCH_FACTOR", 0):
+        _assert_matches_reference(lp_args)
 
 
 # --- one-step throughput on the worked line instance ---
@@ -248,6 +445,20 @@ def test_worst_state_rejects_out_of_range_balance(line):
     for key in (99, -1, 2):
         with pytest.raises(ValueError, match="out of range"):
             lp.worst_state_throughput(net, routing, {key: 0})
+
+
+@pytest.mark.parametrize("balances, message", [
+    ((1,), "1 entries for 2 channels"),
+    ((1, 2, 3), "3 entries for 2 channels"),
+    ((30, 5), "balance 30 on channel 0 outside"),
+    ((5, -1), "balance -1 on channel 1 outside"),
+])
+def test_one_step_rejects_states_that_do_not_fit(line, balances, message):
+    net, _, routing = line
+    state = BalanceState(tuple(Fraction(b) for b in balances))
+    for exact in (True, False):
+        with pytest.raises(ValueError, match=message):
+            lp.one_step_throughput(net, routing, state, exact=exact)
 
 
 def test_solver_failure_raises_instead_of_nan(line, monkeypatch):

@@ -8,6 +8,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from creditnet import (
     BACKWARD,
+    BalanceState,
     FORWARD,
     Path,
     PathSet,
@@ -298,6 +299,19 @@ def test_enumerate_rejects_bad_granularity():
     routing = build_routing_system(net, paths)
     with pytest.raises(ValueError, match="positive"):
         enumerate_reachable(net, routing, _state(net, [1, 1]), 0)
+
+
+@pytest.mark.parametrize("balances, message", [
+    ((1,), "1 entries for 2 channels"),
+    ((1, 2, 3), "3 entries for 2 channels"),
+    ((30, 5), "balance 30 on channel 0 outside"),
+    ((5, -1), "balance -1 on channel 1 outside"),
+])
+def test_enumerate_rejects_states_that_do_not_fit(line, balances, message):
+    net, _, routing = line
+    start = BalanceState(tuple(Fraction(b) for b in balances))
+    with pytest.raises(ValueError, match=message):
+        enumerate_reachable(net, routing, start, 1)
 
 
 # --- stuck-channel brute force ---
