@@ -13,21 +13,26 @@ into one row per channel, F.x <= min(b, c - b), beside (F - B).x = 0.
 Three solve routes; ThroughputReport.route names the one that ran:
 
 * "float": scipy's HiGHS dual simplex on sparse F and F - B built from the
-  hop lists. Results are floats.
-* "certified": the same HiGHS solve, then an exact certificate over the hop
-  lists (after Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007, and
-  Gleixner, Steffy & Wolter, INFORMS J. Comput. 2016). The primal x and the
-  dual (alpha per limit row, gamma per net-shift row) are rationalized; x
-  must be exactly feasible, every path's reduced cost
-  sum_forward alpha_e + sum_hops +-gamma_e must be >= 1, and bounds.alpha
-  must equal sum(x). Weak duality then proves sum(x) optimal, returned as a
-  Fraction with the rational x.
-* "simplex": the exact two-phase simplex of creditnet.simplex on the dense
-  routing views, run on an integer tableau (each row a positive integer
-  multiple of the rational row, so no Fraction per cell) with the pivots
-  and the Fraction optimum of a rational tableau. It runs directly below
-  CERTIFY_MIN_CELLS, where it is faster than a linprog call plus the
-  certificate, and when the certificate fails.
+  routing's CSR arrays. Results are floats. A bound HiGHS would read as
+  infinite (HIGHS_INFINITE_BOUND and above) raises ValueError.
+* "certified": the same HiGHS solve, then an exact certificate (after
+  Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007, and Gleixner,
+  Steffy & Wolter, INFORMS J. Comput. 2016). The primal x and the dual
+  (alpha per limit row, gamma per net-shift row) are rationalized, only
+  their distinct values, and scaled to integers over common denominators.
+  One integer check over the routing's CSR arrays then asks that x be
+  exactly feasible, that every path's reduced cost
+  sum_forward alpha_e + sum_hops +-gamma_e be >= 1, and that bounds.alpha
+  equal sum(x). Weak duality then proves sum(x) optimal, returned as a
+  Fraction with the rational x. The integers are int64 when no sum can
+  overflow it and Python ints (object arrays) otherwise.
+* "simplex": the exact two-phase simplex of creditnet.simplex on dense
+  channel x path rows built once per routing, run on an integer tableau
+  (each row a positive integer multiple of the rational row, so no
+  Fraction per cell) with the pivots and the Fraction optimum of a
+  rational tableau. It runs directly below CERTIFY_MIN_CELLS, where it is
+  faster than a linprog call plus the certificate, when a bound is beyond
+  HiGHS's range, and when the certificate fails.
 
 By default results are exact (certified or simplex) for
 3 * channels * paths <= EXACT_CELL_LIMIT and float above.
@@ -38,8 +43,10 @@ floor functions raise RuntimeError when the solver stops short of an optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -48,15 +55,12 @@ from scipy.optimize import linprog
 
 from . import simplex
 from .model import (
-    FORWARD,
     BalanceState,
     CreditNetwork,
     FlowVector,
     RoutingSystem,
-    _channel_usage,
     center_state,
     check_balances,
-    make_flow,
     make_state,
 )
 
@@ -83,6 +87,11 @@ CERTIFY_MIN_CELLS = 1_900
 
 # Largest denominator tried when reading HiGHS's floats as rationals.
 CERTIFICATE_DENOMINATOR = 10 ** 6
+
+# HiGHS reads a bound at or above this as infinite (its infinite_bound
+# option), so the float route refuses larger finite bounds and the exact
+# route sends them to the simplex.
+HIGHS_INFINITE_BOUND = 1e20
 
 # ThroughputReport.route values
 SIMPLEX = "simplex"
@@ -122,36 +131,116 @@ def _highs(objective, a_ub, b_ub, a_eq, b_eq) -> LpSolution:
     return LpSolution(status, (), 0.0)
 
 
-def _rational(value: float) -> Fraction:
-    return Fraction(value).limit_denominator(CERTIFICATE_DENOMINATOR)
+class _LpForms:
+    """One routing's LP forms, each built from its CSR arrays on first use
+    and kept with the routing: HiGHS's sparse F and F - B, the path index of
+    every hop, and the simplex's dense channel x path rows of F and F - B.
+    It holds the arrays, not the routing, so the two form no cycle."""
+
+    def __init__(self, routing: RoutingSystem):
+        self.indptr, self.edge, self.sign = routing.indptr, routing.edge, routing.sign
+        self.shape = (routing.path_count, routing.edge_count)
+
+    @cached_property
+    def path(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    @cached_property
+    def highs_matrices(self):
+        delta = sparse.csr_matrix((self.sign.astype(float), self.edge, self.indptr),
+                                  shape=self.shape).T
+        return delta.maximum(0), delta
+
+    @cached_property
+    def simplex_rows(self) -> tuple[list, list]:
+        delta = np.zeros(self.shape[::-1], dtype=np.int64)
+        delta[self.edge, self.path] = self.sign
+        return np.maximum(delta, 0).tolist(), delta.tolist()
 
 
-def _certify(routing: RoutingSystem, bounds: list, solution: LpSolution) -> LpSolution | None:
+def _lp_forms(routing: RoutingSystem) -> _LpForms:
+    forms = routing.__dict__.get("_lp_forms")
+    if forms is None:
+        forms = _LpForms(routing)
+        object.__setattr__(routing, "_lp_forms", forms)
+    return forms
+
+
+def _float_bound(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _highs_bounds(bounds: list) -> np.ndarray:
+    """The bounds as floats. Raises ValueError naming the first channel whose
+    bound HiGHS would read as infinite, which would make the LP unbounded."""
+    b_ub = np.fromiter(map(_float_bound, bounds), dtype=float, count=len(bounds))
+    wide = np.flatnonzero(b_ub >= HIGHS_INFINITE_BOUND)
+    if wide.size:
+        raise ValueError(f"channel {wide[0]}: balance bound at or above "
+                         f"{HIGHS_INFINITE_BOUND:g}, which the float LP reads as "
+                         "infinite; use the exact route")
+    return b_ub
+
+
+def _scaled(values) -> tuple[list[int], np.ndarray, int, list[Fraction]]:
+    """Rationalize the distinct values only: their numerators over one
+    common denominator, the index of each value's numerator, that
+    denominator and the rationals themselves."""
+    distinct, index = np.unique(values, return_inverse=True)
+    rationals = [Fraction(v).limit_denominator(CERTIFICATE_DENOMINATOR)
+                 for v in distinct.tolist()]
+    den = math.lcm(*(r.denominator for r in rationals))
+    return ([r.numerator * (den // r.denominator) for r in rationals],
+            index.reshape(-1), den, rationals)
+
+
+def _certify(forms: _LpForms, bounds: list, solution: LpSolution) -> LpSolution | None:
     """The exact optimum read off HiGHS's primal and dual, or None.
 
-    The rationalized x must satisfy F.x <= bounds and (F - B).x = 0 exactly
-    (x >= 0 holds since _highs clips it). The rationalized dual, alpha = -ineq
-    marginals clipped at 0 and gamma = -eq marginals, must give every path a
-    reduced cost sum_forward alpha_e + sum_hops +-gamma_e >= 1. Weak duality
+    With x = X / dx, alpha, gamma = A / dy, G / dy and bounds = B / db over
+    integers, the rationalized x must satisfy F.X * db <= B * dx and
+    (F - B).X = 0 (x >= 0 holds since _highs clips it). The dual, alpha =
+    -ineq marginals clipped at 0 and gamma = -eq marginals, must give every
+    path a reduced cost sum_forward A_e + sum_hops +-G_e >= dy. Weak duality
     then bounds every feasible flow total by bounds.alpha, so equality with
     sum(x) proves x optimal.
     """
     if solution.status != OPTIMAL:
         return None
-    flow = FlowVector(tuple(_rational(v) for v in solution.x))
-    fwd, bwd = _channel_usage(routing, flow)
-    if any(f > b or f != r for f, r, b in zip(fwd, bwd, bounds)):
-        return None
+    pcount, ecount = forms.shape
     ineq, eq = solution.duals
-    alpha = [_rational(max(-v, 0.0)) for v in ineq]
-    gamma = [_rational(-v) for v in eq]
-    for hops in routing.hops:
-        if sum(alpha[e] + gamma[e] if d == FORWARD else -gamma[e] for e, d in hops) < 1:
-            return None
-    value = sum(flow.amounts, _ZERO)
-    if sum(b * a for b, a in zip(bounds, alpha)) != value:
+    xs, x_index, dx, x_values = _scaled(np.asarray(solution.x))
+    duals, dual_index, dy, _ = _scaled(np.concatenate((np.maximum(-ineq, 0.0), -eq)))
+    db = math.lcm(*(b.denominator for b in bounds))
+    bs = [b.numerator * (db // b.denominator) for b in bounds]
+    # every sum below has at most 2 * nnz + paths + channels terms, each a
+    # product of at most three factors no larger than m
+    m = max(map(abs, xs + duals + bs + [dx, dy, db]))
+    fits = (2 * forms.edge.size + pcount + ecount) * m ** 3 < 2 ** 63
+    dtype = np.int64 if fits else object
+    x = np.array(xs, dtype=dtype)[x_index]
+    dual = np.array(duals, dtype=dtype)[dual_index]
+    alpha, gamma = dual[:ecount], dual[ecount:]
+    b = np.array(bs, dtype=dtype)
+    edge, sign = forms.edge, forms.sign
+    usage = np.zeros((2, ecount), dtype=dtype)
+    np.add.at(usage, ((sign < 0).astype(np.intp), edge), x[forms.path])
+    if not ((usage[0] == usage[1]).all() and (usage[0] * db <= b * dx).all()):
         return None
-    return LpSolution(OPTIMAL, flow.amounts, value)
+    # reduced costs, one segmented sum over indptr (reduceat would misread
+    # the empty segments)
+    hop = np.where(sign > 0, alpha[edge], 0) + sign * gamma[edge]
+    running = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(hop)))
+    if not (running[forms.indptr[1:]] - running[forms.indptr[:-1]] >= dy).all():
+        return None
+    total = x.sum()
+    if (b * alpha).sum() * dx != total * dy * db:
+        return None
+    return LpSolution(OPTIMAL, tuple(x_values[i] for i in x_index.tolist()),
+                      Fraction(int(total), dx))
 
 
 def _solve_flow(routing: RoutingSystem, bounds: list, exact: bool) -> tuple[LpSolution, str]:
@@ -160,24 +249,27 @@ def _solve_flow(routing: RoutingSystem, bounds: list, exact: bool) -> tuple[LpSo
     Returns the solution and the route that produced it.
     """
     pcount = routing.path_count
-    zeros = [0] * routing.edge_count
+    forms = _lp_forms(routing)
 
     def dense_simplex():
+        forward, delta = forms.simplex_rows
         return LpSolution(*simplex.solve_dense(
-            [1] * pcount, routing.forward, bounds, routing.delta, zeros)), SIMPLEX
+            [1] * pcount, forward, bounds, delta, [0] * routing.edge_count)), SIMPLEX
 
     if exact and 3 * routing.edge_count * pcount < CERTIFY_MIN_CELLS:
         return dense_simplex()
-    edges = [e for hops in routing.hops for e, _ in hops]
-    signs = [1.0 if d == FORWARD else -1.0 for hops in routing.hops for _, d in hops]
-    indptr = np.cumsum([0] + [len(hops) for hops in routing.hops])
-    delta = sparse.csr_matrix((signs, edges, indptr),
-                              shape=(pcount, routing.edge_count)).T
-    solution = _highs([1] * pcount, delta.maximum(0), np.asarray(bounds, dtype=float),
-                      delta, np.asarray(zeros, dtype=float))
+    try:
+        b_ub = _highs_bounds(bounds)
+    except ValueError:
+        if not exact:
+            raise
+        # no float vertex can be certified against such a bound
+        return dense_simplex()
+    f, delta = forms.highs_matrices
+    solution = _highs([1] * pcount, f, b_ub, delta, np.zeros(routing.edge_count))
     if not exact:
         return solution, FLOAT
-    certified = _certify(routing, bounds, solution)
+    certified = _certify(forms, bounds, solution)
     if certified is None:
         return dense_simplex()
     return certified, CERTIFIED
@@ -186,7 +278,7 @@ def _solve_flow(routing: RoutingSystem, bounds: list, exact: bool) -> tuple[LpSo
 def _throughput(routing: RoutingSystem, forward_bounds: Sequence,
                 backward_bounds: Sequence, exact: bool | None) -> ThroughputReport:
     if routing.path_count == 0:
-        return ThroughputReport(_ZERO, make_flow(()), OPTIMAL, SIMPLEX)
+        return ThroughputReport(_ZERO, FlowVector(()), OPTIMAL, SIMPLEX)
     if exact is None:
         exact = 3 * routing.edge_count * routing.path_count <= EXACT_CELL_LIMIT
     bounds = [min(f, b) for f, b in zip(forward_bounds, backward_bounds, strict=True)]
@@ -194,9 +286,8 @@ def _throughput(routing: RoutingSystem, forward_bounds: Sequence,
     if solution.status == INFEASIBLE:
         raise RuntimeError("throughput LP reported infeasible; zero flow is always feasible")
     if solution.status != OPTIMAL:
-        return ThroughputReport(float("nan"), make_flow(()), solution.status, route)
-    flow = FlowVector(solution.x) if route == FLOAT else make_flow(solution.x)
-    return ThroughputReport(solution.objective_value, flow, OPTIMAL, route)
+        return ThroughputReport(float("nan"), FlowVector(()), solution.status, route)
+    return ThroughputReport(solution.objective_value, FlowVector(solution.x), OPTIMAL, route)
 
 
 def _optimal_value(report: ThroughputReport) -> Fraction | float:

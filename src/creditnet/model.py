@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -321,28 +322,31 @@ def channel_paths(edge_count: int, paths: PathSet) -> tuple[tuple[tuple[int, int
 class RoutingSystem:
     """Path x channel incidence: each path's validated (edge, direction) hops.
 
-    The dense (canonical edges) x (ordered paths) views forward, backward and
-    delta = forward - backward are built only when read. A feasible flow f
-    changes the state by -delta . f, so circulations (delta . f = 0) leave
-    balances untouched."""
+    The hops are also kept once as read-only CSR int arrays, path by path in
+    hop order: path p's hops are entries indptr[p]:indptr[p + 1] of edge
+    (the channel index) and sign (+1 forward, -1 backward). As a paths x
+    channels matrix, sign is delta = forward - backward; a feasible flow f
+    changes the state by -delta^T . f, so circulations (delta^T . f = 0)
+    leave balances untouched."""
 
     hops: tuple[tuple[tuple[int, int], ...], ...]
     edge_count: int
 
+    def __post_init__(self):
+        counts = np.fromiter(map(len, self.hops), dtype=np.int64,
+                             count=len(self.hops))
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.hops)),
+                           dtype=np.int64, count=2 * int(indptr[-1]))
+        edge, direction = flat.reshape(-1, 2).T.copy()
+        sign = np.where(direction == FORWARD, 1, -1)
+        for name, array in (("indptr", indptr), ("edge", edge), ("sign", sign)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
     @property
     def path_count(self) -> int:
         return len(self.hops)
-
-    def _dense(self, forward_entry: int, backward_entry: int):
-        rows = [[0] * self.path_count for _ in range(self.edge_count)]
-        for p, hops in enumerate(self.hops):
-            for e, d in hops:
-                rows[e][p] = forward_entry if d == FORWARD else backward_entry
-        return tuple(tuple(row) for row in rows)
-
-    forward = property(lambda self: self._dense(1, 0))
-    backward = property(lambda self: self._dense(0, 1))
-    delta = property(lambda self: self._dense(1, -1))
 
 
 def build_routing_system(network: CreditNetwork, paths: PathSet) -> RoutingSystem:

@@ -27,11 +27,11 @@ from creditnet.fileio import (
 )
 from creditnet import lp
 from creditnet.lp import max_throughput, min_throughput
-from creditnet.model import build_routing_system
+from creditnet.model import build_routing_system, make_network
 from creditnet.peeling import build_peeling_graph, peel
 from creditnet.reduction import cnf_to_creditnet, parse_dimacs
 from creditnet.synthesis import neutral_mixing_jdd, write_jdd_csv
-from creditnet.topology import TopologySpec
+from creditnet.topology import ERDOS_RENYI, TopologySpec, gen_topology
 
 
 def _parse_record(out: str) -> dict:
@@ -300,6 +300,35 @@ def test_solver_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert rc == EXIT_BUDGET
     assert "NumericalFailure" in captured.err
     assert "nan" not in captured.out
+
+
+def _graph_with_wide_capacity(tmp_path, nodes, channels, capacity):
+    network = gen_topology(TopologySpec(kind=ERDOS_RENYI, node_count=nodes,
+                                        edge_budget=channels, seed=3))
+    capacities = list(network.capacities)
+    capacities[5] = Fraction(capacity)
+    graph_file = tmp_path / f"wide_{nodes}.graph"
+    save_graph(make_network(nodes, network.edges, capacities), graph_file)
+    return graph_file
+
+
+@pytest.mark.parametrize("capacity", [10 ** 21, 10 ** 400], ids=["1e21", "1e400"])
+def test_analyze_capacity_beyond_float_range(tmp_path, capsys, capacity):
+    # 18 channels x 50 pairs: the exact route, solved by the simplex
+    graph_file = _graph_with_wide_capacity(tmp_path, 10, 18, capacity)
+    rc = main(["analyze", "--graph", str(graph_file), "--pairs", "50",
+               "--seed", "10", "--out-dir", str(tmp_path)])
+    record = _parse_record(capsys.readouterr().out)
+    assert rc == EXIT_OK
+    assert parse_rational(record["phi_max"]) > capacity // 2
+    # 60 channels x 120 pairs is past EXACT_CELL_LIMIT: the float route
+    # cannot hold the bound, so the input is refused
+    graph_file = _graph_with_wide_capacity(tmp_path, 30, 60, capacity)
+    rc = main(["analyze", "--graph", str(graph_file), "--pairs", "120",
+               "--seed", "10", "--out-dir", str(tmp_path)])
+    assert 3 * 60 * 120 > lp.EXACT_CELL_LIMIT
+    assert rc == EXIT_BAD_INPUT
+    assert "channel 5" in capsys.readouterr().err
 
 
 def test_invalid_input_exits_two(tmp_path, capsys):

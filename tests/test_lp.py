@@ -11,7 +11,11 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from creditnet import (
+    BACKWARD,
+    FORWARD,
     BalanceState,
+    FlowVector,
+    Path,
     PathSet,
     apply_flow,
     build_routing_system,
@@ -23,8 +27,10 @@ from creditnet import (
 )
 from creditnet import lp, simplex
 from creditnet.demand import DemandSpec, build_paths, sample_demand
+from creditnet.model import _channel_usage
 from creditnet.topology import ERDOS_RENYI, TopologySpec, gen_topology
-from test_model import small_instance
+from conftest import line_instance
+from test_model import dense_views, small_instance
 
 
 def _triangle(bidirectional):
@@ -38,7 +44,7 @@ def _triangle(bidirectional):
 
 def _delta_residual(routing, flow):
     worst = 0
-    for row in routing.delta:
+    for row in dense_views(routing)[2]:
         shift = sum(a * d for a, d in zip(flow.amounts, row))
         worst = max(worst, abs(shift))
     return worst
@@ -544,10 +550,11 @@ def test_triangle_throughput_bounded_by_peak(balances):
 def test_collapsed_lp_matches_three_block_reference(instance):
     net, _, routing, state = instance
     room = [c - b for c, b in zip(net.capacities, state.balances)]
+    forward, backward, delta = dense_views(routing)
     status, _, reference = simplex.solve_dense(
         [1] * routing.path_count,
-        routing.forward + routing.backward, state.balances + tuple(room),
-        routing.delta, [0] * routing.edge_count)
+        forward + backward, state.balances + tuple(room),
+        delta, [0] * routing.edge_count)
     exact = lp.one_step_throughput(net, routing, state, exact=True)
     approx = lp.one_step_throughput(net, routing, state, exact=False)
     assert status == "Optimal"
@@ -642,8 +649,9 @@ def test_certified_value_matches_simplex(instance, denominator, data):
                  denominator)
         for c in net.capacities])
     bounds = [min(b, c - b) for c, b in zip(net.capacities, state.balances)]
+    forward, _, delta = dense_views(routing)
     status, _, reference = simplex.solve_dense(
-        [1] * routing.path_count, routing.forward, bounds, routing.delta,
+        [1] * routing.path_count, forward, bounds, delta,
         [0] * routing.edge_count)
     with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
         report = lp.one_step_throughput(net, routing, state)
@@ -653,3 +661,166 @@ def test_certified_value_matches_simplex(instance, denominator, data):
     assert isinstance(report.psi_value, Fraction)
     assert check_feasible(net, routing, state, report.optimal_flow, tol=0)
     assert _delta_residual(routing, report.optimal_flow) == 0
+
+
+# --- vectorized certificate against a Fraction reference ---
+#
+# _reference_certify is the certificate on Fractions, hop by hop: the
+# rationalized x must be exactly feasible, every path's reduced cost at
+# least 1, and bounds.alpha equal to sum(x).
+
+
+def _reference_certify(routing, bounds, solution):
+    def rational(value):
+        return Fraction(value).limit_denominator(lp.CERTIFICATE_DENOMINATOR)
+
+    if solution.status != lp.OPTIMAL:
+        return None
+    flow = FlowVector(tuple(rational(v) for v in solution.x))
+    fwd, bwd = _channel_usage(routing, flow)
+    if any(f > b or f != r for f, r, b in zip(fwd, bwd, bounds)):
+        return None
+    ineq, eq = solution.duals
+    alpha = [rational(max(-v, 0.0)) for v in ineq]
+    gamma = [rational(-v) for v in eq]
+    for hops in routing.hops:
+        if sum(alpha[e] + gamma[e] if d == FORWARD else -gamma[e] for e, d in hops) < 1:
+            return None
+    value = sum(flow.amounts, Fraction(0))
+    if sum(b * a for b, a in zip(bounds, alpha)) != value:
+        return None
+    return lp.LpSolution(lp.OPTIMAL, flow.amounts, value)
+
+
+# primes just under CERTIFICATE_DENOMINATOR: the lcm of any four exceeds 2**63
+_LARGE_PRIMES = (999_983, 999_979, 999_961, 999_959, 999_953, 999_931)
+
+
+def _perturbed(solution, kind, rng):
+    """HiGHS's solution with its primal or dual changed in one of the ways
+    a certificate must see through (or left as it is)."""
+    x = np.array(solution.x)
+    ineq, eq = (np.array(d) for d in solution.duals)
+    if kind == "halve_primal":
+        x = x / 2
+    elif kind == "zero_primal_and_dual":
+        x, ineq, eq = np.zeros_like(x), np.zeros_like(ineq), np.zeros_like(eq)
+    elif kind == "optimum_on_one_path":
+        x = np.zeros_like(x)
+        x[0] = solution.objective_value
+    elif kind == "dual_noise":
+        ineq = ineq + np.array([rng.choice((0, 1e-3, -0.5)) for _ in ineq])
+        eq = eq + np.array([rng.choice((0, 1e-3, 0.25)) for _ in eq])
+    elif kind == "wide_denominator":
+        # distinct values whose common denominator overflows int64
+        x = x + np.array([1 / _LARGE_PRIMES[p % len(_LARGE_PRIMES)]
+                          for p in range(len(x))])
+    return lp.LpSolution(solution.status, tuple(float(v) for v in x),
+                         solution.objective_value, (ineq, eq))
+
+
+_PERTURBATIONS = (None, "halve_primal", "zero_primal_and_dual",
+                  "optimum_on_one_path", "dual_noise", "wide_denominator")
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instance(), st.integers(min_value=1, max_value=6),
+       st.sampled_from([(kind, scale) for kind in _PERTURBATIONS
+                        for scale in (1, 10 ** 6)]),
+       st.randoms(use_true_random=False), st.data())
+def test_certificate_matches_reference(instance, denominator, perturbation, rng, data):
+    kind, scale = perturbation
+    # every path's reverse joins it, so most draws have a positive optimum;
+    # scale 10**6 makes the integer check's sums overflow int64, so it runs
+    # on Python ints
+    base, paths, _, _ = instance
+    net = make_network(base.node_count, base.edges,
+                       [c * scale for c in base.capacities])
+    routing = build_routing_system(net, PathSet(paths.paths + tuple(
+        Path(p.destination, p.source, tuple((e, 1 - d) for e, d in reversed(p.hops)))
+        for p in paths)))
+    state = make_state(net, [
+        Fraction(data.draw(st.integers(min_value=0, max_value=int(c * denominator))),
+                 denominator) * scale
+        for c in base.capacities])
+    bounds = [min(b, c - b) for c, b in zip(net.capacities, state.balances)]
+    seen = []
+
+    def perturbed_highs(*args):
+        seen.append(_perturbed(real_highs(*args), kind, rng))
+        return seen[-1]
+
+    real_highs = lp._highs
+    with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0), \
+            mock.patch.object(lp, "_highs", perturbed_highs):
+        report = lp.one_step_throughput(net, routing, state)
+    reference = _reference_certify(routing, bounds, seen[0])
+    if reference is None:
+        assert report.route == lp.SIMPLEX
+    else:
+        assert report.route == lp.CERTIFIED
+        assert report.optimal_flow.amounts == reference.x
+        assert report.psi_value == reference.objective_value
+        assert all(type(v) is Fraction for v in report.optimal_flow.amounts)
+    assert type(report.psi_value) is Fraction
+
+
+def _pinned_certificate(empty_path):
+    # one channel of capacity 2 (bound 1 at the centre) and two circulations
+    # on it, A = 0 -> 1 and B = 1 -> 0; alpha = 2 and gamma = -1 price every
+    # path at exactly 1
+    net = make_network(2, [(0, 1)], [2])
+    a, b = Path(0, 1, ((0, FORWARD),)), Path(1, 0, ((0, BACKWARD),))
+    if empty_path:
+        # a hop-less path's reduced cost is 0, and its CSR segment is empty
+        paths, x = (Path(0, 0, ()), a, b), (0.0, 1.0, 1.0)
+    else:
+        # thirds in x, none in the bound: the flow and bound scales differ
+        paths, x = (a, b, a, b), (1 / 3, 1 / 3, 2 / 3, 2 / 3)
+    routing = build_routing_system(net, PathSet(paths))
+    solution = lp.LpSolution(lp.OPTIMAL, x, 2.0, (np.array([-2.0]), np.array([1.0])))
+    return routing, [Fraction(1)], solution
+
+
+@pytest.mark.parametrize("empty_path, accepted", [(False, True), (True, False)])
+def test_certificate_matches_reference_on_pinned_cases(empty_path, accepted):
+    routing, bounds, solution = _pinned_certificate(empty_path)
+    reference = _reference_certify(routing, bounds, solution)
+    assert (reference is not None) == accepted
+    assert lp._certify(lp._lp_forms(routing), bounds, solution) == reference
+
+
+def test_certificate_on_python_ints():
+    # x near 1e16: its products overflow int64, yet the certificate holds
+    net = make_network(3, [(0, 1), (1, 2)], [20 * 10 ** 15] * 2)
+    routing = build_routing_system(net, line_instance()[1])
+    with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
+        report = lp.one_step_throughput(net, routing, center_state(net))
+    assert report.route == lp.CERTIFIED
+    assert report.psi_value == 20 * 10 ** 15
+
+
+# --- bounds beyond HiGHS's range ---
+
+
+@pytest.mark.parametrize("capacity", [10 ** 21, 10 ** 300, 10 ** 400],
+                         ids=["1e21", "1e300", "1e400"])
+def test_bounds_beyond_highs_range(capacity):
+    base, routing = _er_instance(10, 18, 50, seed=3, demand_seed=10)
+    assert 3 * routing.edge_count * routing.path_count > lp.CERTIFY_MIN_CELLS
+    capacities = list(base.capacities)
+    capacities[5] = Fraction(capacity)
+    net = make_network(base.node_count, base.edges, capacities)
+    state = center_state(net)
+    forward, _, delta = dense_views(routing)
+    _, _, reference = simplex.solve_dense(
+        [1] * routing.path_count, forward, [c / 2 for c in capacities], delta,
+        [0] * routing.edge_count)
+    report = lp.one_step_throughput(net, routing, state)
+    assert report.route == lp.SIMPLEX
+    assert report.psi_value == reference > capacity // 2
+    assert lp.max_throughput(net, routing) == reference
+    with pytest.raises(ValueError, match="channel 5"):
+        lp.one_step_throughput(net, routing, state, exact=False)
+    with pytest.raises(ValueError, match="channel 5"):
+        lp.max_throughput(net, routing, exact=False)

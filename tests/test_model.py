@@ -50,24 +50,51 @@ def test_network_rejects_bad_input():
         make_network(2, [(0, 1)], [0.5])
 
 
+def dense_views(routing):
+    """The dense (canonical edges) x (ordered paths) forward, backward and
+    delta = forward - backward incidences, read off the hops."""
+    views = []
+    for forward_entry, backward_entry in ((1, 0), (0, 1), (1, -1)):
+        rows = [[0] * routing.path_count for _ in range(routing.edge_count)]
+        for p, hops in enumerate(routing.hops):
+            for e, d in hops:
+                rows[e][p] = forward_entry if d == FORWARD else backward_entry
+        views.append(tuple(tuple(row) for row in rows))
+    return tuple(views)
+
+
+def _csr(routing):
+    return routing.indptr.tolist(), routing.edge.tolist(), routing.sign.tolist()
+
+
 def test_routing_matrices_match_line_example(line):
     net, paths, routing = line
-    assert routing.forward == ((1, 0, 0, 0), (1, 0, 1, 0))
-    assert routing.backward == ((0, 1, 0, 1), (0, 1, 0, 0))
-    assert routing.delta == ((1, -1, 0, -1), (1, -1, 1, 0))
+    forward, backward, delta = dense_views(routing)
+    assert forward == ((1, 0, 0, 0), (1, 0, 1, 0))
+    assert backward == ((0, 1, 0, 1), (0, 1, 0, 0))
+    assert delta == ((1, -1, 0, -1), (1, -1, 1, 0))
+    assert _csr(routing) == ([0, 2, 4, 5, 6], [0, 1, 1, 0, 1, 0], [1, 1, -1, -1, 1, -1])
 
 
 def test_routing_empty_and_single_hop():
     net = make_network(2, [(0, 1)], [4])
     empty = build_routing_system(net, PathSet(()))
-    assert empty.forward == ((0,) * 0,) * 1 or empty.forward == ((),)
+    forward, _, _ = dense_views(empty)
+    assert forward == ((0,) * 0,) * 1 or forward == ((),)
     assert empty.path_count == 0
+    assert _csr(empty) == ([0], [], [])
     single = build_routing_system(
         net, PathSet((Path(0, 1, ((0, FORWARD),)),))
     )
-    assert single.forward == ((1,),)
-    assert single.backward == ((0,),)
-    assert single.delta == ((1,),)
+    assert dense_views(single) == (((1,),), ((0,),), ((1,),))
+    assert _csr(single) == ([0, 1], [0], [1])
+
+
+def test_routing_arrays_are_int_and_read_only(line):
+    _, _, routing = line
+    for array in (routing.indptr, routing.edge, routing.sign):
+        assert array.dtype.kind == "i"
+        assert not array.flags.writeable
 
 
 def test_routing_rejects_malformed_paths():
