@@ -165,16 +165,15 @@ def _sweep_cell(args):
     demand = sample_demand(network, DemandSpec(
         pair_count=pairs, mode=mode, seed=demand_seed))
     paths = build_paths(network, demand, seed=demand_seed)
-    result = peel(build_peeling_graph(network, paths), seed=demand_seed)
+    routing = build_routing_system(network, paths)
+    result = peel(routing, seed=demand_seed)
     unpeeled = set(result.unpeeled_edges)
     phi_max = ""
     phi_min = ""
-    if want_max or want_min:
-        routing = build_routing_system(network, paths)
-        if want_max:
-            phi_max = max_throughput(network, routing)
-        if want_min:
-            phi_min = min_throughput(network, routing, unpeeled)
+    if want_max:
+        phi_max = max_throughput(network, routing)
+    if want_min:
+        phi_min = min_throughput(network, routing, unpeeled)
     elapsed_ms = round((time.perf_counter() - started) * 1000) if measure \
         else 0
     return {
@@ -351,8 +350,7 @@ def cmd_analyze(args) -> int:
         paths = build_paths(network, DemandMatrix(demand_pairs),
                             seed=_seed(args))
     routing = build_routing_system(network, paths)
-    result = peel(build_peeling_graph(network, paths), seed=_seed(args),
-                  pairing=args.pairing)
+    result = peel(routing, seed=_seed(args), pairing=args.pairing)
     unpeeled = set(result.unpeeled_edges)
     phi_max = max_throughput(network, routing)
     phi_min = min_throughput(network, routing, unpeeled)

@@ -133,17 +133,14 @@ def _highs(objective, a_ub, b_ub, a_eq, b_eq) -> LpSolution:
 
 class _LpForms:
     """One routing's LP forms, each built from its CSR arrays on first use
-    and kept with the routing: HiGHS's sparse F and F - B, the path index of
-    every hop, and the simplex's dense channel x path rows of F and F - B.
+    and kept with the routing: HiGHS's sparse F and F - B and the simplex's
+    dense channel x path rows of F and F - B.
     It holds the arrays, not the routing, so the two form no cycle."""
 
     def __init__(self, routing: RoutingSystem):
         self.indptr, self.edge, self.sign = routing.indptr, routing.edge, routing.sign
+        self.path = routing.path
         self.shape = (routing.path_count, routing.edge_count)
-
-    @cached_property
-    def path(self) -> np.ndarray:
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     @cached_property
     def highs_matrices(self):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -249,11 +250,6 @@ class Path:
     destination: int
     hops: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        for e, d in self.hops:
-            if d not in (FORWARD, BACKWARD):
-                raise ValueError(f"bad direction {d} on edge {e}")
-
     def __len__(self) -> int:
         return len(self.hops)
 
@@ -302,22 +298,6 @@ def path_nodes(network: CreditNetwork, path: Path) -> list[int]:
     return nodes
 
 
-def channel_paths(edge_count: int, paths: PathSet) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Channel -> path index, the transpose of the path hops.
-
-    Entry e lists the (path index, direction) pairs of every hop on channel
-    e, in path order. Rejects edge indices outside [0, edge_count), naming
-    the offending path index.
-    """
-    index: list[list[tuple[int, int]]] = [[] for _ in range(edge_count)]
-    for pi, path in enumerate(paths):
-        for e, d in path.hops:
-            if not 0 <= e < edge_count:
-                raise ValueError(f"path {pi}: edge index {e} out of range")
-            index[e].append((pi, d))
-    return tuple(tuple(entry) for entry in index)
-
-
 @dataclass(frozen=True)
 class RoutingSystem:
     """Path x channel incidence: each path's validated (edge, direction) hops.
@@ -327,7 +307,7 @@ class RoutingSystem:
     (the channel index) and sign (+1 forward, -1 backward). As a paths x
     channels matrix, sign is delta = forward - backward; a feasible flow f
     changes the state by -delta^T . f, so circulations (delta^T . f = 0)
-    leave balances untouched."""
+    leave balances untouched. The LP, peeling and the exact oracles read it."""
 
     hops: tuple[tuple[tuple[int, int], ...], ...]
     edge_count: int
@@ -339,7 +319,7 @@ class RoutingSystem:
         flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.hops)),
                            dtype=np.int64, count=2 * int(indptr[-1]))
         edge, direction = flat.reshape(-1, 2).T.copy()
-        sign = np.where(direction == FORWARD, 1, -1)
+        sign = 1 - 2 * direction  # +1 FORWARD, -1 BACKWARD
         for name, array in (("indptr", indptr), ("edge", edge), ("sign", sign)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -348,31 +328,67 @@ class RoutingSystem:
     def path_count(self) -> int:
         return len(self.hops)
 
+    @cached_property
+    def path(self) -> np.ndarray:
+        """The path index of every hop, aligned with edge and sign."""
+        path = np.repeat(np.arange(self.path_count), np.diff(self.indptr))
+        path.flags.writeable = False
+        return path
+
+    @cached_property
+    def channel_paths(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Channel -> path index, the transpose of the hops: entry e lists
+        the (path index, direction) pairs of every hop on channel e, in path
+        order."""
+        # hop index breaks ties: path order without a slower stable sort
+        order = np.argsort(self.edge * self.edge.size + np.arange(self.edge.size))
+        pairs = list(zip(self.path[order].tolist(),
+                         (self.sign[order] < 0).astype(np.int64).tolist()))
+        ends = np.cumsum(np.bincount(self.edge, minlength=self.edge_count)).tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends))
+
 
 def build_routing_system(network: CreditNetwork, paths: PathSet) -> RoutingSystem:
     """Validate a path set and keep its hops as the routing incidence.
 
-    Rejects paths with out-of-range edge indices or non-contiguous hops,
-    naming the offending path index.
+    The one check of a path set's hops, run over the routing's arrays at
+    once. In hop order each hop must name an edge in range, go FORWARD or
+    BACKWARD, not repeat an edge of its path and start where the previous
+    hop (or the source) ended; the walk must end at the destination. The
+    error names the lowest failing path and the first check it fails.
     """
-    ecount = network.edge_count
-    for pi, path in enumerate(paths):
-        cursor = path.source
-        seen_edges = set()
-        for e, d in path.hops:
-            if not (0 <= e < ecount):
-                raise ValueError(f"path {pi}: edge index {e} out of range")
-            if e in seen_edges:
-                raise ValueError(f"path {pi}: edge {e} used twice")
-            seen_edges.add(e)
-            u, v = network.edges[e]
-            tail, head = (u, v) if d == FORWARD else (v, u)
-            if tail != cursor:
-                raise ValueError(f"path {pi}: non-contiguous at edge {e}")
-            cursor = head
-        if cursor != path.destination:
-            raise ValueError(f"path {pi}: does not end at its destination")
-    return RoutingSystem(hops=tuple(p.hops for p in paths), edge_count=ecount)
+    routing = RoutingSystem(tuple(p.hops for p in paths), network.edge_count)
+    edge, sign, path, indptr = routing.edge, routing.sign, routing.path, routing.indptr
+    in_range = (edge >= 0) & (edge < network.edge_count)
+    directed = np.abs(sign) == 1
+    safe = np.where(in_range & directed, edge, 0)
+    # the placeholder row keeps the lookup valid on a network without edges
+    ends = np.array(network.edges or [(0, 0)], dtype=np.int64)[safe]
+    tail, head = np.where(sign > 0, ends.T, ends[:, ::-1].T)
+    source, destination = np.fromiter(
+        chain.from_iterable((p.source, p.destination) for p in paths),
+        dtype=np.int64, count=2 * len(paths)).reshape(-1, 2).T
+    # every path's node walk, source first; at_end indexes each walk's end
+    walk = np.insert(head, indptr[:-1], source)
+    at_end = indptr[1:] + np.arange(routing.path_count)
+    repeated = np.ones(edge.size, dtype=bool)
+    repeated[np.unique(path * network.edge_count + safe, return_index=True)[1]] = False
+    bad_hop = ~in_range | ~directed | repeated | (tail != np.delete(walk, at_end))
+    bad_path = walk[at_end] != destination
+    bad_path[path[bad_hop]] = True
+    if not bad_path.any():
+        return routing
+    pi = int(np.argmax(bad_path))
+    hops = np.flatnonzero(bad_hop[indptr[pi]:indptr[pi + 1]]) + indptr[pi]
+    if not hops.size:
+        raise ValueError(f"path {pi}: does not end at its destination")
+    k = hops[0]
+    e = int(edge[k])
+    problem = (f"edge index {e} out of range" if not in_range[k] else
+               f"bad direction {(1 - sign[k]) // 2} on edge {e}" if not directed[k] else
+               f"edge {e} used twice" if repeated[k] else
+               f"non-contiguous at edge {e}")
+    raise ValueError(f"path {pi}: {problem}")
 
 
 @dataclass(frozen=True)

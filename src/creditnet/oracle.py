@@ -25,7 +25,7 @@ from .model import (
     CreditNetwork,
     PathSet,
     RoutingSystem,
-    channel_paths,
+    build_routing_system,
     check_balances,
     make_state,
 )
@@ -85,13 +85,13 @@ def max_deadlock_exact(
     of still-undecided edges. Budget overruns return an Unsolved result
     rather than a silent bound.
     """
+    routing = build_routing_system(network, paths)
     ecount = network.edge_count
-    on_edge = channel_paths(ecount, paths)
     if ecount > max_edges:
         return DeadlockAssignment(UNSOLVED, frozenset(), (), None)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
 
-    path_hops = [p.hops for p in paths]
+    on_edge = routing.channel_paths
     order = sorted(range(ecount), key=lambda e: (-len(on_edge[e]), e))
 
     best_count = 0
@@ -120,7 +120,7 @@ def max_deadlock_exact(
                 if nundec[p] == 0:
                     return False
                 if nundec[p] == 1:
-                    for he, hd in path_hops[p]:
+                    for he, hd in routing.hops[p]:
                         if assign[he] is None:
                             stack.append(
                                 (he, BLOCK_FORWARD if hd == FORWARD else BLOCK_BACKWARD)
@@ -159,9 +159,9 @@ def max_deadlock_exact(
 
     initial = (
         [None] * ecount,
-        [0] * len(path_hops),
-        [len(h) for h in path_hops],
-        [False] * len(path_hops),
+        [0] * routing.path_count,
+        [len(h) for h in routing.hops],
+        [False] * routing.path_count,
     )
     search(initial)
 
@@ -194,6 +194,7 @@ def export_ilp(network: CreditNetwork, paths: PathSet) -> str:
     that is 0 exactly when the edge is deadlocked. Minimizing the z-sum
     maximizes the deadlock.
     """
+    routing = build_routing_system(network, paths)
     lines = ["\\ maximum-deadlock search", "Minimize"]
     zsum = " + ".join(f"z_{e}" for e in range(network.edge_count))
     lines.append(f" obj: {zsum}")
@@ -201,22 +202,22 @@ def export_ilp(network: CreditNetwork, paths: PathSet) -> str:
     for e in range(network.edge_count):
         lines.append(f" cap_{e}: x_{e}_f + x_{e}_b >= 1")
         lines.append(f" imb_{e}: z_{e} - x_{e}_f - x_{e}_b = -1")
-    for pi, path in enumerate(paths):
+    for pi, hops in enumerate(routing.hops):
         terms = []
-        for hi, (e, d) in enumerate(path.hops):
+        for hi, (e, d) in enumerate(hops):
             xname = f"x_{e}_f" if d == FORWARD else f"x_{e}_b"
             lines.append(f" blk_{pi}_{hi}: y_{pi} - {xname} <= 0")
             terms.append(xname)
         joined = " - ".join(terms)
-        lines.append(f" opn_{pi}: y_{pi} - {joined} >= {1 - len(path.hops)}")
-    for e, on_edge in enumerate(channel_paths(network.edge_count, paths)):
+        lines.append(f" opn_{pi}: y_{pi} - {joined} >= {1 - len(hops)}")
+    for e, on_edge in enumerate(routing.channel_paths):
         for pi, _ in on_edge:
             lines.append(f" dlk_{e}_{pi}: z_{e} - y_{pi} >= 0")
     lines.append("Binaries")
     names = []
     for e in range(network.edge_count):
         names.extend((f"x_{e}_f", f"x_{e}_b"))
-    names.extend(f"y_{pi}" for pi in range(len(paths)))
+    names.extend(f"y_{pi}" for pi in range(routing.path_count))
     names.extend(f"z_{e}" for e in range(network.edge_count))
     lines.append(" " + " ".join(names))
     lines.append("End")

@@ -1,7 +1,9 @@
 """Deadlock peeling over the flow/channel bipartite graph.
 
-Each path becomes a flow node attached to its directed channels (an edge
-index plus a direction). Single-hop flows guarantee their channel's reverse
+The graph is the routing incidence (`model.RoutingSystem`): each path is a
+flow node attached to its directed channels (an edge index plus a
+direction), and the routing's channel -> path view finds the flows a
+processed channel touches. Single-hop flows guarantee their channel's reverse
 direction can always be refilled, so those reverse directions seed a ripple
 of known-good directed channels. Processing a channel deletes it from every
 flow; flows shrinking to one hop vouch for that hop's reverse, and flows
@@ -18,7 +20,14 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .model import BACKWARD, FORWARD, CreditNetwork, PathSet, channel_paths
+from .model import (
+    BACKWARD,
+    FORWARD,
+    CreditNetwork,
+    PathSet,
+    RoutingSystem,
+    build_routing_system,
+)
 
 SUCCESS = "Success"
 FAILURE = "Failure"
@@ -32,25 +41,6 @@ def opposite(channel: DirectedChannel) -> DirectedChannel:
 
 
 @dataclass(frozen=True)
-class PeelingGraph:
-    """Bipartite graph: flows on one side, directed channels on the other.
-
-    `channel_paths` is the model's channel -> (path, direction) index."""
-
-    edge_count: int
-    initial_hops: tuple[tuple[DirectedChannel, ...], ...]
-    channel_paths: tuple[tuple[tuple[int, int], ...], ...]
-
-    def degrees(self) -> dict[int, int]:
-        """Degree of every flow node."""
-        return {i: len(h) for i, h in enumerate(self.initial_hops)}
-
-    @property
-    def flow_count(self) -> int:
-        return len(self.initial_hops)
-
-
-@dataclass(frozen=True)
 class PeelResult:
     processed: frozenset[DirectedChannel]
     unpeeled_edges: frozenset[int]
@@ -58,24 +48,21 @@ class PeelResult:
     outcome: str
 
 
-def build_peeling_graph(network: CreditNetwork, paths: PathSet) -> PeelingGraph:
-    return PeelingGraph(
-        edge_count=network.edge_count,
-        initial_hops=tuple(path.hops for path in paths),
-        channel_paths=channel_paths(network.edge_count, paths),
-    )
+def build_peeling_graph(network: CreditNetwork, paths: PathSet) -> RoutingSystem:
+    """The bipartite graph peeling runs on: the validated routing incidence."""
+    return build_routing_system(network, paths)
 
 
-def peel(graph: PeelingGraph, seed: int, pairing: bool = False) -> PeelResult:
-    """Run the ripple process to exhaustion; the input graph is left untouched.
+def peel(routing: RoutingSystem, seed: int, pairing: bool = False) -> PeelResult:
+    """Run the ripple process to exhaustion; the input routing is left untouched.
 
     Pop order over the ripple is uniform via the seeded generator. With
     `pairing` on, a processed channel whose reverse is already rippling pulls
     that reverse forward to be processed immediately after it.
     """
     rng = random.Random(seed)
-    hops = [list(h) for h in graph.initial_hops]
-    total = 2 * graph.edge_count
+    hops = [list(h) for h in routing.hops]
+    total = 2 * routing.edge_count
     processed: set[DirectedChannel] = set()
     released: set[DirectedChannel] = set()  # rippling or processed
     # kept sorted, so the seeded pick goes by rank without a sort per step
@@ -86,7 +73,7 @@ def peel(graph: PeelingGraph, seed: int, pairing: bool = False) -> PeelResult:
             released.add(channel)
             insort(ripple, channel)
 
-    for i, initial in enumerate(graph.initial_hops):
+    for i, initial in enumerate(routing.hops):
         if len(initial) == 1:
             hops[i] = []
             release(opposite(initial[0]))
@@ -103,7 +90,7 @@ def peel(graph: PeelingGraph, seed: int, pairing: bool = False) -> PeelResult:
         processed.add(current)
         step += 1
         edge, direction = current
-        for i, d in graph.channel_paths[edge]:
+        for i, d in routing.channel_paths[edge]:
             # a flow with no hops left is done: single-hop flows from the
             # start, the others once their last channel is processed
             if d != direction or not hops[i]:
@@ -113,7 +100,7 @@ def peel(graph: PeelingGraph, seed: int, pairing: bool = False) -> PeelResult:
             if degree == 1:
                 release(opposite(hops[i][0]))
             elif degree == 0:
-                for channel in graph.initial_hops[i]:
+                for channel in routing.hops[i]:
                     release(opposite(channel))
         trace.append((step, len(ripple), total - step))
         if pairing:
@@ -123,7 +110,7 @@ def peel(graph: PeelingGraph, seed: int, pairing: bool = False) -> PeelResult:
 
     unpeeled = frozenset(
         e
-        for e in range(graph.edge_count)
+        for e in range(routing.edge_count)
         if (e, FORWARD) not in processed or (e, BACKWARD) not in processed
     )
     outcome = SUCCESS if len(processed) == total else FAILURE

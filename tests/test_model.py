@@ -14,10 +14,10 @@ from creditnet.model import (
     FlowVector,
     Path,
     PathSet,
+    RoutingSystem,
     apply_flow,
     build_routing_system,
     center_state,
-    channel_paths,
     check_feasible,
     classify_state,
     closed_arcs,
@@ -105,6 +105,13 @@ def test_routing_rejects_malformed_paths():
     oob = PathSet((Path(0, 1, ((7, FORWARD),)),))
     with pytest.raises(ValueError, match="out of range"):
         build_routing_system(net, oob)
+    # the error names the lowest failing path, here the second
+    late = PathSet((Path(0, 1, ((0, FORWARD),)), Path(1, 0, ((1, BACKWARD),))))
+    with pytest.raises(ValueError, match="path 1: non-contiguous at edge 1"):
+        build_routing_system(net, late)
+    edgeless = make_network(2, [], [])
+    with pytest.raises(ValueError, match="path 0: edge index 0 out of range"):
+        build_routing_system(edgeless, PathSet((Path(0, 1, ((0, FORWARD),)),)))
 
 
 @st.composite
@@ -119,8 +126,9 @@ def _hop_lists(draw):
 @given(_hop_lists())
 @settings(max_examples=60, deadline=None)
 def test_channel_paths_is_the_hop_transpose(instance):
+    # built directly: the drawn hop lists are not contiguous paths
     edge_count, paths = instance
-    index = channel_paths(edge_count, paths)
+    index = RoutingSystem(tuple(p.hops for p in paths), edge_count).channel_paths
     assert len(index) == edge_count
     for e, entry in enumerate(index):
         assert entry == tuple((p, d) for p, path in enumerate(paths)

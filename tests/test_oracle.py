@@ -115,14 +115,24 @@ def test_unpeeled_count_bounds_exact_deadlock_size(instance, seed):
     assert len(peel(build_peeling_graph(net, paths), seed=seed).unpeeled_edges) >= exact.size
 
 
-def test_out_of_range_edge_index_is_rejected():
+@pytest.mark.parametrize("path, message", [
     # edge -1 must not alias the last channel
+    (Path(1, 2, ((-1, FORWARD),)), "edge index -1 out of range"),
+    (Path(1, 2, ((2, FORWARD),)), "edge index 2 out of range"),
+    (Path(0, 2, ((0, FORWARD), (1, BACKWARD))), "non-contiguous at edge 1"),
+    (Path(0, 0, ((0, FORWARD), (0, BACKWARD))), "edge 0 used twice"),
+    (Path(0, 2, ((0, FORWARD),)), "does not end at its destination"),
+    # read as BACKWARD this hop would walk from 1 to 0
+    (Path(1, 0, ((0, 2),)), "bad direction 2 on edge 0"),
+], ids=["edge-minus-one", "edge-past-end", "non-contiguous", "repeated-edge",
+        "wrong-destination", "direction-two"])
+def test_malformed_path_is_rejected(path, message):
     net = make_network(3, [(0, 1), (1, 2)], [10, 10])
-    for bad in (-1, 2):
-        paths = PathSet((Path(1, 2, ((bad, FORWARD),)),))
-        for call in (max_deadlock_exact, export_ilp, build_peeling_graph):
-            with pytest.raises(ValueError, match=f"path 0: edge index {bad} out of range"):
-                call(net, paths)
+    paths = PathSet((path,))
+    for call in (build_routing_system, build_peeling_graph, max_deadlock_exact,
+                 export_ilp):
+        with pytest.raises(ValueError, match=f"path 0: {message}"):
+            call(net, paths)
 
 
 def test_edges_without_paths_all_deadlock():

@@ -36,19 +36,19 @@ def _graph(instance):
 
 def test_chain_build_degrees():
     graph = _graph(_chain())
-    assert graph.degrees() == {0: 1, 1: 1, 2: 1, 3: 2, 4: 3}
-    assert graph.flow_count == 5
+    assert [len(h) for h in graph.hops] == [1, 1, 1, 2, 3]
+    assert graph.path_count == 5
 
 
 def test_stuck_triangle_has_no_single_hop_flows():
     graph = _graph(_stuck_triangle())
-    assert all(d == 2 for d in graph.degrees().values())
+    assert all(len(h) == 2 for h in graph.hops)
 
 
 def test_empty_path_set():
     net, _ = _opposing_pair()
     graph = build_peeling_graph(net, PathSet(()))
-    assert graph.flow_count == 0
+    assert graph.path_count == 0
     result = peel(graph, seed=0)
     assert result.outcome == "Failure"
     assert result.processed == frozenset()
@@ -129,9 +129,9 @@ def test_pairing_mode_reaches_the_same_answer(line):
 
 def test_peel_does_not_consume_the_graph():
     graph = _graph(_chain())
-    before = graph.degrees()
+    before = [len(h) for h in graph.hops]
     first = peel(graph, seed=7)
-    assert graph.degrees() == before
+    assert [len(h) for h in graph.hops] == before
     assert peel(graph, seed=7) == first
 
 
