@@ -34,8 +34,8 @@ Three solve routes; ThroughputReport.route names the one that ran:
   faster than a linprog call plus the certificate, when a bound is beyond
   HiGHS's range, and when the certificate fails.
 
-By default results are exact (certified or simplex) for
-3 * channels * paths <= EXACT_CELL_LIMIT and float above.
+The size alone picks the route: results are exact (certified or simplex)
+for 3 * channels * paths <= EXACT_CELL_LIMIT and float above.
 
 one_step_throughput reports the solver status with its value; the peak and
 floor functions raise RuntimeError when the solver stops short of an optimum.
@@ -60,6 +60,7 @@ from .model import (
     FlowVector,
     RoutingSystem,
     center_state,
+    channel_usage,
     check_balances,
     make_state,
 )
@@ -178,7 +179,7 @@ def _highs_bounds(bounds: list) -> np.ndarray:
     if wide.size:
         raise ValueError(f"channel {wide[0]}: balance bound at or above "
                          f"{HIGHS_INFINITE_BOUND:g}, which the float LP reads as "
-                         "infinite; use the exact route")
+                         "infinite; an LP this large has no exact route")
     return b_ub
 
 
@@ -194,7 +195,7 @@ def _scaled(values) -> tuple[list[int], np.ndarray, int, list[Fraction]]:
             index.reshape(-1), den, rationals)
 
 
-def _certify(forms: _LpForms, bounds: list, solution: LpSolution) -> LpSolution | None:
+def _certify(routing: RoutingSystem, bounds: list, solution: LpSolution) -> LpSolution | None:
     """The exact optimum read off HiGHS's primal and dual, or None.
 
     With x = X / dx, alpha, gamma = A / dy, G / dy and bounds = B / db over
@@ -207,7 +208,7 @@ def _certify(forms: _LpForms, bounds: list, solution: LpSolution) -> LpSolution 
     """
     if solution.status != OPTIMAL:
         return None
-    pcount, ecount = forms.shape
+    pcount, ecount = routing.path_count, routing.edge_count
     ineq, eq = solution.duals
     xs, x_index, dx, x_values = _scaled(np.asarray(solution.x))
     duals, dual_index, dy, _ = _scaled(np.concatenate((np.maximum(-ineq, 0.0), -eq)))
@@ -216,22 +217,21 @@ def _certify(forms: _LpForms, bounds: list, solution: LpSolution) -> LpSolution 
     # every sum below has at most 2 * nnz + paths + channels terms, each a
     # product of at most three factors no larger than m
     m = max(map(abs, xs + duals + bs + [dx, dy, db]))
-    fits = (2 * forms.edge.size + pcount + ecount) * m ** 3 < 2 ** 63
+    fits = (2 * routing.edge.size + pcount + ecount) * m ** 3 < 2 ** 63
     dtype = np.int64 if fits else object
     x = np.array(xs, dtype=dtype)[x_index]
     dual = np.array(duals, dtype=dtype)[dual_index]
     alpha, gamma = dual[:ecount], dual[ecount:]
     b = np.array(bs, dtype=dtype)
-    edge, sign = forms.edge, forms.sign
-    usage = np.zeros((2, ecount), dtype=dtype)
-    np.add.at(usage, ((sign < 0).astype(np.intp), edge), x[forms.path])
+    usage = channel_usage(routing, x)
     if not ((usage[0] == usage[1]).all() and (usage[0] * db <= b * dx).all()):
         return None
     # reduced costs, one segmented sum over indptr (reduceat would misread
     # the empty segments)
+    edge, sign, indptr = routing.edge, routing.sign, routing.indptr
     hop = np.where(sign > 0, alpha[edge], 0) + sign * gamma[edge]
     running = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(hop)))
-    if not (running[forms.indptr[1:]] - running[forms.indptr[:-1]] >= dy).all():
+    if not (running[indptr[1:]] - running[indptr[:-1]] >= dy).all():
         return None
     total = x.sum()
     if (b * alpha).sum() * dx != total * dy * db:
@@ -240,20 +240,22 @@ def _certify(forms: _LpForms, bounds: list, solution: LpSolution) -> LpSolution 
                       Fraction(int(total), dx))
 
 
-def _solve_flow(routing: RoutingSystem, bounds: list, exact: bool) -> tuple[LpSolution, str]:
+def _solve_flow(routing: RoutingSystem, bounds: list) -> tuple[LpSolution, str]:
     """Maximize total path flow s.t. F.x <= bounds and (F - B).x = 0.
 
     Returns the solution and the route that produced it.
     """
     pcount = routing.path_count
     forms = _lp_forms(routing)
+    cells = 3 * routing.edge_count * pcount
+    exact = cells <= EXACT_CELL_LIMIT
 
     def dense_simplex():
         forward, delta = forms.simplex_rows
         return LpSolution(*simplex.solve_dense(
             [1] * pcount, forward, bounds, delta, [0] * routing.edge_count)), SIMPLEX
 
-    if exact and 3 * routing.edge_count * pcount < CERTIFY_MIN_CELLS:
+    if exact and cells < CERTIFY_MIN_CELLS:
         return dense_simplex()
     try:
         b_ub = _highs_bounds(bounds)
@@ -266,20 +268,18 @@ def _solve_flow(routing: RoutingSystem, bounds: list, exact: bool) -> tuple[LpSo
     solution = _highs([1] * pcount, f, b_ub, delta, np.zeros(routing.edge_count))
     if not exact:
         return solution, FLOAT
-    certified = _certify(forms, bounds, solution)
+    certified = _certify(routing, bounds, solution)
     if certified is None:
         return dense_simplex()
     return certified, CERTIFIED
 
 
 def _throughput(routing: RoutingSystem, forward_bounds: Sequence,
-                backward_bounds: Sequence, exact: bool | None) -> ThroughputReport:
+                backward_bounds: Sequence) -> ThroughputReport:
     if routing.path_count == 0:
         return ThroughputReport(_ZERO, FlowVector(()), OPTIMAL, SIMPLEX)
-    if exact is None:
-        exact = 3 * routing.edge_count * routing.path_count <= EXACT_CELL_LIMIT
     bounds = [min(f, b) for f, b in zip(forward_bounds, backward_bounds, strict=True)]
-    solution, route = _solve_flow(routing, bounds, exact)
+    solution, route = _solve_flow(routing, bounds)
     if solution.status == INFEASIBLE:
         raise RuntimeError("throughput LP reported infeasible; zero flow is always feasible")
     if solution.status != OPTIMAL:
@@ -294,24 +294,23 @@ def _optimal_value(report: ThroughputReport) -> Fraction | float:
 
 
 def one_step_throughput(network: CreditNetwork, routing: RoutingSystem,
-                        state: BalanceState, exact: bool | None = None) -> ThroughputReport:
+                        state: BalanceState) -> ThroughputReport:
     """Best total flow sendable from `state` without shifting any balance."""
     if routing.edge_count != network.edge_count:
         raise ValueError("routing system does not match network edge count")
     check_balances(network, state.balances)
     forward = state.balances
     backward = tuple(c - b for c, b in zip(network.capacities, state.balances))
-    return _throughput(routing, forward, backward, exact)
+    return _throughput(routing, forward, backward)
 
 
-def max_throughput(network: CreditNetwork, routing: RoutingSystem,
-                   exact: bool | None = None) -> Fraction | float:
+def max_throughput(network: CreditNetwork, routing: RoutingSystem) -> Fraction | float:
     """Throughput ceiling: the one-step value at the perfectly balanced state."""
-    return _optimal_value(one_step_throughput(network, routing, center_state(network), exact))
+    return _optimal_value(one_step_throughput(network, routing, center_state(network)))
 
 
 def min_throughput(network: CreditNetwork, routing: RoutingSystem,
-                   unpeeled: set[int], exact: bool | None = None) -> Fraction | float:
+                   unpeeled: set[int]) -> Fraction | float:
     """Throughput floor estimate: channels in `unpeeled` admit no flow.
 
     Zeroing a channel's capacity and balancing the rest is equivalent to
@@ -322,11 +321,11 @@ def min_throughput(network: CreditNetwork, routing: RoutingSystem,
             raise ValueError(f"unpeeled channel index {k} out of range")
     half = [c / 2 if k not in unpeeled else _ZERO
             for k, c in enumerate(network.capacities)]
-    return _optimal_value(_throughput(routing, half, half, exact))
+    return _optimal_value(_throughput(routing, half, half))
 
 
 def worst_state_throughput(network: CreditNetwork, routing: RoutingSystem,
-                           deadlock, exact: bool | None = None) -> Fraction | float:
+                           deadlock) -> Fraction | float:
     """One-step value at the adversarial state induced by a deadlock.
 
     Deadlocked channels sit frozen at their blocking balances, everything
@@ -347,4 +346,4 @@ def worst_state_throughput(network: CreditNetwork, routing: RoutingSystem,
         else:
             balances.append(c / 2)
     state = make_state(network, balances)
-    return _optimal_value(one_step_throughput(network, routing, state, exact))
+    return _optimal_value(one_step_throughput(network, routing, state))

@@ -414,66 +414,65 @@ def make_flow(values: Iterable) -> FlowVector:
     return FlowVector(tuple(rat(v) for v in values))
 
 
-def _channel_usage(routing: RoutingSystem, flow: FlowVector):
-    """Per-channel totals a flow sends forward and backward, as two lists
-    indexed by direction (FORWARD is 0, BACKWARD is 1)."""
-    usage = ([0] * routing.edge_count, [0] * routing.edge_count)
-    for amount, hops in zip(flow.amounts, routing.hops):
-        for e, d in hops:
-            usage[d][e] += amount
+def channel_usage(routing: RoutingSystem, amounts) -> np.ndarray:
+    """Per-channel totals of one amount per path, sent forward (row FORWARD)
+    and backward (row BACKWARD), in the amounts' dtype: object for Fractions
+    and Python ints, int64 or float64 as given."""
+    amounts = np.asarray(amounts)
+    if amounts.shape != (routing.path_count,):
+        raise ValueError(f"{amounts.size} flow amounts for {routing.path_count} paths")
+    usage = np.zeros((2, routing.edge_count), dtype=amounts.dtype)
+    np.add.at(usage, ((routing.sign < 0).astype(np.intp), routing.edge),
+              amounts[routing.path])
     return usage
+
+
+def _usage_and_limits(network: CreditNetwork, routing: RoutingSystem,
+                      state: BalanceState, flow: FlowVector, exact: bool):
+    """A flow's channel usage beside the balances it may draw on (the
+    sending balance forward, the rest of the capacity backward): Fractions
+    when exact, floats otherwise."""
+    if not network.edge_count == routing.edge_count == len(state):
+        raise ValueError(f"network, routing and state have {network.edge_count}, "
+                         f"{routing.edge_count} and {len(state)} channels")
+    usage = channel_usage(routing, np.array(
+        flow.amounts, dtype=object if flow.is_exact() else float))
+    balances, capacities = (np.array(v, dtype=object if exact else float)
+                            for v in (state.balances, network.capacities))
+    return usage, np.stack((balances, capacities - balances))
 
 
 def check_feasible(network: CreditNetwork, routing: RoutingSystem,
                    state: BalanceState, flow: FlowVector, tol=None) -> bool:
-    """True iff the flow is nonnegative and, per channel, forward usage
-    stays within the sending balance and backward usage within the rest.
+    """True iff, per channel, forward usage stays within the sending balance
+    and backward usage within the rest; a NaN amount is never feasible.
 
     Tolerance defaults to exact zero for rational flows and 1e-9 absolute
     for float flows.
     """
-    if len(flow) != routing.path_count or len(state) != routing.edge_count:
-        raise ValueError("dimension mismatch between flow, state, and routing")
     if tol is None:
         tol = 0 if flow.is_exact() else 1e-9
-    exact = flow.is_exact() and tol == 0
-    usage = zip(network.capacities, state.balances, *_channel_usage(routing, flow))
-    for cap, bal, fwd, bwd in usage:
-        if not exact:
-            cap, bal = float(cap), float(bal)
-        if fwd > bal + tol or bwd > (cap - bal) + tol:
-            return False
-    return True
-
-
-def first_violation(network: CreditNetwork, routing: RoutingSystem,
-                    state: BalanceState, flow: FlowVector):
-    """Lowest-index (edge, direction) whose balance a flow overdraws, or None."""
-    fwd, bwd = _channel_usage(routing, flow)
-    for edge in range(routing.edge_count):
-        if fwd[edge] > state.balances[edge]:
-            return edge, FORWARD
-        if bwd[edge] > network.capacities[edge] - state.balances[edge]:
-            return edge, BACKWARD
-    return None
+    usage, limits = _usage_and_limits(network, routing, state, flow,
+                                      flow.is_exact() and tol == 0)
+    return bool((usage <= limits + tol).all())
 
 
 def apply_flow(network: CreditNetwork, routing: RoutingSystem,
                state: BalanceState, flow: FlowVector) -> BalanceState:
     """One epoch transition: each balance drops by the flow's net shift
-    through the channel.  Exact flows only.
+    through the channel.  Exact flows only.  The error for an infeasible
+    flow names the lowest overdrawn channel, forward before backward.
     """
+    usage, limits = _usage_and_limits(network, routing, state, flow,
+                                      flow.is_exact())
+    over = ~(usage <= limits)
+    if over.any():
+        edge, direction = divmod(int(np.argmax(over.T)), 2)
+        raise ValueError(f"infeasible flow: channel {edge} overdrawn in the "
+                         f"{DIRECTION_NAMES[direction]} direction")
     if not flow.is_exact():
         raise TypeError("apply_flow needs exact rational flow amounts")
-    violation = first_violation(network, routing, state, flow)
-    if violation is not None:
-        edge, direction = violation
-        raise ValueError(
-            f"infeasible flow: channel {edge} overdrawn in the "
-            f"{DIRECTION_NAMES[direction]} direction"
-        )
-    fwd, bwd = _channel_usage(routing, flow)
-    return make_state(network, [b - f + r for b, f, r in zip(state.balances, fwd, bwd)])
+    return make_state(network, limits[FORWARD] - usage[FORWARD] + usage[BACKWARD])
 
 
 INTERIOR = "interior"

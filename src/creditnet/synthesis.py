@@ -889,16 +889,17 @@ def write_distribution_csv(dist: PathLengthDistribution) -> str:
 
 
 def read_distribution_csv(text: str) -> PathLengthDistribution:
+    """Read what write_distribution_csv writes: rows d = 1, 2, ... in order."""
     rows = [ln for ln in text.strip().splitlines() if ln]
     if not rows or rows[0] != "d,probability":
         raise ValueError("distribution file must start with 'd,probability'")
-    probs = {}
-    for ln in rows[1:]:
+    probs = []
+    for expected, ln in enumerate(rows[1:], start=1):
         d, p = ln.split(",")
-        probs[int(d)] = float(p)
-    top = max(probs)
-    return PathLengthDistribution(tuple(probs.get(d, 0.0)
-                                        for d in range(1, top + 1)))
+        if int(d) != expected:
+            raise ValueError(f"distribution row {expected} has d = {d}, not {expected}")
+        probs.append(float(p))
+    return PathLengthDistribution(tuple(probs))
 
 
 def write_jdd_csv(jdd: JointDegreeDistribution) -> str:

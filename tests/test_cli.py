@@ -404,6 +404,11 @@ def test_invalid_input_exits_two(tmp_path, capsys):
     long_dist = tmp_path / "long.csv"
     long_dist.write_text("d,probability\n" + "".join(
         f"{d},0.125\n" for d in range(1, 9)), encoding="utf-8")
+    # rows must run d = 1, 2, ... as written: no repeat, no gap
+    repeated_dist = tmp_path / "repeated.csv"
+    repeated_dist.write_text("d,probability\n1,0.5\n1,0.5\n2,0.5\n", encoding="utf-8")
+    gap_dist = tmp_path / "gap.csv"
+    gap_dist.write_text("d,probability\n1,0.5\n3,0.5\n", encoding="utf-8")
     for argv, message in (
             (["demand", "--graph", ten, "--pairs", "80", "--mode", "Skewed",
               "--heavy-probability", "0"], "light nodes"),
@@ -413,7 +418,11 @@ def test_invalid_input_exits_two(tmp_path, capsys):
               "--channels", "10", "--trials", "-3"], "trial count"),
             # paths of up to 8 hops on 4 channels, with no --trials
             (["predict", "--dist", str(long_dist), "--flows", "30",
-              "--channels", "4"], "support exceeds")):
+              "--channels", "4"], "support exceeds"),
+            (["predict", "--dist", str(repeated_dist), "--flows", "3",
+              "--channels", "10"], "row 2 has d = 1"),
+            (["synthesize", "--channels", "40", "--nodes", "20", "--flows", "30",
+              "--target-dist", str(gap_dist), "--budget", "2"], "row 2 has d = 3")):
         rc = main(argv + ["--out-dir", str(tmp_path)])
         assert rc == EXIT_BAD_INPUT, argv
         assert message in capsys.readouterr().err

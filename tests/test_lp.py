@@ -27,7 +27,7 @@ from creditnet import (
 )
 from creditnet import lp, simplex
 from creditnet.demand import DemandSpec, build_paths, sample_demand
-from creditnet.model import _channel_usage
+from creditnet.model import channel_usage
 from creditnet.topology import ERDOS_RENYI, TopologySpec, gen_topology
 from conftest import line_instance
 from test_model import dense_views, small_instance
@@ -40,6 +40,12 @@ def _triangle(bidirectional):
         hops += [[1, 0], [2, 1], [0, 2]]
     paths = PathSet(tuple(path_from_nodes(net, h) for h in hops))
     return net, build_routing_system(net, paths)
+
+
+def _route(exact):
+    """Send every LP down the exact or the float route: the cell count
+    against EXACT_CELL_LIMIT is all that picks one."""
+    return mock.patch.object(lp, "EXACT_CELL_LIMIT", math.inf if exact else -1)
 
 
 def _delta_residual(routing, flow):
@@ -348,7 +354,8 @@ def test_line_one_step_corner(line):
 def test_line_float_route_matches_exact(line):
     net, _, routing = line
     state = make_state(net, [15, 5])
-    report = lp.one_step_throughput(net, routing, state, exact=False)
+    with _route(exact=False):
+        report = lp.one_step_throughput(net, routing, state)
     assert report.solver_status == "Optimal"
     assert abs(report.psi_value - 10.0) < 1e-9
     assert check_feasible(net, routing, state, report.optimal_flow, tol=1e-9)
@@ -357,7 +364,8 @@ def test_line_float_route_matches_exact(line):
 
 def test_float_route_zero_optimum_is_positive_zero(line):
     net, _, routing = line
-    value = lp.min_throughput(net, routing, {0, 1}, exact=False)
+    with _route(exact=False):
+        value = lp.min_throughput(net, routing, {0, 1})
     assert value == 0.0
     assert math.copysign(1.0, value) == 1.0
 
@@ -463,18 +471,19 @@ def test_one_step_rejects_states_that_do_not_fit(line, balances, message):
     net, _, routing = line
     state = BalanceState(tuple(Fraction(b) for b in balances))
     for exact in (True, False):
-        with pytest.raises(ValueError, match=message):
-            lp.one_step_throughput(net, routing, state, exact=exact)
+        with _route(exact), pytest.raises(ValueError, match=message):
+            lp.one_step_throughput(net, routing, state)
 
 
 def test_solver_failure_raises_instead_of_nan(line, monkeypatch):
     net, _, routing = line
     monkeypatch.setattr(lp, "linprog", lambda *a, **k: SimpleNamespace(status=4))
-    report = lp.one_step_throughput(net, routing, center_state(net), exact=False)
+    monkeypatch.setattr(lp, "EXACT_CELL_LIMIT", -1)
+    report = lp.one_step_throughput(net, routing, center_state(net))
     assert report.solver_status == lp.NUMERICAL_FAILURE
-    for call in (lambda: lp.max_throughput(net, routing, exact=False),
-                 lambda: lp.min_throughput(net, routing, {1}, exact=False),
-                 lambda: lp.worst_state_throughput(net, routing, {}, exact=False)):
+    for call in (lambda: lp.max_throughput(net, routing),
+                 lambda: lp.min_throughput(net, routing, {1}),
+                 lambda: lp.worst_state_throughput(net, routing, {})):
         with pytest.raises(RuntimeError, match="NumericalFailure"):
             call()
 
@@ -503,8 +512,10 @@ def test_exact_and_float_routes_agree_on_random_states(line):
     rng = random.Random(11)
     for _ in range(30):
         state = make_state(net, [Fraction(rng.randint(0, 40), 2) for _ in range(2)])
-        exact = lp.one_step_throughput(net, routing, state, exact=True)
-        approx = lp.one_step_throughput(net, routing, state, exact=False)
+        with _route(exact=True):
+            exact = lp.one_step_throughput(net, routing, state)
+        with _route(exact=False):
+            approx = lp.one_step_throughput(net, routing, state)
         assert abs(float(exact.psi_value) - approx.psi_value) < 1e-7
 
 
@@ -555,8 +566,10 @@ def test_collapsed_lp_matches_three_block_reference(instance):
         [1] * routing.path_count,
         forward + backward, state.balances + tuple(room),
         delta, [0] * routing.edge_count)
-    exact = lp.one_step_throughput(net, routing, state, exact=True)
-    approx = lp.one_step_throughput(net, routing, state, exact=False)
+    with _route(exact=True):
+        exact = lp.one_step_throughput(net, routing, state)
+    with _route(exact=False):
+        approx = lp.one_step_throughput(net, routing, state)
     assert status == "Optimal"
     assert exact.psi_value == reference
     assert abs(approx.psi_value - reference) < 1e-9
@@ -580,7 +593,8 @@ def test_routes_by_size(line):
     assert 3 * routing.edge_count * routing.path_count < lp.CERTIFY_MIN_CELLS
     state = center_state(net)
     assert lp.one_step_throughput(net, routing, state).route == lp.SIMPLEX
-    assert lp.one_step_throughput(net, routing, state, exact=False).route == lp.FLOAT
+    with _route(exact=False):
+        assert lp.one_step_throughput(net, routing, state).route == lp.FLOAT
     with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
         report = lp.one_step_throughput(net, routing, state)
     assert report.route == lp.CERTIFIED
@@ -663,11 +677,104 @@ def test_certified_value_matches_simplex(instance, denominator, data):
     assert _delta_residual(routing, report.optimal_flow) == 0
 
 
-# --- vectorized certificate against a Fraction reference ---
+# --- channel usage and the certificate against hop-by-hop references ---
 #
-# _reference_certify is the certificate on Fractions, hop by hop: the
-# rationalized x must be exactly feasible, every path's reduced cost at
-# least 1, and bounds.alpha equal to sum(x).
+# _hop_walk_usage sums a flow's amounts per channel by walking every path's
+# hops, never through model.channel_usage.  _reference_certify is the
+# certificate on Fractions, hop by hop: the rationalized x must be exactly
+# feasible, every path's reduced cost at least 1, and bounds.alpha equal to
+# sum(x).
+
+
+def _hop_walk_usage(routing, amounts):
+    """Per-channel totals sent forward and backward, as two lists."""
+    usage = ([0] * routing.edge_count, [0] * routing.edge_count)
+    for amount, hops in zip(amounts, routing.hops, strict=True):
+        for e, d in hops:
+            usage[d][e] += amount
+    return usage
+
+
+def _reference_feasible(net, routing, state, flow, tol):
+    if tol is None:
+        tol = 0 if flow.is_exact() else 1e-9
+    exact = flow.is_exact() and tol == 0
+    fwd, bwd = _hop_walk_usage(routing, flow.amounts)
+    for cap, bal, f, b in zip(net.capacities, state.balances, fwd, bwd, strict=True):
+        if not exact:
+            cap, bal = float(cap), float(bal)
+        if f > bal + tol or b > (cap - bal) + tol:
+            return False
+    return True
+
+
+def _reference_violation(net, state, fwd, bwd):
+    """The first overdrawn (channel, direction name), or None."""
+    for e, (cap, bal) in enumerate(zip(net.capacities, state.balances)):
+        if fwd[e] > bal:
+            return e, "forward"
+        if bwd[e] > cap - bal:
+            return e, "backward"
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instance(), st.data())
+def test_channel_usage_matches_hop_walk(instance, data):
+    net, _, routing, state = instance
+    # amounts up to the largest capacity, so many flows overdraw a channel
+    top = 4 * int(max(net.capacities))
+    quarters = [data.draw(st.integers(min_value=0, max_value=top))
+                for _ in range(routing.path_count)]
+    exact = FlowVector(tuple(Fraction(q, 4) for q in quarters))
+    # floats on both sides of exact boundaries
+    nudge = data.draw(st.sampled_from((0.0, 1e-12, 1e-6)))
+    approx = FlowVector(tuple(q / 4 + nudge for q in quarters))
+    fwd, bwd = _hop_walk_usage(routing, exact.amounts)
+    usage = channel_usage(routing, np.array(exact.amounts, dtype=object))
+    assert usage.dtype == object and usage.tolist() == [fwd, bwd]
+    usage = channel_usage(routing, np.array(approx.amounts))
+    assert usage.dtype == np.float64
+    assert usage.tolist() == list(_hop_walk_usage(routing, approx.amounts))
+    assert channel_usage(routing, np.array(quarters)).dtype == np.int64
+    for flow in (exact, approx):
+        for tol in (None, 0, 1e-9):
+            assert check_feasible(net, routing, state, flow, tol=tol) == \
+                _reference_feasible(net, routing, state, flow, tol)
+    violation = _reference_violation(net, state, fwd, bwd)
+    if violation is None:
+        assert apply_flow(net, routing, state, exact).balances == tuple(
+            b - f + r for b, f, r in zip(state.balances, fwd, bwd))
+    else:
+        with pytest.raises(ValueError, match="^infeasible flow: channel %d overdrawn "
+                           "in the %s direction$" % violation):
+            apply_flow(net, routing, state, exact)
+
+
+@pytest.mark.parametrize("capacities, balances, amounts, message", [
+    ((20, 20), (5, 5), (3,), "1 flow amounts for 4 paths"),
+    ((20, 20), (5, 5), (1, 0, 0, 0, 4), "5 flow amounts for 4 paths"),
+    ((20, 20), (5, 5, 5), (1, 0, 0, 0), "have 2, 2 and 3 channels"),
+    ((20, 20, 20), (5, 5), (1, 0, 0, 0), "have 3, 2 and 2 channels"),
+    ((20,), (5, 5), (1, 0, 0, 0), "have 1, 2 and 2 channels"),
+    ((20, 20), (5, 5), (math.nan, 0.0, 0.0, 0.0), "channel 0 overdrawn"),
+], ids=["short flow", "long flow", "three-channel state", "three-channel network",
+        "one-channel network", "nan amount"])
+def test_feasibility_checks_reject_what_does_not_fit(capacities, balances, amounts,
+                                                     message):
+    # the line instance's four paths on a line of len(capacities) channels
+    net = make_network(len(capacities) + 1,
+                       [(i, i + 1) for i in range(len(capacities))], capacities)
+    routing = line_instance()[2]
+    state = BalanceState(tuple(map(Fraction, balances)))
+    flow = FlowVector(tuple(a if isinstance(a, float) else Fraction(a) for a in amounts))
+    if any(map(math.isnan, amounts)):
+        assert not check_feasible(net, routing, state, flow)
+    else:
+        with pytest.raises(ValueError, match=message):
+            check_feasible(net, routing, state, flow)
+    with pytest.raises(ValueError, match=message):
+        apply_flow(net, routing, state, flow)
 
 
 def _reference_certify(routing, bounds, solution):
@@ -677,7 +784,7 @@ def _reference_certify(routing, bounds, solution):
     if solution.status != lp.OPTIMAL:
         return None
     flow = FlowVector(tuple(rational(v) for v in solution.x))
-    fwd, bwd = _channel_usage(routing, flow)
+    fwd, bwd = _hop_walk_usage(routing, flow.amounts)
     if any(f > b or f != r for f, r, b in zip(fwd, bwd, bounds)):
         return None
     ineq, eq = solution.duals
@@ -787,7 +894,7 @@ def test_certificate_matches_reference_on_pinned_cases(empty_path, accepted):
     routing, bounds, solution = _pinned_certificate(empty_path)
     reference = _reference_certify(routing, bounds, solution)
     assert (reference is not None) == accepted
-    assert lp._certify(lp._lp_forms(routing), bounds, solution) == reference
+    assert lp._certify(routing, bounds, solution) == reference
 
 
 def test_certificate_on_python_ints():
@@ -820,7 +927,8 @@ def test_bounds_beyond_highs_range(capacity):
     assert report.route == lp.SIMPLEX
     assert report.psi_value == reference > capacity // 2
     assert lp.max_throughput(net, routing) == reference
-    with pytest.raises(ValueError, match="channel 5"):
-        lp.one_step_throughput(net, routing, state, exact=False)
-    with pytest.raises(ValueError, match="channel 5"):
-        lp.max_throughput(net, routing, exact=False)
+    with _route(exact=False):
+        with pytest.raises(ValueError, match="channel 5"):
+            lp.one_step_throughput(net, routing, state)
+        with pytest.raises(ValueError, match="channel 5"):
+            lp.max_throughput(net, routing)
