@@ -32,7 +32,9 @@ Three solve routes; ThroughputReport.route names the one that ran:
   Fraction per cell) with the pivots and the Fraction optimum of a
   rational tableau. It runs directly below CERTIFY_MIN_CELLS, where it is
   faster than a linprog call plus the certificate, when a bound is beyond
-  HiGHS's range, and when the certificate fails.
+  HiGHS's range, and when the certificate fails. Its LP depends only on the
+  routing and the bounds, so each routing keeps the simplex optimum of every
+  bound vector it has solved and never solves one twice.
 
 The size alone picks the route: results are exact (certified or simplex)
 for 3 * channels * paths <= EXACT_CELL_LIMIT and float above.
@@ -47,7 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -136,12 +138,16 @@ class _LpForms:
     """One routing's LP forms, each built from its CSR arrays on first use
     and kept with the routing: HiGHS's sparse F and F - B and the simplex's
     dense channel x path rows of F and F - B.
+    `simplex_optima` maps tuple(bounds) to the simplex's solution for those
+    bounds, so a bound vector met again (a state and its mirror c - b give
+    the same one) is not solved again.
     It holds the arrays, not the routing, so the two form no cycle."""
 
     def __init__(self, routing: RoutingSystem):
         self.indptr, self.edge, self.sign = routing.indptr, routing.edge, routing.sign
         self.path = routing.path
         self.shape = (routing.path_count, routing.edge_count)
+        self.simplex_optima: dict[tuple, LpSolution] = {}
 
     @cached_property
     def highs_matrices(self):
@@ -251,9 +257,13 @@ def _solve_flow(routing: RoutingSystem, bounds: list) -> tuple[LpSolution, str]:
     exact = cells <= EXACT_CELL_LIMIT
 
     def dense_simplex():
-        forward, delta = forms.simplex_rows
-        return LpSolution(*simplex.solve_dense(
-            [1] * pcount, forward, bounds, delta, [0] * routing.edge_count)), SIMPLEX
+        key = tuple(bounds)
+        solution = forms.simplex_optima.get(key)
+        if solution is None:
+            forward, delta = forms.simplex_rows
+            solution = forms.simplex_optima[key] = LpSolution(*simplex.solve_dense(
+                [1] * pcount, forward, bounds, delta, [0] * routing.edge_count))
+        return solution, SIMPLEX
 
     if exact and cells < CERTIFY_MIN_CELLS:
         return dense_simplex()
@@ -274,11 +284,11 @@ def _solve_flow(routing: RoutingSystem, bounds: list) -> tuple[LpSolution, str]:
     return certified, CERTIFIED
 
 
-def _throughput(routing: RoutingSystem, forward_bounds: Sequence,
-                backward_bounds: Sequence) -> ThroughputReport:
+def _throughput(routing: RoutingSystem, bounds: list) -> ThroughputReport:
+    """The one-step LP's optimum under per-channel limits F.x <= bounds
+    (min(b, c - b) for a balance state b)."""
     if routing.path_count == 0:
         return ThroughputReport(_ZERO, FlowVector(()), OPTIMAL, SIMPLEX)
-    bounds = [min(f, b) for f, b in zip(forward_bounds, backward_bounds, strict=True)]
     solution, route = _solve_flow(routing, bounds)
     if solution.status == INFEASIBLE:
         raise RuntimeError("throughput LP reported infeasible; zero flow is always feasible")
@@ -299,9 +309,8 @@ def one_step_throughput(network: CreditNetwork, routing: RoutingSystem,
     if routing.edge_count != network.edge_count:
         raise ValueError("routing system does not match network edge count")
     check_balances(network, state.balances)
-    forward = state.balances
-    backward = tuple(c - b for c, b in zip(network.capacities, state.balances))
-    return _throughput(routing, forward, backward)
+    return _throughput(routing, [min(b, c - b)
+                                 for c, b in zip(network.capacities, state.balances)])
 
 
 def max_throughput(network: CreditNetwork, routing: RoutingSystem) -> Fraction | float:
@@ -321,7 +330,7 @@ def min_throughput(network: CreditNetwork, routing: RoutingSystem,
             raise ValueError(f"unpeeled channel index {k} out of range")
     half = [c / 2 if k not in unpeeled else _ZERO
             for k, c in enumerate(network.capacities)]
-    return _optimal_value(_throughput(routing, half, half))
+    return _optimal_value(_throughput(routing, half))
 
 
 def worst_state_throughput(network: CreditNetwork, routing: RoutingSystem,

@@ -399,8 +399,8 @@ class FlowVector:
 
     def __post_init__(self):
         for i, a in enumerate(self.amounts):
-            if a < 0:
-                raise ValueError(f"flow amount {i} is negative: {a}")
+            if not a >= 0:
+                raise ValueError(f"flow amount {i} is negative or NaN: {a}")
 
     def __len__(self) -> int:
         return len(self.amounts)
@@ -445,7 +445,7 @@ def _usage_and_limits(network: CreditNetwork, routing: RoutingSystem,
 def check_feasible(network: CreditNetwork, routing: RoutingSystem,
                    state: BalanceState, flow: FlowVector, tol=None) -> bool:
     """True iff, per channel, forward usage stays within the sending balance
-    and backward usage within the rest; a NaN amount is never feasible.
+    and backward usage within the rest.
 
     Tolerance defaults to exact zero for rational flows and 1e-9 absolute
     for float flows.

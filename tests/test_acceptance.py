@@ -185,14 +185,6 @@ def test_criterion_4_deadlock_free_nets_recover_max_throughput(
     quantum = 2
     starts = violations = 0
     for net, routing, psi_center, seed in instances:
-        cached = {}
-
-        def psi(state, net=net, routing=routing, cached=cached):
-            if state not in cached:
-                cached[state] = one_step_throughput(
-                    net, routing, state).psi_value
-            return cached[state]
-
         start_rng = random.Random(seed ^ 0x5EED)
         for _ in range(20):
             balances = [Fraction(quantum * start_rng.randint(0, int(c) // quantum))
@@ -203,7 +195,8 @@ def test_criterion_4_deadlock_free_nets_recover_max_throughput(
             reachable = enumerate_reachable(
                 net, routing, BalanceState(tuple(balances)),
                 granularity=quantum)
-            best = max(psi(state) for state in reachable)
+            best = max(one_step_throughput(net, routing, state).psi_value
+                       for state in reachable)
             starts += 1
             if best != psi_center:
                 violations += 1

@@ -677,6 +677,75 @@ def test_certified_value_matches_simplex(instance, denominator, data):
     assert _delta_residual(routing, report.optimal_flow) == 0
 
 
+# --- the simplex route's optima, kept per routing by bound vector ---
+
+
+def _signature(report):
+    """Everything a report says, with the types of its numbers."""
+    amounts = report.optimal_flow.amounts
+    return (report.psi_value, type(report.psi_value), amounts,
+            tuple(map(type, amounts)), report.solver_status, report.route)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instance(), st.data())
+def test_warm_routing_matches_a_fresh_one(instance, data):
+    net, paths, routing, state = instance
+    mirror = make_state(net, [c - b for c, b in zip(net.capacities, state.balances)])
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        other = make_state(net, [data.draw(st.integers(min_value=0, max_value=int(c)))
+                                 for c in net.capacities])
+        lp.one_step_throughput(net, routing, other)
+    lp.one_step_throughput(net, routing, mirror)
+    warm = lp.one_step_throughput(net, routing, state)
+    fresh = lp.one_step_throughput(net, build_routing_system(net, paths), state)
+    assert fresh.route == lp.SIMPLEX
+    assert _signature(warm) == _signature(fresh)
+
+
+def test_mirrored_states_share_one_simplex_solve(line):
+    net, _, routing = line
+    solves, solve_dense = [], simplex.solve_dense
+
+    def counting_solve_dense(*args):
+        solves.append(args)
+        return solve_dense(*args)
+
+    state, mirror = make_state(net, [15, 5]), make_state(net, [5, 15])
+    with mock.patch.object(simplex, "solve_dense", counting_solve_dense):
+        report = lp.one_step_throughput(net, routing, state)
+        assert len(solves) == 1
+        assert lp.one_step_throughput(net, routing, mirror) == report
+        for _ in range(3):
+            assert lp.one_step_throughput(net, routing, state) == report
+            assert lp.one_step_throughput(net, routing, mirror) == report
+        assert len(solves) == 1
+        assert lp.max_throughput(net, routing) == 20
+        assert len(solves) == 2
+    assert report.psi_value == 10 and report.route == lp.SIMPLEX
+
+
+def test_kept_optima_leave_the_route_choice_per_call(line):
+    net, _, routing = line
+    state = center_state(net)
+    kept = lp.one_step_throughput(net, routing, state)
+    assert kept.route == lp.SIMPLEX
+    with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
+        certified = lp.one_step_throughput(net, routing, state)
+        assert certified.route == lp.CERTIFIED
+
+        def perturbed_linprog(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            _halve_primal(res)
+            return res
+
+        with mock.patch.object(lp, "linprog", perturbed_linprog):
+            fallback = lp.one_step_throughput(net, routing, state)
+    assert fallback.route == lp.SIMPLEX
+    assert fallback.psi_value == certified.psi_value == 20
+    assert _signature(fallback) == _signature(kept)
+
+
 # --- channel usage and the certificate against hop-by-hop references ---
 #
 # _hop_walk_usage sums a flow's amounts per channel by walking every path's
@@ -757,9 +826,10 @@ def test_channel_usage_matches_hop_walk(instance, data):
     ((20, 20), (5, 5, 5), (1, 0, 0, 0), "have 2, 2 and 3 channels"),
     ((20, 20, 20), (5, 5), (1, 0, 0, 0), "have 3, 2 and 2 channels"),
     ((20,), (5, 5), (1, 0, 0, 0), "have 1, 2 and 2 channels"),
-    ((20, 20), (5, 5), (math.nan, 0.0, 0.0, 0.0), "channel 0 overdrawn"),
+    ((20, 20), (5, 5), (math.nan, 0.0, 0.0, 0.0), "flow amount 0 is negative or NaN"),
+    ((20, 20), (5, 5), (0, -1, 0, 0), "flow amount 1 is negative or NaN"),
 ], ids=["short flow", "long flow", "three-channel state", "three-channel network",
-        "one-channel network", "nan amount"])
+        "one-channel network", "nan amount", "negative amount"])
 def test_feasibility_checks_reject_what_does_not_fit(capacities, balances, amounts,
                                                      message):
     # the line instance's four paths on a line of len(capacities) channels
@@ -767,12 +837,15 @@ def test_feasibility_checks_reject_what_does_not_fit(capacities, balances, amoun
                        [(i, i + 1) for i in range(len(capacities))], capacities)
     routing = line_instance()[2]
     state = BalanceState(tuple(map(Fraction, balances)))
-    flow = FlowVector(tuple(a if isinstance(a, float) else Fraction(a) for a in amounts))
-    if any(map(math.isnan, amounts)):
-        assert not check_feasible(net, routing, state, flow)
-    else:
+    amounts = tuple(a if isinstance(a, float) else Fraction(a) for a in amounts)
+    if not all(a >= 0 for a in amounts):
+        # refused where the flow is made, before any check sees it
         with pytest.raises(ValueError, match=message):
-            check_feasible(net, routing, state, flow)
+            FlowVector(amounts)
+        return
+    flow = FlowVector(amounts)
+    with pytest.raises(ValueError, match=message):
+        check_feasible(net, routing, state, flow)
     with pytest.raises(ValueError, match=message):
         apply_flow(net, routing, state, flow)
 
