@@ -96,7 +96,8 @@ def sample_demand(network: CreditNetwork, spec: DemandSpec) -> DemandMatrix:
                 raise ValueError(f"cannot place {spec.pair_count} distinct pairs "
                                  f"among the {pairs} between {size} {kind} nodes")
         heavy = rng.sample(range(n), heavy_count)
-        light = [v for v in range(n) if v not in set(heavy)]
+        heavy_set = set(heavy)
+        light = [v for v in range(n) if v not in heavy_set]
 
         def draw_node():
             pool = heavy

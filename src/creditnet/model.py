@@ -336,6 +336,25 @@ class RoutingSystem:
         return path
 
     @cached_property
+    def directed(self) -> np.ndarray:
+        """The directed channel id 2 * edge + direction of every hop,
+        aligned with edge and sign; ids sort as (edge, direction) pairs do."""
+        directed = 2 * self.edge + (self.sign < 0)
+        directed.flags.writeable = False
+        return directed
+
+    @cached_property
+    def directed_paths(self) -> tuple[tuple[int, ...], ...]:
+        """Directed channel id -> path index, the transpose of the hops:
+        entry 2 * e + d lists the paths with hop (e, d), in path order."""
+        ids = self.directed
+        # hop index breaks ties: path order without a slower stable sort
+        order = np.argsort(ids * ids.size + np.arange(ids.size))
+        paths = self.path[order].tolist()
+        ends = np.cumsum(np.bincount(ids, minlength=2 * self.edge_count)).tolist()
+        return tuple(tuple(paths[a:b]) for a, b in zip([0] + ends, ends))
+
+    @cached_property
     def channel_paths(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Channel -> path index, the transpose of the hops: entry e lists
         the (path index, direction) pairs of every hop on channel e, in path

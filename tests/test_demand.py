@@ -85,6 +85,17 @@ def test_skewed_sender_share_matches_mix():
     assert abs(hits / total - 0.70) < 0.01
 
 
+def test_skewed_draw_is_unchanged_for_a_fixed_seed():
+    # recorded draw: light picks index the light nodes in id order, so a
+    # reordered light pool or an extra rng call changes these pairs
+    net = _line(30)
+    spec = demand.DemandSpec(pair_count=12, mode=demand.SKEWED,
+                             heavy_fraction=0.2, seed=11)
+    assert demand.sample_demand(net, spec).pairs == (
+        (29, 3), (27, 25), (29, 15), (29, 14), (27, 24), (29, 18),
+        (17, 25), (25, 29), (2, 10), (18, 14), (14, 17), (14, 0))
+
+
 def test_line_pair_routes_through_middle():
     net = _line(3)
     matrix = demand.DemandMatrix(pairs=((0, 2),))

@@ -135,6 +135,37 @@ def test_channel_paths_is_the_hop_transpose(instance):
                               for he, d in path.hops if he == e)
 
 
+@given(_hop_lists())
+@settings(max_examples=60, deadline=None)
+def test_directed_paths_is_the_hop_transpose_by_channel_id(instance):
+    edge_count, paths = instance
+    routing = RoutingSystem(tuple(p.hops for p in paths), edge_count)
+    assert routing.directed.tolist() == [2 * e + d for p in paths for e, d in p.hops]
+    assert not routing.directed.flags.writeable
+    index = routing.directed_paths
+    assert len(index) == 2 * edge_count
+    for c, entry in enumerate(index):
+        assert entry == tuple(p for p, path in enumerate(paths)
+                              for e, d in path.hops if 2 * e + d == c)
+
+
+def test_directed_paths_on_line(line):
+    _, _, routing = line
+    # channel 0 forward, 0 backward, 1 forward, 1 backward
+    assert routing.directed_paths == ((0,), (1, 3), (0, 2), (1,))
+
+
+def test_directed_paths_edgeless_and_empty_paths():
+    edgeless = build_routing_system(make_network(2, [], []),
+                                    PathSet((Path(0, 0, ()), Path(1, 1, ()))))
+    assert edgeless.directed.size == 0
+    assert edgeless.directed_paths == ()
+    net = make_network(3, [(0, 1), (1, 2)], [1, 1])
+    assert build_routing_system(net, PathSet(())).directed_paths == ((),) * 4
+    hopless = build_routing_system(net, PathSet((Path(2, 2, ()),)))
+    assert hopless.directed_paths == ((),) * 4
+
+
 def test_check_feasible_line_cases(line):
     net, paths, routing = line
     b = make_state(net, [15, 5])

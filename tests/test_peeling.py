@@ -1,5 +1,81 @@
+import random
+from bisect import bisect_left, insort
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from creditnet import BACKWARD, FORWARD, PathSet, make_network, path_from_nodes
-from creditnet.peeling import build_peeling_graph, peel, ripple_trace_csv
+from creditnet.model import Path
+from creditnet.peeling import (FAILURE, SUCCESS, PeelResult, build_peeling_graph,
+                               peel, ripple_trace_csv)
+
+
+def _opposite(channel):
+    edge, direction = channel
+    return (edge, BACKWARD if direction == FORWARD else FORWARD)
+
+
+def _reference_peel(routing, seed, pairing=False):
+    """The decoder on (edge, direction) tuples: each flow's hop list is
+    rebuilt as its channels are processed, and the channel -> path view is
+    scanned in both directions. peel must return the same PeelResult."""
+    rng = random.Random(seed)
+    hops = [list(h) for h in routing.hops]
+    total = 2 * routing.edge_count
+    processed = set()
+    released = set()  # rippling or processed
+    ripple = []  # kept sorted
+
+    def release(channel):
+        if channel not in released:
+            released.add(channel)
+            insort(ripple, channel)
+
+    for i, initial in enumerate(routing.hops):
+        if len(initial) == 1:
+            hops[i] = []
+            release(_opposite(initial[0]))
+
+    trace = [(0, len(ripple), total)]
+    step = 0
+    forced = []
+    while ripple:
+        if forced:
+            current = forced.pop()
+        else:
+            current = rng.choice(ripple)
+        del ripple[bisect_left(ripple, current)]
+        processed.add(current)
+        step += 1
+        edge, direction = current
+        for i, d in routing.channel_paths[edge]:
+            if d != direction or not hops[i]:
+                continue
+            hops[i] = [c for c in hops[i] if c != current]
+            degree = len(hops[i])
+            if degree == 1:
+                release(_opposite(hops[i][0]))
+            elif degree == 0:
+                for channel in routing.hops[i]:
+                    release(_opposite(channel))
+        trace.append((step, len(ripple), total - step))
+        if pairing:
+            twin = _opposite(current)
+            if twin in released and twin not in processed:
+                forced.append(twin)
+
+    unpeeled = frozenset(
+        e
+        for e in range(routing.edge_count)
+        if (e, FORWARD) not in processed or (e, BACKWARD) not in processed
+    )
+    return PeelResult(
+        processed=frozenset(processed),
+        unpeeled_edges=unpeeled,
+        ripple_trace=tuple(trace),
+        outcome=SUCCESS if len(processed) == total else FAILURE,
+    )
 
 
 def _instance(node_count, edges, routes):
@@ -146,3 +222,69 @@ def test_trace_csv_success_run():
 def test_trace_csv_failure_run():
     text = ripple_trace_csv(peel(_graph(_stuck_triangle()), seed=3))
     assert text == "unprocessed_symbols,ripple_size\n6,0\n"
+
+
+def _single_hops():
+    # every flow is one hop, so the ripple starts with all it will ever hold
+    return _instance(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
+                     [[0, 1], [1, 0], [2, 1], [3, 2], [0, 3]])
+
+
+def _duplicated_routes():
+    routes = [[0, 1, 2], [2, 1], [1, 0], [0, 1, 2], [2, 1, 0], [2, 1]]
+    return _instance(3, [(0, 1), (1, 2)], routes)
+
+
+_NAMED = {
+    "empty": lambda: (_opposing_pair()[0], PathSet(())),
+    "single hops": _single_hops,
+    "stalled triangle": _stuck_triangle,
+    "duplicated routes": _duplicated_routes,
+    "chain": _chain,
+    "opposing pair": _opposing_pair,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED))
+@pytest.mark.parametrize("pairing", [False, True])
+def test_peel_matches_reference_on_named_instances(name, pairing):
+    graph = _graph(_NAMED[name]())
+    for seed in range(6):
+        assert peel(graph, seed, pairing) == _reference_peel(graph, seed, pairing)
+
+
+def _random_instance(instance_seed):
+    """A random graph on up to 7 nodes and trails on it (no edge twice in a
+    route), some of them hopless, the last few repeating earlier ones."""
+    rng = random.Random(instance_seed)
+    n = rng.randint(2, 7)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+    net = make_network(n, edges, [1] * len(edges))
+    adjacency = net.adjacency()
+    routes = []
+    for _ in range(rng.randrange(17)):
+        walk = [rng.randrange(n)]
+        used = set()
+        for _ in range(rng.randrange(5)):
+            options = [v for v in adjacency[walk[-1]]
+                       if frozenset((walk[-1], v)) not in used]
+            if not options:
+                break
+            v = rng.choice(options)
+            used.add(frozenset((walk[-1], v)))
+            walk.append(v)
+        routes.append(walk)
+    if routes:
+        routes += [rng.choice(routes) for _ in range(rng.randrange(4))]
+    paths = PathSet(tuple(
+        path_from_nodes(net, r) if len(r) > 1 else Path(r[0], r[0], ())
+        for r in routes))
+    return net, paths
+
+
+@given(st.integers(min_value=0, max_value=2**32),
+       st.integers(min_value=0, max_value=2**32), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_peel_matches_reference(instance_seed, seed, pairing):
+    graph = build_peeling_graph(*_random_instance(instance_seed))
+    assert peel(graph, seed, pairing) == _reference_peel(graph, seed, pairing)
