@@ -36,7 +36,7 @@ from .fileio import (
 from .lp import max_throughput, min_throughput
 from .model import build_routing_system
 from .oracle import UNSOLVED, export_ilp, max_deadlock_exact
-from .peeling import build_peeling_graph, peel, ripple_trace_csv
+from .peeling import peel, ripple_trace_csv
 from .reduction import cnf_to_creditnet, parse_dimacs
 from .ripple import predict_ripple, simulate_iid_peeling, trajectory_csv
 from .synthesis import (
@@ -405,7 +405,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{graph_file} has no matching .paths file")
         network = read_graph(graph_file)
         paths = read_paths(network, paths_file)
-        result = peel(build_peeling_graph(network, paths),
+        result = peel(build_routing_system(network, paths),
                       seed=_seed(args))
         unpeeled = len(result.unpeeled_edges)
         exact = max_deadlock_exact(network, paths,

@@ -9,7 +9,8 @@ Routes come off the package's one hop-distance kernel,
 `model.hop_levels`, run on 64 distinct roots at a time, and a next-hop
 table that keeps, for every node and root, the first closer neighbour
 in id order; the tie-break is the lexicographically smallest shortest
-route read from the lower-numbered endpoint.
+route read from the lower-numbered endpoint, written straight into a
+`model.PathSet`'s arrays.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (BACKWARD, FORWARD, CreditNetwork, Path, PathSet,
-                    closed_arcs, hop_distances)
+from .model import CreditNetwork, PathSet, closed_arcs, hop_distances
 
 UNIFORM = "Uniform"
 SKEWED = "Skewed"
@@ -137,9 +137,11 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
     next-hop table keeps the first arc in (tail, head) order that is one
     hop closer to the root, so a walk from the lower endpoint that always
     takes it is the lexicographically smallest shortest route.  Each
-    block's pairs then walk the table together, one gather per hop.
-    Raises ValueError for the first pair, in demand order, that names a
-    node outside the graph, else for the first that has no route.
+    block's pairs then walk the table together, one gather per hop, and
+    the walks are scattered into the path set's arrays, reversed where
+    the root sends.  Raises ValueError for the first pair, in demand
+    order, that names a node outside the graph, else for the first that
+    has no route.
     """
     del seed
     n = network.node_count
@@ -149,11 +151,7 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
                              f"0..{n - 1}")
     arcs = closed_arcs(n, network.edges)
     arc_count = len(arcs.heads)
-    # One shared hop tuple per arc, and its reverse for walks that are
-    # read from the root back to the lower endpoint.
-    direction = np.where(arcs.tails < arcs.heads, FORWARD, BACKWARD)
-    forward = list(zip(arcs.edge.tolist(), direction.tolist()))
-    backward = list(zip(arcs.edge.tolist(), (1 - direction).tolist()))
+    arc_sign = np.where(arcs.tails < arcs.heads, 1, -1)
     self_arc = np.flatnonzero(arcs.edge < 0)[:, None]
     arc_ids = np.arange(arc_count, dtype=np.int32)[:, None]
 
@@ -163,7 +161,8 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
     order = np.argsort(root_of, kind="stable")
     bounds = np.searchsorted(root_of[order],
                              np.arange(0, len(roots) + _BLOCK, _BLOCK))
-    routes: list[Path | None] = [None] * len(demand)
+    length = np.zeros(len(pairs), dtype=np.int64)  # 0 until routed
+    blocks = []
     for block, first in enumerate(range(0, len(roots), _BLOCK)):
         dist = hop_distances(arcs, roots[first:first + _BLOCK])
         # Next hop toward each root: the first arc one hop closer, or the
@@ -176,24 +175,29 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
             np.where(closer, arc_ids, arc_count), arcs.starts)
         step = np.where(step < arc_count, step, self_arc)
         members = order[bounds[block]:bounds[block + 1]]
-        length = dist[lows[members], root_of[members] - first]
-        members, length = members[length > 0], length[length > 0]
+        hops = dist[lows[members], root_of[members] - first]
+        members, hops = members[hops > 0], hops[hops > 0]
         column = root_of[members] - first
         here = lows[members]
-        walks = np.empty((len(members), length.max(initial=0)), dtype=np.int64)
+        walks = np.empty((len(members), hops.max(initial=0)), dtype=np.int64)
         for hop in range(walks.shape[1]):
             walks[:, hop] = step[here, column]
             here = arcs.heads[walks[:, hop]]
-        for index, walk, hops in zip(members.tolist(), walks.tolist(),
-                                     length.tolist()):
-            s, r = demand.pairs[index]
-            walk = walk[:hops]
-            if s < r:
-                route = tuple([forward[a] for a in walk])
-            else:
-                route = tuple([backward[a] for a in reversed(walk)])
-            routes[index] = Path(source=s, destination=r, hops=route)
-    for (s, r), route in zip(demand, routes):
-        if route is None:
-            raise ValueError(f"no route between {s} and {r}")
-    return PathSet(paths=tuple(routes))
+        length[members] = hops
+        blocks.append((members, walks))
+    if not length.all():
+        s, r = demand.pairs[int(np.argmin(length))]
+        raise ValueError(f"no route between {s} and {r}")
+    indptr = np.concatenate(([0], np.cumsum(length)))
+    edge, sign = np.empty((2, indptr[-1]), dtype=np.int64)
+    for members, walks in blocks:
+        # a walk runs from the lower endpoint to the root: it is the route
+        # when the lower endpoint sends, and the route reversed otherwise
+        hop = np.arange(walks.shape[1])
+        hops = length[members, None]
+        reverse = (pairs[members, 0] > pairs[members, 1])[:, None]
+        place = indptr[members, None] + np.where(reverse, hops - 1 - hop, hop)
+        sent = hop < hops
+        edge[place[sent]] = arcs.edge[walks[sent]]
+        sign[place[sent]] = (np.where(reverse, -1, 1) * arc_sign[walks])[sent]
+    return PathSet(pairs[:, 0], pairs[:, 1], indptr, edge, sign)

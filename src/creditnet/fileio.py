@@ -117,7 +117,7 @@ def read_paths(network: CreditNetwork, source: TextSource) -> PathSet:
         if nodes[0] != src or nodes[-1] != dst:
             raise ValueError(f"path endpoints disagree with node walk: {raw!r}")
         out.append(path_from_nodes(network, nodes))
-    return PathSet(tuple(out))
+    return PathSet.of(out)
 
 
 def write_demand(pairs: Iterable[tuple[int, int]]) -> str:

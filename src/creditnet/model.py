@@ -7,6 +7,10 @@ balance on every channel the path crosses. All arithmetic here is exact
 rational; floating point is only tolerated when checking flows produced by
 the LP solver.
 
+Routes are kept once, as the read-only CSR arrays of a `PathSet`;
+`build_routing_system` validates them and the `RoutingSystem` that the
+LP, peeling and the oracles read shares them without a copy.
+
 Hop distances come from one kernel, `hop_levels`: a breadth-first search
 from many sources at once on bitset rows.  Route building and every
 path-length mix in synthesis run on it.
@@ -14,10 +18,9 @@ path-length mix in synthesis run on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -91,10 +94,6 @@ class CreditNetwork:
         if idx is None:
             raise ValueError(f"no edge between {a} and {b}")
         return idx, (FORWARD if a < b else BACKWARD)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        key = (a, b) if a < b else (b, a)
-        return key in self._edge_index
 
     def degree_sequence(self) -> list[int]:
         deg = [0] * self.node_count
@@ -254,21 +253,49 @@ class Path:
         return len(self.hops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSet:
-    paths: tuple[Path, ...]
+    """Routes as read-only CSR int arrays, path by path in hop order: path p
+    runs from source[p] to destination[p] over hops indptr[p]:indptr[p + 1]
+    of edge (the channel index) and sign (+1 forward, -1 backward).
+    Indexing and iteration build `Path`s only when asked."""
+
+    source: np.ndarray
+    destination: np.ndarray
+    indptr: np.ndarray
+    edge: np.ndarray
+    sign: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            array = np.asarray(getattr(self, f.name), dtype=np.int64)
+            array.flags.writeable = False
+            object.__setattr__(self, f.name, array)
+
+    @classmethod
+    def of(cls, paths: Iterable[Path]) -> PathSet:
+        """The arrays of a sequence of Paths, unchecked."""
+        paths = tuple(paths)
+        ends = np.array([(p.source, p.destination) for p in paths], np.int64).reshape(-1, 2)
+        hops = np.array([h for p in paths for h in p.hops], np.int64).reshape(-1, 2)
+        indptr = np.cumsum([0] + [len(p) for p in paths])
+        return cls(ends[:, 0], ends[:, 1], indptr, hops[:, 0], 1 - 2 * hops[:, 1])
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.source)
 
-    def __iter__(self):
-        return iter(self.paths)
+    def __iter__(self) -> Iterator[Path]:
+        return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, i: int) -> Path:
-        return self.paths[i]
+        i = range(len(self))[i]
+        a, b = self.indptr[i:i + 2]
+        hops = zip(self.edge[a:b].tolist(), ((1 - self.sign[a:b]) // 2).tolist())
+        return Path(int(self.source[i]), int(self.destination[i]), tuple(hops))
 
-    def lengths(self) -> list[int]:
-        return [len(p) for p in self.paths]
+    def __eq__(self, other):
+        return isinstance(other, PathSet) and all(
+            np.array_equal(array, getattr(other, name)) for name, array in vars(self).items())
 
 
 def path_from_nodes(network: CreditNetwork, nodes: Sequence[int]) -> Path:
@@ -298,35 +325,22 @@ def path_nodes(network: CreditNetwork, path: Path) -> list[int]:
     return nodes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoutingSystem:
-    """Path x channel incidence: each path's validated (edge, direction) hops.
+    """Path x channel incidence: a validated path set's CSR arrays, shared
+    with its `PathSet`, not copied. As a paths x channels matrix, sign is
+    delta = forward - backward; a feasible flow f changes the state by
+    -delta^T . f, so circulations (delta^T . f = 0) leave balances
+    untouched. The LP, peeling and the exact oracles read it."""
 
-    The hops are also kept once as read-only CSR int arrays, path by path in
-    hop order: path p's hops are entries indptr[p]:indptr[p + 1] of edge
-    (the channel index) and sign (+1 forward, -1 backward). As a paths x
-    channels matrix, sign is delta = forward - backward; a feasible flow f
-    changes the state by -delta^T . f, so circulations (delta^T . f = 0)
-    leave balances untouched. The LP, peeling and the exact oracles read it."""
-
-    hops: tuple[tuple[tuple[int, int], ...], ...]
+    indptr: np.ndarray
+    edge: np.ndarray
+    sign: np.ndarray
     edge_count: int
-
-    def __post_init__(self):
-        counts = np.fromiter(map(len, self.hops), dtype=np.int64,
-                             count=len(self.hops))
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.hops)),
-                           dtype=np.int64, count=2 * int(indptr[-1]))
-        edge, direction = flat.reshape(-1, 2).T.copy()
-        sign = 1 - 2 * direction  # +1 FORWARD, -1 BACKWARD
-        for name, array in (("indptr", indptr), ("edge", edge), ("sign", sign)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
 
     @property
     def path_count(self) -> int:
-        return len(self.hops)
+        return len(self.indptr) - 1
 
     @cached_property
     def path(self) -> np.ndarray:
@@ -354,21 +368,9 @@ class RoutingSystem:
         ends = np.cumsum(np.bincount(ids, minlength=2 * self.edge_count)).tolist()
         return tuple(tuple(paths[a:b]) for a, b in zip([0] + ends, ends))
 
-    @cached_property
-    def channel_paths(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Channel -> path index, the transpose of the hops: entry e lists
-        the (path index, direction) pairs of every hop on channel e, in path
-        order."""
-        # hop index breaks ties: path order without a slower stable sort
-        order = np.argsort(self.edge * self.edge.size + np.arange(self.edge.size))
-        pairs = list(zip(self.path[order].tolist(),
-                         (self.sign[order] < 0).astype(np.int64).tolist()))
-        ends = np.cumsum(np.bincount(self.edge, minlength=self.edge_count)).tolist()
-        return tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends))
-
 
 def build_routing_system(network: CreditNetwork, paths: PathSet) -> RoutingSystem:
-    """Validate a path set and keep its hops as the routing incidence.
+    """Validate a path set and wrap its arrays as the routing incidence.
 
     The one check of a path set's hops, run over the routing's arrays at
     once. In hop order each hop must name an edge in range, go FORWARD or
@@ -376,7 +378,7 @@ def build_routing_system(network: CreditNetwork, paths: PathSet) -> RoutingSyste
     hop (or the source) ended; the walk must end at the destination. The
     error names the lowest failing path and the first check it fails.
     """
-    routing = RoutingSystem(tuple(p.hops for p in paths), network.edge_count)
+    routing = RoutingSystem(paths.indptr, paths.edge, paths.sign, network.edge_count)
     edge, sign, path, indptr = routing.edge, routing.sign, routing.path, routing.indptr
     in_range = (edge >= 0) & (edge < network.edge_count)
     directed = np.abs(sign) == 1
@@ -384,16 +386,13 @@ def build_routing_system(network: CreditNetwork, paths: PathSet) -> RoutingSyste
     # the placeholder row keeps the lookup valid on a network without edges
     ends = np.array(network.edges or [(0, 0)], dtype=np.int64)[safe]
     tail, head = np.where(sign > 0, ends.T, ends[:, ::-1].T)
-    source, destination = np.fromiter(
-        chain.from_iterable((p.source, p.destination) for p in paths),
-        dtype=np.int64, count=2 * len(paths)).reshape(-1, 2).T
     # every path's node walk, source first; at_end indexes each walk's end
-    walk = np.insert(head, indptr[:-1], source)
+    walk = np.insert(head, indptr[:-1], paths.source)
     at_end = indptr[1:] + np.arange(routing.path_count)
     repeated = np.ones(edge.size, dtype=bool)
     repeated[np.unique(path * network.edge_count + safe, return_index=True)[1]] = False
     bad_hop = ~in_range | ~directed | repeated | (tail != np.delete(walk, at_end))
-    bad_path = walk[at_end] != destination
+    bad_path = walk[at_end] != paths.destination
     bad_path[path[bad_hop]] = True
     if not bad_path.any():
         return routing

@@ -64,12 +64,6 @@ class DeadlockAssignment:
         return {e: self.witness_state.balances[e] for e in sorted(self.deadlocked_edges)}
 
 
-def _hop_blocks(value: int, direction: int) -> bool:
-    return (value == BLOCK_FORWARD and direction == FORWARD) or (
-        value == BLOCK_BACKWARD and direction == BACKWARD
-    )
-
-
 def max_deadlock_exact(
     network: CreditNetwork,
     paths: PathSet,
@@ -91,8 +85,12 @@ def max_deadlock_exact(
         return DeadlockAssignment(UNSOLVED, frozenset(), (), None)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
 
-    on_edge = routing.channel_paths
-    order = sorted(range(ecount), key=lambda e: (-len(on_edge[e]), e))
+    # BLOCK_* equal the directions: value v of edge e blocks the paths on
+    # channel 2 * e + v, and an open hop c blocks as value c & 1 of edge c >> 1
+    channel = routing.directed_paths
+    hops = routing.directed.tolist()
+    starts = routing.indptr.tolist()
+    order = sorted(range(ecount), key=lambda e: (-len(channel[2 * e] + channel[2 * e + 1]), e))
 
     best_count = 0
     best_blocking: dict[int, int] = {}
@@ -108,23 +106,23 @@ def max_deadlock_exact(
                     return False
                 continue
             assign[e] = v
-            for p, d in on_edge[e]:
-                if v != OPEN_BOTH:
-                    needs[p] = True
+            on_edge = channel[2 * e] + channel[2 * e + 1]
+            for p in on_edge:
                 nundec[p] -= 1
-                if _hop_blocks(v, d):
+            if v != OPEN_BOTH:
+                for p in on_edge:
+                    needs[p] = True
+                for p in channel[2 * e + v]:
                     nblock[p] += 1
-            for p, _ in on_edge[e]:
+            for p in on_edge:
                 if nblock[p] > 0 or not needs[p]:
                     continue
                 if nundec[p] == 0:
                     return False
                 if nundec[p] == 1:
-                    for he, hd in routing.hops[p]:
-                        if assign[he] is None:
-                            stack.append(
-                                (he, BLOCK_FORWARD if hd == FORWARD else BLOCK_BACKWARD)
-                            )
+                    for c in hops[starts[p]:starts[p + 1]]:
+                        if assign[c >> 1] is None:
+                            stack.append((c >> 1, c & 1))
                             break
         return True
 
@@ -157,13 +155,8 @@ def max_deadlock_exact(
             if apply(child, edge, value):
                 search(child)
 
-    initial = (
-        [None] * ecount,
-        [0] * routing.path_count,
-        [len(h) for h in routing.hops],
-        [False] * routing.path_count,
-    )
-    search(initial)
+    search(([None] * ecount, [0] * routing.path_count,
+            [b - a for a, b in zip(starts, starts[1:])], [False] * routing.path_count))
 
     if timed_out:
         return DeadlockAssignment(UNSOLVED, frozenset(), (), None)
@@ -202,16 +195,16 @@ def export_ilp(network: CreditNetwork, paths: PathSet) -> str:
     for e in range(network.edge_count):
         lines.append(f" cap_{e}: x_{e}_f + x_{e}_b >= 1")
         lines.append(f" imb_{e}: z_{e} - x_{e}_f - x_{e}_b = -1")
-    for pi, hops in enumerate(routing.hops):
-        terms = []
-        for hi, (e, d) in enumerate(hops):
-            xname = f"x_{e}_f" if d == FORWARD else f"x_{e}_b"
+    xnames = [f"x_{c >> 1}_{'fb'[c & 1]}" for c in routing.directed.tolist()]
+    starts = routing.indptr.tolist()
+    for pi, (a, b) in enumerate(zip(starts, starts[1:])):
+        terms = xnames[a:b]
+        for hi, xname in enumerate(terms):
             lines.append(f" blk_{pi}_{hi}: y_{pi} - {xname} <= 0")
-            terms.append(xname)
-        joined = " - ".join(terms)
-        lines.append(f" opn_{pi}: y_{pi} - {joined} >= {1 - len(hops)}")
-    for e, on_edge in enumerate(routing.channel_paths):
-        for pi, _ in on_edge:
+        lines.append(f" opn_{pi}: y_{pi} - {' - '.join(terms)} >= {1 - len(terms)}")
+    channel = routing.directed_paths
+    for e in range(network.edge_count):
+        for pi in sorted(channel[2 * e] + channel[2 * e + 1]):
             lines.append(f" dlk_{e}_{pi}: z_{e} - y_{pi} >= 0")
     lines.append("Binaries")
     names = []
@@ -256,17 +249,20 @@ def enumerate_reachable(
             f"{REACHABLE_STATE_GUARD} guard; coarsen the granularity"
         )
     caps = network.capacities
+    hops = list(zip(routing.edge.tolist(), (routing.sign > 0).tolist()))
+    starts = routing.indptr.tolist()
+    routes = [hops[a:b] for a, b in zip(starts, starts[1:])]
     seen = {start}
     frontier = [start]
     while frontier:
         state = frontier.pop()
-        for hops in routing.hops:
-            if any((state.balances[e] if d == FORWARD else caps[e] - state.balances[e])
-                   < quantum for e, d in hops):
+        for route in routes:
+            if any((state.balances[e] if forward else caps[e] - state.balances[e])
+                   < quantum for e, forward in route):
                 continue
             balances = list(state.balances)
-            for e, d in hops:
-                balances[e] += -quantum if d == FORWARD else quantum
+            for e, forward in route:
+                balances[e] += -quantum if forward else quantum
             nxt = BalanceState(tuple(balances))
             if nxt not in seen:
                 seen.add(nxt)

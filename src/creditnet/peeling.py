@@ -46,16 +46,15 @@ class PeelResult:
 
 
 def build_peeling_graph(network: CreditNetwork, paths: PathSet) -> RoutingSystem:
-    """The bipartite graph peeling runs on: the validated routing incidence."""
+    """`build_routing_system` under its old name, kept because perfbench imports it."""
     return build_routing_system(network, paths)
 
 
 def peel(routing: RoutingSystem, seed: int, pairing: bool = False) -> PeelResult:
     """Run the ripple process to exhaustion; the input routing is left untouched.
 
-    The routing must come from `build_routing_system` (or
-    `build_peeling_graph`): the per-flow count and sum rely on its check
-    that no path uses an edge twice.
+    The routing must come from `build_routing_system`: the per-flow count
+    and sum rely on its check that no path uses an edge twice.
 
     Pop order over the ripple is uniform via the seeded generator. With
     `pairing` on, a processed channel whose reverse is already rippling pulls

@@ -156,7 +156,7 @@ def cnf_to_creditnet(cnf: CnfFormula) -> tuple[CreditNetwork, PathSet]:
             # bridge hops need no nodes of their own: each one runs from the
             # previous literal's exit to the next literal's entry
         paths.append(path_from_nodes(net, walk))
-    return net, PathSet(tuple(paths))
+    return net, PathSet.of(paths)
 
 
 def sat_bruteforce(cnf: CnfFormula) -> bool:

@@ -20,7 +20,7 @@ def line_instance():
     hops. This is the running example used throughout the test suite.
     """
     net = make_network(3, [(0, 1), (1, 2)], [20, 20])
-    paths = PathSet(
+    paths = PathSet.of(
         (
             Path(0, 2, ((0, FORWARD), (1, FORWARD))),
             Path(2, 0, ((1, BACKWARD), (0, BACKWARD))),

@@ -92,12 +92,9 @@ _FAMILY_RECIPES = (
 )
 
 
-def test_criterion_2_peeling_upper_bounds_exact_deadlock(criterion_report):
-    """Peeling never undercounts the exact maximum deadlock and almost
-    always matches it on random instances from all four families."""
-    started = time.time()
-    total = equal = 0
-    gaps = []
+def criterion_2_instances():
+    """Criterion 2's 200 routed instances, 50 per family, as
+    (kind, seed, network, paths)."""
     for family_index, (kind, kw) in enumerate(_FAMILY_RECIPES):
         for repeat in range(50):
             seed = 1000 * family_index + repeat
@@ -106,17 +103,26 @@ def test_criterion_2_peeling_upper_bounds_exact_deadlock(criterion_report):
             pair_count = 50 + (seed * 37) % (min(400, most) - 50 + 1)
             demand = sample_demand(
                 net, DemandSpec(pair_count=pair_count, seed=seed + 7))
-            paths = build_paths(net, demand)
-            unpeeled = len(peel(build_peeling_graph(net, paths),
-                                seed=seed).unpeeled_edges)
-            exact = max_deadlock_exact(net, paths, max_edges=20)
-            assert exact.status == OPTIMAL
-            assert unpeeled >= exact.size
-            total += 1
-            if unpeeled == exact.size:
-                equal += 1
-            else:
-                gaps.append((kind, seed, unpeeled, exact.size))
+            yield kind, seed, net, build_paths(net, demand)
+
+
+def test_criterion_2_peeling_upper_bounds_exact_deadlock(criterion_report):
+    """Peeling never undercounts the exact maximum deadlock and almost
+    always matches it on random instances from all four families."""
+    started = time.time()
+    total = equal = 0
+    gaps = []
+    for kind, seed, net, paths in criterion_2_instances():
+        unpeeled = len(peel(build_peeling_graph(net, paths),
+                            seed=seed).unpeeled_edges)
+        exact = max_deadlock_exact(net, paths, max_edges=20)
+        assert exact.status == OPTIMAL
+        assert unpeeled >= exact.size
+        total += 1
+        if unpeeled == exact.size:
+            equal += 1
+        else:
+            gaps.append((kind, seed, unpeeled, exact.size))
     elapsed = time.time() - started
     assert total >= 200
     assert equal >= 0.95 * total
@@ -137,11 +143,15 @@ def _random_cnf(rng, max_vars, max_clauses):
     return CnfFormula(variable_count, tuple(clauses))
 
 
-def test_criterion_3_sat_agrees_with_full_deadlock(criterion_report):
+def criterion_3_formulas():
+    """Criterion 3's 200 random formulas of up to 8 variables."""
     rng = random.Random(2026)
+    return [_random_cnf(rng, 8, 12) for _ in range(200)]
+
+
+def test_criterion_3_sat_agrees_with_full_deadlock(criterion_report):
     satisfiable = 0
-    for _ in range(200):
-        cnf = _random_cnf(rng, 8, 12)
+    for cnf in criterion_3_formulas():
         net, paths = cnf_to_creditnet(cnf)
         result = max_deadlock_exact(net, paths, max_edges=80)
         assert result.status == OPTIMAL

@@ -154,8 +154,9 @@ def test_unroutable_pair_raises():
     matrix = demand.DemandMatrix(pairs=((0, 2),))
     with pytest.raises(ValueError):
         demand.build_paths(net, matrix)
-    # node ids outside 0..3: a negative one must not alias a real node
-    for s, r in ((-2, -1), (0, 4), (-1, 2)):
+    # node ids outside 0..3: a negative one must not alias a real node,
+    # and one past 64 bits is named, not overflowed
+    for s, r in ((-2, -1), (0, 4), (-1, 2), (0, 2 ** 64)):
         with pytest.raises(ValueError, match=rf"pair \({s}, {r}\)"):
             demand.build_paths(net, demand.DemandMatrix(pairs=((s, r),)))
 
@@ -170,7 +171,7 @@ def test_demand_file_round_trip():
 def _reference_paths(network, matrix):
     """Routing by one plain BFS per distinct root (the higher endpoint)
     and a walk from the lower endpoint that always steps to the first
-    neighbour, in id order, one hop closer to the root."""
+    neighbour, in id order, one hop closer to the root: a list of Paths."""
     adj = [sorted(nbrs) for nbrs in network.adjacency()]
     n = network.node_count
     by_root = {}
@@ -203,7 +204,16 @@ def _reference_paths(network, matrix):
         if walk is None:
             raise ValueError(f"no route between {s} and {r}")
         routes.append(path_from_nodes(network, walk if s < r else walk[::-1]))
-    return PathSet(paths=tuple(routes))
+    return routes
+
+
+def _assert_routes_match(paths, reference):
+    """build_paths's arrays equal the reference Paths' arrays, and its
+    Paths, read back off those arrays, equal the reference Paths."""
+    expected = PathSet.of(reference)
+    for name in ("source", "destination", "indptr", "edge", "sign"):
+        assert getattr(paths, name).tolist() == getattr(expected, name).tolist(), name
+    assert list(paths) == reference
 
 
 @st.composite
@@ -272,7 +282,7 @@ def test_routes_match_plain_bfs_reference(case):
             (s, r) for s, r in pairs
             if s in component and r in component and component[s] == component[r]))
     paths = demand.build_paths(net, matrix)
-    assert paths == _reference_paths(net, matrix)
+    _assert_routes_match(paths, _reference_paths(net, matrix))
     for path in paths:
         assert path_from_nodes(net, path_nodes(net, path)) == path
 
@@ -285,4 +295,5 @@ def test_routes_cross_a_word_of_roots():
         + tuple((v * 37 % 97 % v, v) for v in range(20, 150))
     matrix = demand.DemandMatrix(pairs=pairs)
     assert len({max(p) for p in pairs}) == 130
-    assert demand.build_paths(net, matrix) == _reference_paths(net, matrix)
+    _assert_routes_match(demand.build_paths(net, matrix),
+                         _reference_paths(net, matrix))

@@ -50,7 +50,7 @@ def test_graph_read_rejects_garbage():
 
 def test_path_round_trip():
     net = make_network(4, [(0, 1), (1, 2), (2, 3)], [1, 1, 1])
-    ps = PathSet(
+    ps = PathSet.of(
         (
             path_from_nodes(net, [0, 1, 2, 3]),
             path_from_nodes(net, [3, 2, 1]),

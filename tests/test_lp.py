@@ -30,7 +30,7 @@ from creditnet.demand import DemandSpec, build_paths, sample_demand
 from creditnet.model import channel_usage
 from creditnet.topology import ERDOS_RENYI, TopologySpec, gen_topology
 from conftest import line_instance
-from test_model import dense_views, small_instance
+from test_model import dense_views, routing_hops, small_instance
 
 
 def _triangle(bidirectional):
@@ -38,7 +38,7 @@ def _triangle(bidirectional):
     hops = [[0, 1], [1, 2], [2, 0]]
     if bidirectional:
         hops += [[1, 0], [2, 1], [0, 2]]
-    paths = PathSet(tuple(path_from_nodes(net, h) for h in hops))
+    paths = PathSet.of(path_from_nodes(net, h) for h in hops)
     return net, build_routing_system(net, paths)
 
 
@@ -375,8 +375,8 @@ def test_auto_route_boundary_counts_three_blocks(line):
     # crosses the line even though the collapsed LP has only 2 blocks
     net, paths, _ = line
     count = lp.EXACT_CELL_LIMIT // (3 * net.edge_count)
-    at_limit = PathSet(tuple(paths[i % len(paths)] for i in range(count)))
-    past_limit = PathSet(at_limit.paths + (paths[count % len(paths)],))
+    at_limit = PathSet.of(paths[i % len(paths)] for i in range(count))
+    past_limit = PathSet.of([*at_limit, paths[count % len(paths)]])
     exact = lp.max_throughput(net, build_routing_system(net, at_limit))
     approx = lp.max_throughput(net, build_routing_system(net, past_limit))
     assert isinstance(exact, Fraction) and exact == 20
@@ -397,7 +397,7 @@ def test_max_throughput_line(line):
 
 def test_max_throughput_no_paths():
     net = make_network(2, [(0, 1)], [8])
-    routing = build_routing_system(net, PathSet(()))
+    routing = build_routing_system(net, PathSet.of(()))
     assert lp.max_throughput(net, routing) == 0
 
 
@@ -531,7 +531,7 @@ def test_more_paths_never_hurt(line):
     net, paths, _ = line
     values = {}
     for mask in range(16):
-        subset = PathSet(tuple(p for i, p in enumerate(paths) if mask >> i & 1))
+        subset = PathSet.of(p for i, p in enumerate(paths) if mask >> i & 1)
         routing = build_routing_system(net, subset)
         values[mask] = lp.max_throughput(net, routing)
     for small in range(16):
@@ -758,7 +758,7 @@ def test_kept_optima_leave_the_route_choice_per_call(line):
 def _hop_walk_usage(routing, amounts):
     """Per-channel totals sent forward and backward, as two lists."""
     usage = ([0] * routing.edge_count, [0] * routing.edge_count)
-    for amount, hops in zip(amounts, routing.hops, strict=True):
+    for amount, hops in zip(amounts, routing_hops(routing), strict=True):
         for e, d in hops:
             usage[d][e] += amount
     return usage
@@ -863,7 +863,7 @@ def _reference_certify(routing, bounds, solution):
     ineq, eq = solution.duals
     alpha = [rational(max(-v, 0.0)) for v in ineq]
     gamma = [rational(-v) for v in eq]
-    for hops in routing.hops:
+    for hops in routing_hops(routing):
         if sum(alpha[e] + gamma[e] if d == FORWARD else -gamma[e] for e, d in hops) < 1:
             return None
     value = sum(flow.amounts, Fraction(0))
@@ -916,9 +916,9 @@ def test_certificate_matches_reference(instance, denominator, perturbation, rng,
     base, paths, _, _ = instance
     net = make_network(base.node_count, base.edges,
                        [c * scale for c in base.capacities])
-    routing = build_routing_system(net, PathSet(paths.paths + tuple(
+    routing = build_routing_system(net, PathSet.of([*paths, *(
         Path(p.destination, p.source, tuple((e, 1 - d) for e, d in reversed(p.hops)))
-        for p in paths)))
+        for p in paths)]))
     state = make_state(net, [
         Fraction(data.draw(st.integers(min_value=0, max_value=int(c * denominator))),
                  denominator) * scale
@@ -957,7 +957,7 @@ def _pinned_certificate(empty_path):
     else:
         # thirds in x, none in the bound: the flow and bound scales differ
         paths, x = (a, b, a, b), (1 / 3, 1 / 3, 2 / 3, 2 / 3)
-    routing = build_routing_system(net, PathSet(paths))
+    routing = build_routing_system(net, PathSet.of(paths))
     solution = lp.LpSolution(lp.OPTIMAL, x, 2.0, (np.array([-2.0]), np.array([1.0])))
     return routing, [Fraction(1)], solution
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,13 +51,21 @@ def test_network_rejects_bad_input():
         make_network(2, [(0, 1)], [0.5])
 
 
+def routing_hops(routing):
+    """Each path's (edge, direction) hops, read back from the routing's
+    arrays through the `Path`s that a `PathSet` over them yields."""
+    ends = np.zeros(routing.path_count, dtype=np.int64)
+    return [p.hops for p in PathSet(ends, ends, routing.indptr, routing.edge,
+                                    routing.sign)]
+
+
 def dense_views(routing):
     """The dense (canonical edges) x (ordered paths) forward, backward and
     delta = forward - backward incidences, read off the hops."""
     views = []
     for forward_entry, backward_entry in ((1, 0), (0, 1), (1, -1)):
         rows = [[0] * routing.path_count for _ in range(routing.edge_count)]
-        for p, hops in enumerate(routing.hops):
+        for p, hops in enumerate(routing_hops(routing)):
             for e, d in hops:
                 rows[e][p] = forward_entry if d == FORWARD else backward_entry
         views.append(tuple(tuple(row) for row in rows))
@@ -78,13 +87,13 @@ def test_routing_matrices_match_line_example(line):
 
 def test_routing_empty_and_single_hop():
     net = make_network(2, [(0, 1)], [4])
-    empty = build_routing_system(net, PathSet(()))
+    empty = build_routing_system(net, PathSet.of(()))
     forward, _, _ = dense_views(empty)
     assert forward == ((0,) * 0,) * 1 or forward == ((),)
     assert empty.path_count == 0
     assert _csr(empty) == ([0], [], [])
     single = build_routing_system(
-        net, PathSet((Path(0, 1, ((0, FORWARD),)),))
+        net, PathSet.of((Path(0, 1, ((0, FORWARD),)),))
     )
     assert dense_views(single) == (((1,),), ((0,),), ((1,),))
     assert _csr(single) == ([0, 1], [0], [1])
@@ -99,19 +108,19 @@ def test_routing_arrays_are_int_and_read_only(line):
 
 def test_routing_rejects_malformed_paths():
     net = make_network(3, [(0, 1), (1, 2)], [1, 1])
-    broken = PathSet((Path(0, 2, ((0, FORWARD), (1, BACKWARD))),))
+    broken = PathSet.of((Path(0, 2, ((0, FORWARD), (1, BACKWARD))),))
     with pytest.raises(ValueError, match="path 0"):
         build_routing_system(net, broken)
-    oob = PathSet((Path(0, 1, ((7, FORWARD),)),))
+    oob = PathSet.of((Path(0, 1, ((7, FORWARD),)),))
     with pytest.raises(ValueError, match="out of range"):
         build_routing_system(net, oob)
     # the error names the lowest failing path, here the second
-    late = PathSet((Path(0, 1, ((0, FORWARD),)), Path(1, 0, ((1, BACKWARD),))))
+    late = PathSet.of((Path(0, 1, ((0, FORWARD),)), Path(1, 0, ((1, BACKWARD),))))
     with pytest.raises(ValueError, match="path 1: non-contiguous at edge 1"):
         build_routing_system(net, late)
     edgeless = make_network(2, [], [])
     with pytest.raises(ValueError, match="path 0: edge index 0 out of range"):
-        build_routing_system(edgeless, PathSet((Path(0, 1, ((0, FORWARD),)),)))
+        build_routing_system(edgeless, PathSet.of((Path(0, 1, ((0, FORWARD),)),)))
 
 
 @st.composite
@@ -120,26 +129,45 @@ def _hop_lists(draw):
     hop = st.tuples(st.integers(min_value=0, max_value=edge_count - 1),
                     st.sampled_from((FORWARD, BACKWARD)))
     paths = draw(st.lists(st.lists(hop, max_size=4), max_size=6))
-    return edge_count, PathSet(tuple(Path(0, 0, tuple(h)) for h in paths))
+    return edge_count, PathSet.of(Path(0, 0, tuple(h)) for h in paths)
 
 
-@given(_hop_lists())
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                          st.lists(st.tuples(st.integers(-1, 6), st.integers(0, 2)),
+                                   max_size=4)),
+                max_size=6))
 @settings(max_examples=60, deadline=None)
-def test_channel_paths_is_the_hop_transpose(instance):
-    # built directly: the drawn hop lists are not contiguous paths
-    edge_count, paths = instance
-    index = RoutingSystem(tuple(p.hops for p in paths), edge_count).channel_paths
-    assert len(index) == edge_count
-    for e, entry in enumerate(index):
-        assert entry == tuple((p, d) for p, path in enumerate(paths)
-                              for he, d in path.hops if he == e)
+def test_pathset_arrays_round_trip_paths(drawn):
+    # unchecked: the arrays hold whatever hops they are given
+    paths = [Path(s, r, tuple(h)) for s, r, h in drawn]
+    pathset = PathSet.of(paths)
+    assert len(pathset) == len(paths)
+    assert list(pathset) == paths
+    assert [pathset[i] for i in range(-len(paths), 0)] == paths
+    with pytest.raises(IndexError):
+        pathset[len(paths)]
+    assert pathset.indptr.tolist() == [0, *np.cumsum([len(p) for p in paths], dtype=int)]
+    assert pathset.edge.tolist() == [e for p in paths for e, _ in p.hops]
+    assert pathset.sign.tolist() == [1 - 2 * d for p in paths for _, d in p.hops]
+    for name in ("source", "destination", "indptr", "edge", "sign"):
+        array = getattr(pathset, name)
+        assert array.dtype == np.int64 and not array.flags.writeable
+    assert pathset == PathSet.of(paths)
+    assert pathset != PathSet.of(paths + [Path(0, 0, ())])
+
+
+def test_routing_shares_the_pathset_arrays(line):
+    _, paths, routing = line
+    for name in ("indptr", "edge", "sign"):
+        assert getattr(routing, name) is getattr(paths, name)
 
 
 @given(_hop_lists())
 @settings(max_examples=60, deadline=None)
 def test_directed_paths_is_the_hop_transpose_by_channel_id(instance):
+    # built directly: the drawn hop lists are not contiguous paths
     edge_count, paths = instance
-    routing = RoutingSystem(tuple(p.hops for p in paths), edge_count)
+    routing = RoutingSystem(paths.indptr, paths.edge, paths.sign, edge_count)
     assert routing.directed.tolist() == [2 * e + d for p in paths for e, d in p.hops]
     assert not routing.directed.flags.writeable
     index = routing.directed_paths
@@ -157,12 +185,12 @@ def test_directed_paths_on_line(line):
 
 def test_directed_paths_edgeless_and_empty_paths():
     edgeless = build_routing_system(make_network(2, [], []),
-                                    PathSet((Path(0, 0, ()), Path(1, 1, ()))))
+                                    PathSet.of((Path(0, 0, ()), Path(1, 1, ()))))
     assert edgeless.directed.size == 0
     assert edgeless.directed_paths == ()
     net = make_network(3, [(0, 1), (1, 2)], [1, 1])
-    assert build_routing_system(net, PathSet(())).directed_paths == ((),) * 4
-    hopless = build_routing_system(net, PathSet((Path(2, 2, ()),)))
+    assert build_routing_system(net, PathSet.of(())).directed_paths == ((),) * 4
+    hopless = build_routing_system(net, PathSet.of((Path(2, 2, ()),)))
     assert hopless.directed_paths == ((),) * 4
 
 
@@ -293,7 +321,7 @@ def small_instance(draw):
     if not paths:
         u, v = net.edges[0]
         paths = [path_from_nodes(net, [u, v])]
-    pathset = PathSet(tuple(paths))
+    pathset = PathSet.of(paths)
     routing = build_routing_system(net, pathset)
 
     balances = [

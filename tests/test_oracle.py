@@ -19,18 +19,25 @@ from creditnet import (
 )
 from creditnet import lp
 from creditnet.oracle import (
+    BLOCK_BACKWARD,
+    BLOCK_FORWARD,
+    OPEN_BOTH,
+    OPTIMAL,
+    DeadlockAssignment,
     deadlocked_channels_bruteforce,
     enumerate_reachable,
     export_ilp,
     max_deadlock_exact,
 )
 from creditnet.peeling import build_peeling_graph, peel
+from creditnet.reduction import cnf_to_creditnet
+from test_acceptance import criterion_2_instances, criterion_3_formulas
 from test_model import small_instance
 
 
 def _instance(node_count, edges, routes, capacity=10):
     net = make_network(node_count, edges, [capacity] * len(edges))
-    paths = PathSet(tuple(path_from_nodes(net, r) for r in routes))
+    paths = PathSet.of(path_from_nodes(net, r) for r in routes)
     return net, paths
 
 
@@ -128,7 +135,7 @@ def test_unpeeled_count_bounds_exact_deadlock_size(instance, seed):
         "wrong-destination", "direction-two"])
 def test_malformed_path_is_rejected(path, message):
     net = make_network(3, [(0, 1), (1, 2)], [10, 10])
-    paths = PathSet((path,))
+    paths = PathSet.of((path,))
     for call in (build_routing_system, build_peeling_graph, max_deadlock_exact,
                  export_ilp):
         with pytest.raises(ValueError, match=f"path 0: {message}"):
@@ -138,10 +145,10 @@ def test_malformed_path_is_rejected(path, message):
 def test_edges_without_paths_all_deadlock():
     chain = [(i, i + 1) for i in range(21)]
     net = make_network(22, chain, [4] * 21)
-    too_big = max_deadlock_exact(net, PathSet(()))
+    too_big = max_deadlock_exact(net, PathSet.of(()))
     assert too_big.status == "Unsolved"
     assert too_big.witness_state is None
-    solved = max_deadlock_exact(net, PathSet(()), max_edges=25)
+    solved = max_deadlock_exact(net, PathSet.of(()), max_edges=25)
     assert solved.status == "Optimal"
     assert solved.deadlocked_edges == frozenset(range(21))
 
@@ -223,7 +230,7 @@ def test_search_matches_reference_milp(line):
             while prev[walk[-1]] is not None:
                 walk.append(prev[walk[-1]])
             routes.append(walk[::-1])
-        paths = PathSet(tuple(path_from_nodes(net, r) for r in routes))
+        paths = PathSet.of(path_from_nodes(net, r) for r in routes)
         cases.append((net, paths))
     for net, paths in cases:
         mine = max_deadlock_exact(net, paths)
@@ -231,13 +238,117 @@ def test_search_matches_reference_milp(line):
         assert mine.size == _reference_ilp_maximum(net, paths)
 
 
+# --- tuple-based references ---
+#
+# The maximum-deadlock search and the ILP export on (edge, direction) hop
+# tuples and a channel -> (path, direction) index, both rebuilt from the
+# iterated Paths; the oracles read the routing arrays instead, and must
+# return the same result and the same text.
+
+
+def _hops_and_channel_paths(net, paths):
+    hops = [p.hops for p in paths]
+    on_edge = [[] for _ in range(net.edge_count)]
+    for p, path_hops in enumerate(hops):
+        for e, d in path_hops:
+            on_edge[e].append((p, d))
+    return hops, on_edge
+
+
+def _reference_deadlock(net, paths):
+    hops, on_edge = _hops_and_channel_paths(net, paths)
+    ecount = net.edge_count
+    order = sorted(range(ecount), key=lambda e: (-len(on_edge[e]), e))
+    best = [0, {}]
+
+    def apply(state, edge, value):
+        assign, nblock, nundec, needs = state
+        stack = [(edge, value)]
+        while stack:
+            e, v = stack.pop()
+            if assign[e] is not None:
+                if assign[e] != v:
+                    return False
+                continue
+            assign[e] = v
+            for p, d in on_edge[e]:
+                if v != OPEN_BOTH:
+                    needs[p] = True
+                nundec[p] -= 1
+                if (v, d) in ((BLOCK_FORWARD, FORWARD), (BLOCK_BACKWARD, BACKWARD)):
+                    nblock[p] += 1
+            for p, _ in on_edge[e]:
+                if nblock[p] > 0 or not needs[p]:
+                    continue
+                if nundec[p] == 0:
+                    return False
+                if nundec[p] == 1:
+                    he, hd = next((he, hd) for he, hd in hops[p] if assign[he] is None)
+                    stack.append((he, BLOCK_FORWARD if hd == FORWARD else BLOCK_BACKWARD))
+        return True
+
+    def search(state):
+        assign = state[0]
+        deadlocked = [e for e in range(ecount) if assign[e] in (BLOCK_FORWARD, BLOCK_BACKWARD)]
+        undecided = [e for e in order if assign[e] is None]
+        if len(deadlocked) + len(undecided) <= best[0]:
+            return
+        if not undecided:
+            best[:] = [len(deadlocked), {e: assign[e] for e in deadlocked}]
+            return
+        for value in (BLOCK_FORWARD, BLOCK_BACKWARD, OPEN_BOTH):
+            if best[0] == ecount:
+                return
+            child = tuple(list(part) for part in state)
+            if apply(child, undecided[0], value):
+                search(child)
+
+    search(([None] * ecount, [0] * len(hops), [len(h) for h in hops], [False] * len(hops)))
+    blocking = best[1]
+    balances = [(0 if blocking[e] == BLOCK_FORWARD else cap) if e in blocking else cap / 2
+                for e, cap in enumerate(net.capacities)]
+    return DeadlockAssignment(
+        OPTIMAL, frozenset(blocking),
+        tuple((e, FORWARD if blocking[e] == BLOCK_FORWARD else BACKWARD)
+              for e in sorted(blocking)),
+        make_state(net, balances))
+
+
+def _reference_ilp(net, paths):
+    hops, on_edge = _hops_and_channel_paths(net, paths)
+    edges = range(net.edge_count)
+    lines = ["\\ maximum-deadlock search", "Minimize",
+             " obj: " + " + ".join(f"z_{e}" for e in edges), "Subject To"]
+    for e in edges:
+        lines += [f" cap_{e}: x_{e}_f + x_{e}_b >= 1",
+                  f" imb_{e}: z_{e} - x_{e}_f - x_{e}_b = -1"]
+    for pi, path_hops in enumerate(hops):
+        terms = [f"x_{e}_f" if d == FORWARD else f"x_{e}_b" for e, d in path_hops]
+        lines += [f" blk_{pi}_{hi}: y_{pi} - {x} <= 0" for hi, x in enumerate(terms)]
+        lines.append(f" opn_{pi}: y_{pi} - {' - '.join(terms)} >= {1 - len(terms)}")
+    lines += [f" dlk_{e}_{pi}: z_{e} - y_{pi} >= 0" for e in edges for pi, _ in on_edge[e]]
+    names = [f"x_{e}_{end}" for e in edges for end in "fb"]
+    names += [f"y_{pi}" for pi in range(len(hops))] + [f"z_{e}" for e in edges]
+    return "\n".join(lines + ["Binaries", " " + " ".join(names), "End"]) + "\n"
+
+
+def test_oracles_match_tuple_reference_on_criterion_corpora(line):
+    corpus = [(line[0], line[1], 20)]
+    corpus += [(net, paths, 20) for _, _, net, paths in criterion_2_instances()]
+    corpus += [(*cnf_to_creditnet(cnf), 80) for cnf in criterion_3_formulas()]
+    for net, paths, max_edges in corpus:
+        assert max_deadlock_exact(net, paths, max_edges=max_edges) == \
+            _reference_deadlock(net, paths)
+        assert export_ilp(net, paths) == _reference_ilp(net, paths)
+
+
 # --- exported 0/1 program ---
 
 
 def test_export_minimal_instance():
     net = make_network(2, [(0, 1)], [4])
-    text = export_ilp(net, PathSet(()))
-    assert text == export_ilp(net, PathSet(()))
+    text = export_ilp(net, PathSet.of(()))
+    assert text == export_ilp(net, PathSet.of(()))
     lines = text.splitlines()
     assert " obj: z_0" in lines
     constraints = [l for l in lines if l.startswith(" cap_") or l.startswith(" imb_")]
@@ -285,7 +396,7 @@ def test_line_empty_corner_is_not_absorbing():
 
 def test_enumerate_without_paths_stays_put():
     net = make_network(2, [(0, 1)], [2])
-    routing = build_routing_system(net, PathSet(()))
+    routing = build_routing_system(net, PathSet.of(()))
     start = _state(net, [1])
     assert enumerate_reachable(net, routing, start, 1) == {start}
 
@@ -299,7 +410,7 @@ def test_enumerate_single_edge_full_range():
 
 def test_enumerate_rejects_huge_lattice():
     net = make_network(2, [(0, 1)], [4 * 10**6])
-    routing = build_routing_system(net, PathSet(()))
+    routing = build_routing_system(net, PathSet.of(()))
     with pytest.raises(ValueError, match="lattice"):
         enumerate_reachable(net, routing, _state(net, [0]), 1)
 

@@ -9,6 +9,7 @@ from creditnet import BACKWARD, FORWARD, PathSet, make_network, path_from_nodes
 from creditnet.model import Path
 from creditnet.peeling import (FAILURE, SUCCESS, PeelResult, build_peeling_graph,
                                peel, ripple_trace_csv)
+from test_model import routing_hops
 
 
 def _opposite(channel):
@@ -21,7 +22,12 @@ def _reference_peel(routing, seed, pairing=False):
     rebuilt as its channels are processed, and the channel -> path view is
     scanned in both directions. peel must return the same PeelResult."""
     rng = random.Random(seed)
-    hops = [list(h) for h in routing.hops]
+    initial_hops = routing_hops(routing)
+    hops = [list(h) for h in initial_hops]
+    channel_paths = [[] for _ in range(routing.edge_count)]
+    for i, path_hops in enumerate(initial_hops):
+        for e, d in path_hops:
+            channel_paths[e].append((i, d))
     total = 2 * routing.edge_count
     processed = set()
     released = set()  # rippling or processed
@@ -32,7 +38,7 @@ def _reference_peel(routing, seed, pairing=False):
             released.add(channel)
             insort(ripple, channel)
 
-    for i, initial in enumerate(routing.hops):
+    for i, initial in enumerate(initial_hops):
         if len(initial) == 1:
             hops[i] = []
             release(_opposite(initial[0]))
@@ -49,7 +55,7 @@ def _reference_peel(routing, seed, pairing=False):
         processed.add(current)
         step += 1
         edge, direction = current
-        for i, d in routing.channel_paths[edge]:
+        for i, d in channel_paths[edge]:
             if d != direction or not hops[i]:
                 continue
             hops[i] = [c for c in hops[i] if c != current]
@@ -57,7 +63,7 @@ def _reference_peel(routing, seed, pairing=False):
             if degree == 1:
                 release(_opposite(hops[i][0]))
             elif degree == 0:
-                for channel in routing.hops[i]:
+                for channel in initial_hops[i]:
                     release(_opposite(channel))
         trace.append((step, len(ripple), total - step))
         if pairing:
@@ -80,7 +86,7 @@ def _reference_peel(routing, seed, pairing=False):
 
 def _instance(node_count, edges, routes):
     net = make_network(node_count, edges, [10] * len(edges))
-    paths = PathSet(tuple(path_from_nodes(net, r) for r in routes))
+    paths = PathSet.of(path_from_nodes(net, r) for r in routes)
     return net, paths
 
 
@@ -112,18 +118,18 @@ def _graph(instance):
 
 def test_chain_build_degrees():
     graph = _graph(_chain())
-    assert [len(h) for h in graph.hops] == [1, 1, 1, 2, 3]
+    assert [len(h) for h in routing_hops(graph)] == [1, 1, 1, 2, 3]
     assert graph.path_count == 5
 
 
 def test_stuck_triangle_has_no_single_hop_flows():
     graph = _graph(_stuck_triangle())
-    assert all(len(h) == 2 for h in graph.hops)
+    assert all(len(h) == 2 for h in routing_hops(graph))
 
 
 def test_empty_path_set():
     net, _ = _opposing_pair()
-    graph = build_peeling_graph(net, PathSet(()))
+    graph = build_peeling_graph(net, PathSet.of(()))
     assert graph.path_count == 0
     result = peel(graph, seed=0)
     assert result.outcome == "Failure"
@@ -205,9 +211,9 @@ def test_pairing_mode_reaches_the_same_answer(line):
 
 def test_peel_does_not_consume_the_graph():
     graph = _graph(_chain())
-    before = [len(h) for h in graph.hops]
+    before = routing_hops(graph)
     first = peel(graph, seed=7)
-    assert [len(h) for h in graph.hops] == before
+    assert routing_hops(graph) == before
     assert peel(graph, seed=7) == first
 
 
@@ -236,7 +242,7 @@ def _duplicated_routes():
 
 
 _NAMED = {
-    "empty": lambda: (_opposing_pair()[0], PathSet(())),
+    "empty": lambda: (_opposing_pair()[0], PathSet.of(())),
     "single hops": _single_hops,
     "stalled triangle": _stuck_triangle,
     "duplicated routes": _duplicated_routes,
@@ -276,9 +282,9 @@ def _random_instance(instance_seed):
         routes.append(walk)
     if routes:
         routes += [rng.choice(routes) for _ in range(rng.randrange(4))]
-    paths = PathSet(tuple(
+    paths = PathSet.of(
         path_from_nodes(net, r) if len(r) > 1 else Path(r[0], r[0], ())
-        for r in routes))
+        for r in routes)
     return net, paths
 
 
