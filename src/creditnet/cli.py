@@ -540,8 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="root seed for every random draw")
     common.add_argument("--out-dir", default=".",
                         help="directory for emitted artifacts")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for sweep cells")
 
     parser = argparse.ArgumentParser(
         prog="creditnet",
@@ -591,6 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "densities")
     p.add_argument("--config", default=None,
                    help="JSON config; desk-scale defaults when omitted")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for sweep cells")
     p.add_argument("--results", default="sweep_results.csv")
     p.add_argument("--stats", default="sweep_stats.csv")
     p.add_argument("--plot", default="sweep_plot.gp")

@@ -64,7 +64,6 @@ from .model import (
     center_state,
     channel_usage,
     check_balances,
-    make_state,
 )
 
 OPTIMAL = simplex.OPTIMAL
@@ -345,14 +344,7 @@ def worst_state_throughput(network: CreditNetwork, routing: RoutingSystem,
     for k in frozen:
         if not 0 <= k < network.edge_count:
             raise ValueError(f"frozen channel index {k} out of range")
-    balances = []
-    for k, c in enumerate(network.capacities):
-        if k in frozen:
-            value = Fraction(frozen[k])
-            if not 0 <= value <= c:
-                raise ValueError(f"frozen balance for channel {k} outside [0, capacity]")
-            balances.append(value)
-        else:
-            balances.append(c / 2)
-    state = make_state(network, balances)
+    state = BalanceState(tuple(Fraction(frozen[k]) if k in frozen else c / 2
+                               for k, c in enumerate(network.capacities)))
+    # one_step_throughput checks every balance against its capacity
     return _optimal_value(one_step_throughput(network, routing, state))

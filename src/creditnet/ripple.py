@@ -15,11 +15,6 @@ import math
 import random
 from dataclasses import dataclass
 
-# Beyond this degree the running product is taken in log space; the
-# factors are all below 1 and long products underflow to an exact zero
-# well before the probabilities stop mattering.
-LOG_SPACE_DEGREE = 8
-
 DISTRIBUTION_MASS_TOL = 1e-12
 
 
@@ -89,19 +84,10 @@ def release_prob(length: int, remaining: int, channel_count: int) -> float:
         return 0.0
     lead = length * (length - 1) * remaining \
         / ((channel_count - length + 1) * (channel_count - length + 2))
-    if length <= LOG_SPACE_DEGREE:
-        product = 1.0
-        for j in range(length - 2):
-            product *= (channel_count - (remaining + 1) - j) \
-                / (channel_count - j)
-        return lead * product
-    log_sum = 0.0
+    product = 1.0
     for j in range(length - 2):
-        num = channel_count - (remaining + 1) - j
-        if num <= 0:
-            return 0.0
-        log_sum += math.log(num) - math.log(channel_count - j)
-    return lead * math.exp(log_sum)
+        product *= (channel_count - (remaining + 1) - j) / (channel_count - j)
+    return lead * product
 
 
 def ripple_add_prob(length: int, remaining: int, ripple_size,

@@ -12,6 +12,13 @@ path-length mix over every ordered pair of its realizations' nodes.
 The search stops once its best score has not improved for
 `STALL_WINDOW` evaluations.
 
+A joint degree mix is one read-only symmetric float64 matrix; the
+mass of an unordered degree pair is split over its two mirror cells by
+`JointDegreeDistribution.of_pairs` alone, and read back summed by
+`JointDegreeDistribution.pairs`.  Float sums on the search path run left
+to right, not pairwise: the anneal is chaotic in the last bit, so any
+reordering changes which matrices a search visits.
+
 Realizations are wired by the construction of Gjoka, Tillman &
 Markopoulou, "Construction of Simple Graphs with a Target Joint Degree
 Matrix and Beyond" (IEEE INFOCOM 2015), ported here step for step from
@@ -30,14 +37,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from .model import CreditNetwork, closed_arcs, hop_levels, make_network
+from .model import CreditNetwork, closed_arcs, hop_levels
 from .ripple import PathLengthDistribution, ripple_add_prob
+from .topology import DEFAULT_TOTAL_COLLATERAL, with_uniform_capacities
 
 RIPPLE_SCALE = 1.7
 RIPPLE_DECAY = 2.5
@@ -72,8 +80,6 @@ class SynthesisTarget:
     max_path_length: int = 10
     max_degree: int = 10
     jdd_max_degree: int = 20
-    ripple_scale: float = RIPPLE_SCALE
-    ripple_decay: float = RIPPLE_DECAY
 
     def __post_init__(self):
         if min(self.channel_budget, self.node_budget, self.flow_budget) <= 0:
@@ -104,9 +110,8 @@ def target_additions(remaining: int, channel_count: int,
             - target_ripple(remaining + 1, scale, decay) + 1.0)
 
 
-def build_design_matrix(channel_count: int, max_length: int | None = None,
-                        scale: float = RIPPLE_SCALE,
-                        decay: float = RIPPLE_DECAY) -> np.ndarray:
+def build_design_matrix(channel_count: int,
+                        max_length: int | None = None) -> np.ndarray:
     """Rows are levels k..1; entry (row, length) is the chance one flow
     of that length adds a channel to the target-sized ripple there.
 
@@ -121,15 +126,14 @@ def build_design_matrix(channel_count: int, max_length: int | None = None,
         if level == channel_count:
             before = 0.0
         else:
-            before = target_ripple(level + 1, scale, decay)
+            before = target_ripple(level + 1)
         rows.append([ripple_add_prob(length, level, before, channel_count)
                      for length in range(1, top + 1)])
     return np.array(rows, dtype=float)
 
 
-def target_vector(channel_count: int, scale: float = RIPPLE_SCALE,
-                  decay: float = RIPPLE_DECAY) -> np.ndarray:
-    return np.array([target_additions(level, channel_count, scale, decay)
+def target_vector(channel_count: int) -> np.ndarray:
+    return np.array([target_additions(level, channel_count)
                      for level in range(channel_count, 0, -1)])
 
 
@@ -181,9 +185,8 @@ def optimize_path_length_dist(target: SynthesisTarget) -> OptimizedPathLengths:
             f"length caps only admit {bounds.sum():.1f} flows in total, "
             f"below the required {m:.0f}; the degree cap "
             f"{target.max_degree} (and the length-1 budget cap) bind")
-    matrix = build_design_matrix(k, len(bounds), target.ripple_scale,
-                                 target.ripple_decay)
-    goal = target_vector(k, target.ripple_scale, target.ripple_decay)
+    matrix = build_design_matrix(k, len(bounds))
+    goal = target_vector(k)
     size = len(bounds)
     # Row i - 1 reads x[i] - x[i + 1] >= 0 for i >= 1.
     tail = (np.eye(size) - np.eye(size, k=1))[1:-1]
@@ -243,34 +246,55 @@ def search_flow_budget(target: SynthesisTarget, low: int, high: int,
     return best, cache[best]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDegreeDistribution:
     """Chance that a uniformly random edge joins given endpoint degrees.
 
-    Stored as a symmetric matrix indexed by degree minus one; mass for an
-    unordered pair (j, l) with j != l is split evenly across the two
-    mirror entries, so the whole matrix sums to 1.
+    `entries` is a read-only symmetric float64 matrix indexed by degree
+    minus one, summing to 1; the mass of an unordered pair (j, l) with
+    j != l is split evenly across the two mirror entries (`of_pairs`).
     """
 
-    entries: tuple[tuple[float, ...], ...]
+    entries: np.ndarray
 
     def __post_init__(self):
-        size = len(self.entries)
-        if any(len(row) != size for row in self.entries):
+        m = np.array(self.entries, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("joint degree matrix must be square")
-        total = 0.0
-        for j in range(size):
-            for l in range(size):
-                v = self.entries[j][l]
-                if not math.isfinite(v):
-                    raise ValueError("joint degree mass must be finite")
-                if v < -1e-15:
-                    raise ValueError("negative joint degree mass")
-                if abs(v - self.entries[l][j]) > 1e-9:
-                    raise ValueError("joint degree matrix must be symmetric")
-                total += v
+        if not np.isfinite(m).all():
+            raise ValueError("joint degree mass must be finite")
+        if (m < -1e-15).any():
+            raise ValueError("negative joint degree mass")
+        if (np.abs(m - m.T) > 1e-9).any():
+            raise ValueError("joint degree matrix must be symmetric")
+        total = float(m.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"joint degree mass sums to {total!r}, not 1")
+        m.flags.writeable = False
+        object.__setattr__(self, "entries", m)
+
+    @classmethod
+    def of_pairs(cls, pairs) -> JointDegreeDistribution:
+        """The matrix whose unordered-pair masses are the upper triangle
+        of `pairs` (entry [j - 1, l - 1] for degrees j <= l; the rest is
+        ignored): diagonal mass stays put, and off-diagonal mass is
+        halved into both mirror entries.  No other code splits pair mass.
+        """
+        pairs = np.asarray(pairs, dtype=np.float64)
+        half = np.triu(pairs, 1) / 2.0
+        return cls(half + half.T + np.diag(np.diag(pairs)))
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """Unordered-pair masses, the inverse of `of_pairs`: each mirror
+        entry folded onto the upper triangle, zero below the diagonal."""
+        pairs = np.triu(self.entries) + np.tril(self.entries, -1).T
+        pairs.flags.writeable = False
+        return pairs
+
+    def __eq__(self, other):
+        return isinstance(other, JointDegreeDistribution) \
+            and np.array_equal(self.entries, other.entries)
 
     @property
     def max_degree(self) -> int:
@@ -278,16 +302,12 @@ class JointDegreeDistribution:
 
     def pair_mass(self, deg_a: int, deg_b: int) -> float:
         """Unordered-pair probability."""
-        q = self.entries[deg_a - 1][deg_b - 1]
-        return q if deg_a == deg_b else 2.0 * q
+        return float(self.pairs[min(deg_a, deg_b) - 1, max(deg_a, deg_b) - 1])
 
     def implied_node_count(self, channel_count: int) -> float:
         """Node total consistent with this edge mix at a given size."""
-        total = 0.0
-        for j in range(1, self.max_degree + 1):
-            stubs = 2.0 * channel_count * sum(self.entries[j - 1])
-            total += stubs / j
-        return total
+        stubs = 2.0 * channel_count * self.entries.sum(axis=1)
+        return float((stubs / np.arange(1, self.max_degree + 1)).sum())
 
 
 def jdd_from_graph(graph: nx.Graph) -> JointDegreeDistribution:
@@ -296,17 +316,14 @@ def jdd_from_graph(graph: nx.Graph) -> JointDegreeDistribution:
 
 def _joint_degree_matrix(graph: nx.Graph, cap: int) -> JointDegreeDistribution:
     """The graph's edge-endpoint degree mix; degrees above `cap` count as `cap`."""
-    degree = {u: min(d, cap) for u, d in graph.degree()}
-    matrix = [[0.0] * cap for _ in range(cap)]
-    edges = graph.number_of_edges()
-    for u, v in graph.edges():
-        a, b = degree[u], degree[v]
-        if a == b:
-            matrix[a - 1][a - 1] += 1.0 / edges
-        else:
-            matrix[a - 1][b - 1] += 0.5 / edges
-            matrix[b - 1][a - 1] += 0.5 / edges
-    return JointDegreeDistribution(tuple(tuple(row) for row in matrix))
+    degree = dict(graph.degree())
+    ends = np.array([(degree[u], degree[v]) for u, v in graph.edges()],
+                    dtype=np.int64).reshape(-1, 2)
+    ends = np.sort(np.minimum(ends, cap), axis=1) - 1
+    pairs = np.zeros((cap, cap))
+    # one unbuffered addition per edge, so a cell's mass is a running sum
+    np.add.at(pairs, (ends[:, 0], ends[:, 1]), 1.0 / max(len(ends), 1))
+    return JointDegreeDistribution.of_pairs(pairs)
 
 
 def neutral_mixing_jdd(node_counts: dict[int, int],
@@ -318,26 +335,20 @@ def neutral_mixing_jdd(node_counts: dict[int, int],
     """
     if any(j < 1 or j > max_degree for j in node_counts):
         raise ValueError("degrees must lie in [1, max_degree]")
-    total = sum(j * c for j, c in node_counts.items())
-    matrix = [[0.0] * max_degree for _ in range(max_degree)]
-    for j, cj in node_counts.items():
-        for l, cl in node_counts.items():
-            matrix[j - 1][l - 1] += (j * cj / total) * (l * cl / total)
-    mass = sum(sum(row) for row in matrix)
-    return JointDegreeDistribution(tuple(tuple(v / mass for v in row)
-                                         for row in matrix))
+    degrees = np.array(list(node_counts), dtype=np.int64)
+    stubs = degrees * np.array(list(node_counts.values()), dtype=np.int64)
+    share = np.zeros(max_degree)
+    share[degrees - 1] = stubs / stubs.sum()
+    matrix = np.outer(share, share)
+    return JointDegreeDistribution(matrix / matrix.sum())
 
 
 def _edge_count_cells(jdd: JointDegreeDistribution):
-    cells = []
-    weights = []
-    for j in range(1, jdd.max_degree + 1):
-        for l in range(j, jdd.max_degree + 1):
-            w = jdd.pair_mass(j, l)
-            if w > 0.0:
-                cells.append((j, l))
-                weights.append(w)
-    return cells, weights
+    """Degree pairs (j, l), j <= l, with positive mass, row by row, and
+    their unordered-pair masses."""
+    j, l = np.nonzero(jdd.pairs > 0.0)
+    return (list(zip((j + 1).tolist(), (l + 1).tolist())),
+            jdd.pairs[j, l].tolist())
 
 
 def sample_edge_counts(jdd: JointDegreeDistribution, channel_count: int,
@@ -582,15 +593,15 @@ def _switch_neighbour(adj: list[dict[int, None]], w: int, unsat: set[int],
 
 
 def synthesize_graph(jdd: JointDegreeDistribution, channel_budget: int,
-                     seed: int, total_collateral=10_000) -> CreditNetwork:
-    """Realize the joint degree mix and keep the largest component.
+                     seed: int) -> CreditNetwork:
+    """Realize the joint degree mix and keep the largest component, with
+    the default collateral spread evenly over its channels.
 
     The realized size follows from the degree mix and the channel
     budget, and the largest-component cut shaves a few percent off both.
     """
-    node_count, edges = _realize_edges(jdd, channel_budget, seed)
-    cap = Fraction(total_collateral) / len(edges)
-    return make_network(node_count, edges, [cap] * len(edges))
+    return with_uniform_capacities(*_realize_edges(jdd, channel_budget, seed),
+                                   DEFAULT_TOTAL_COLLATERAL)
 
 
 # Set bits per byte value: a popcount that needs no numpy 2 ufunc.
@@ -726,16 +737,10 @@ def _hub_and_chain_jdd(target: SynthesisTarget, chain_nodes: int,
                 else stubs[d1] ** 2 / 2.0
             cells[(d1, d2)] = cells.get((d1, d2), 0.0) \
                 + core * 2.0 * w / total_hub_stubs ** 2
-    matrix = [[0.0] * cap for _ in range(cap)]
-    total = sum(cells.values())
-    for (a, b), c in cells.items():
-        mass = c / total
-        if a == b:
-            matrix[a - 1][a - 1] += mass
-        else:
-            matrix[a - 1][b - 1] += mass / 2.0
-            matrix[b - 1][a - 1] += mass / 2.0
-    return JointDegreeDistribution(tuple(tuple(row) for row in matrix))
+    pairs = np.zeros((cap, cap))
+    rows, cols = (np.array(list(cells)) - 1).T
+    pairs[rows, cols] = np.array(list(cells.values())) / sum(cells.values())
+    return JointDegreeDistribution.of_pairs(pairs)
 
 
 def _initial_guess(target_dist: PathLengthDistribution,
@@ -850,35 +855,26 @@ def optimize_jdd(target_dist: PathLengthDistribution,
                            evaluations=evaluations, status=status)
 
 
-def _move_mass(jdd: JointDegreeDistribution, rng: random.Random,
-               amount: float = PROPOSAL_MASS):
-    cap = jdd.max_degree
-    matrix = [list(row) for row in jdd.entries]
-    donors = [(j, l) for j in range(cap) for l in range(j, cap)
-              if (matrix[j][l] if j == l else 2 * matrix[j][l]) >= amount]
-    if not donors:
+def _move_mass(jdd: JointDegreeDistribution, rng: random.Random):
+    """Move `PROPOSAL_MASS` of pair mass from a random degree pair that
+    holds that much to a random other pair, then renormalize; None when
+    the draw picks the donor again or no pair can give."""
+    pairs = jdd.pairs.copy()
+    donors = np.argwhere(pairs >= PROPOSAL_MASS)
+    if not len(donors):
         return None
-    dj, dl = donors[rng.randrange(len(donors))]
-    rj = rng.randrange(cap)
-    rl = rng.randrange(rj, cap)
+    dj, dl = donors[rng.randrange(len(donors))].tolist()
+    rj = rng.randrange(jdd.max_degree)
+    rl = rng.randrange(rj, jdd.max_degree)
     if (dj, dl) == (rj, rl):
         return None
-    half = amount / 2.0
-    if dj == dl:
-        matrix[dj][dl] -= amount
-    else:
-        matrix[dj][dl] -= half
-        matrix[dl][dj] -= half
-    if rj == rl:
-        matrix[rj][rl] += amount
-    else:
-        matrix[rj][rl] += half
-        matrix[rl][rj] += half
-    if matrix[dj][dl] < -1e-12 or matrix[dl][dj] < -1e-12:
-        return None
-    total = sum(sum(row) for row in matrix)
-    scaled = tuple(tuple(max(v, 0.0) / total for v in row) for row in matrix)
-    return JointDegreeDistribution(scaled)
+    pairs[dj, dl] -= PROPOSAL_MASS
+    pairs[rj, rl] += PROPOSAL_MASS
+    moved = JointDegreeDistribution.of_pairs(pairs).entries
+    # summed row by row, left to right: the anneal is chaotic in the
+    # last bit, and numpy's pairwise sum would move its results
+    total = sum(map(sum, moved.tolist()))
+    return JointDegreeDistribution(np.maximum(moved, 0.0) / total)
 
 
 def write_distribution_csv(dist: PathLengthDistribution) -> str:
@@ -903,28 +899,20 @@ def read_distribution_csv(text: str) -> PathLengthDistribution:
 
 
 def write_jdd_csv(jdd: JointDegreeDistribution) -> str:
-    """Lower-triangular unordered-pair mass, one row per degree."""
-    lines = []
-    for j in range(1, jdd.max_degree + 1):
-        lines.append(",".join(f"{jdd.pair_mass(l, j):.12g}"
-                              for l in range(1, j + 1)))
-    return "\n".join(lines) + "\n"
+    """Lower-triangular unordered-pair mass, one row per degree: row j
+    holds pairs (1, j) .. (j, j)."""
+    return "".join(",".join(f"{v:.12g}" for v in column[:j].tolist()) + "\n"
+                   for j, column in enumerate(jdd.pairs.T, start=1))
 
 
 def read_jdd_csv(text: str) -> JointDegreeDistribution:
+    """Read what write_jdd_csv writes."""
     rows = [ln for ln in text.strip().splitlines() if ln]
-    cap = len(rows)
-    matrix = [[0.0] * cap for _ in range(cap)]
     for j, ln in enumerate(rows, start=1):
-        cells = ln.split(",")
-        if len(cells) != j:
+        if ln.count(",") != j - 1:
             raise ValueError(f"row {j} of a triangular matrix needs {j} "
-                             f"entries, got {len(cells)}")
-        for l, cell in enumerate(cells, start=1):
-            mass = float(cell)
-            if l == j:
-                matrix[j - 1][l - 1] = mass
-            else:
-                matrix[j - 1][l - 1] = mass / 2.0
-                matrix[l - 1][j - 1] = mass / 2.0
-    return JointDegreeDistribution(tuple(tuple(row) for row in matrix))
+                             f"entries, got {ln.count(',') + 1}")
+    lower = np.zeros((len(rows), len(rows)))
+    lower[np.tril_indices(len(rows))] = np.array(",".join(rows).split(","),
+                                                 dtype=np.float64)
+    return JointDegreeDistribution.of_pairs(lower.T)

@@ -73,7 +73,7 @@ def gen_topology(spec: TopologySpec) -> CreditNetwork:
         if spec.graph_path is None:
             raise ValueError("imported topology needs a graph_path")
         base = read_graph(Path(spec.graph_path))
-        return _with_uniform_capacities(
+        return with_uniform_capacities(
             base.node_count, base.edges, spec.total_collateral)
 
     _validate(spec)
@@ -88,11 +88,12 @@ def gen_topology(spec: TopologySpec) -> CreditNetwork:
             f"attempts from seed {spec.seed}; the requested topology "
             f"is too sparse")
     edges = [tuple(sorted(e)) for e in graph.edges()]
-    return _with_uniform_capacities(spec.node_count, edges,
-                                    spec.total_collateral)
+    return with_uniform_capacities(spec.node_count, edges,
+                                   spec.total_collateral)
 
 
-def _with_uniform_capacities(node_count, edges, total_collateral):
+def with_uniform_capacities(node_count, edges, total_collateral):
+    """The network on `edges` with the collateral split evenly over them."""
     if not edges:
         raise ValueError("topology has no channels to carry collateral")
     cap = Fraction(total_collateral) / len(edges)

@@ -345,6 +345,12 @@ def test_invalid_input_exits_two(tmp_path, capsys):
                "--edges", "2", "--out-dir", str(tmp_path)])
     assert rc == EXIT_BAD_INPUT
     capsys.readouterr()
+    # only sweep runs worker processes, so only sweep takes --threads
+    with pytest.raises(SystemExit) as stop:
+        main(["gen", "--kind", "ErdosRenyi", "--nodes", "10", "--edges", "20",
+              "--threads", "2", "--out-dir", str(tmp_path)])
+    assert stop.value.code == EXIT_BAD_INPUT
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     zero_den = tmp_path / "zero.graph"
     zero_den.write_text("nodes 3\n0 1 1/0\n1 2 20\n", encoding="utf-8")
     rc = main(["analyze", "--graph", str(zero_den), "--pairs", "2",

@@ -37,14 +37,15 @@ def test_release_frozen_values():
 
 def test_release_matches_order_statistics_exactly():
     # The closed form equals P(the (d-1)-th smallest of a uniform random
-    # d-subset of positions 1..k sits at position k-L).
-    for k in (20, 50):
-        for d in range(2, 9):
-            for L in range(1, k - d + 2):
-                p = k - L
-                exact = math.comb(p - 1, d - 2) * (k - p) / math.comb(k, d)
-                assert release_prob(d, L, k) == pytest.approx(exact,
-                                                              rel=1e-12)
+    # d-subset of positions 1..k sits at position k-L).  Lengths up to 40
+    # run the product down to values near 1e-40.
+    cases = [(k, d) for k in (20, 50) for d in range(2, 9)] \
+        + [(k, d) for k in (50, 200) for d in range(9, 41)]
+    for k, d in cases:
+        for L in range(1, k - d + 2):
+            p = k - L
+            exact = math.comb(p - 1, d - 2) * (k - p) / math.comb(k, d)
+            assert release_prob(d, L, k) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_release_million_trial_monte_carlo():
