@@ -39,6 +39,15 @@ Three solve routes; ThroughputReport.route names the one that ran:
 The size alone picks the route: results are exact (certified or simplex)
 for 3 * channels * paths <= EXACT_CELL_LIMIT and float above.
 
+The floor min_throughput is the same LP as the ceiling max_throughput with
+the unpeeled channels' bounds lowered from c/2 to 0, so each routing keeps
+the ceiling's optimum x, keyed by the capacities it was solved for, and the
+floor returns the ceiling's value without a solve when x sends exactly no
+flow over any path through an unpeeled channel. Proof: the floor's feasible
+set lies inside the ceiling's, so floor <= ceiling, and such an x is
+feasible for the floor and reaches the ceiling. Any other unpeeled set, or
+a routing with no kept optimum for these capacities, is solved as before.
+
 one_step_throughput reports the solver status with its value; the peak and
 floor functions raise RuntimeError when the solver stops short of an optimum.
 """
@@ -61,7 +70,6 @@ from .model import (
     CreditNetwork,
     FlowVector,
     RoutingSystem,
-    center_state,
     channel_usage,
     check_balances,
 )
@@ -140,6 +148,8 @@ class _LpForms:
     `simplex_optima` maps tuple(bounds) to the simplex's solution for those
     bounds, so a bound vector met again (a state and its mirror c - b give
     the same one) is not solved again.
+    `ceiling` is max_throughput's last optimum as (capacities, value, x),
+    None until one is reached; min_throughput reuses it.
     It holds the arrays, not the routing, so the two form no cycle."""
 
     def __init__(self, routing: RoutingSystem):
@@ -147,6 +157,7 @@ class _LpForms:
         self.path = routing.path
         self.shape = (routing.path_count, routing.edge_count)
         self.simplex_optima: dict[tuple, LpSolution] = {}
+        self.ceiling: tuple | None = None
 
     @cached_property
     def highs_matrices(self):
@@ -302,19 +313,31 @@ def _optimal_value(report: ThroughputReport) -> Fraction | float:
     return report.psi_value
 
 
+def _check_routing(network: CreditNetwork, routing: RoutingSystem) -> None:
+    if routing.edge_count != network.edge_count:
+        raise ValueError("routing system does not match network edge count")
+
+
 def one_step_throughput(network: CreditNetwork, routing: RoutingSystem,
                         state: BalanceState) -> ThroughputReport:
     """Best total flow sendable from `state` without shifting any balance."""
-    if routing.edge_count != network.edge_count:
-        raise ValueError("routing system does not match network edge count")
+    _check_routing(network, routing)
     check_balances(network, state.balances)
     return _throughput(routing, [min(b, c - b)
                                  for c, b in zip(network.capacities, state.balances)])
 
 
 def max_throughput(network: CreditNetwork, routing: RoutingSystem) -> Fraction | float:
-    """Throughput ceiling: the one-step value at the perfectly balanced state."""
-    return _optimal_value(one_step_throughput(network, routing, center_state(network)))
+    """Throughput ceiling: the one-step value at the perfectly balanced state.
+
+    The optimum is kept with the routing for min_throughput.
+    """
+    _check_routing(network, routing)
+    report = _throughput(routing, [c / 2 for c in network.capacities])
+    value = _optimal_value(report)
+    _lp_forms(routing).ceiling = (network.capacities, value,
+                                  np.asarray(report.optimal_flow.amounts))
+    return value
 
 
 def min_throughput(network: CreditNetwork, routing: RoutingSystem,
@@ -322,11 +345,20 @@ def min_throughput(network: CreditNetwork, routing: RoutingSystem,
     """Throughput floor estimate: channels in `unpeeled` admit no flow.
 
     Zeroing a channel's capacity and balancing the rest is equivalent to
-    deleting every path through the zeroed channels.
+    deleting every path through the zeroed channels. The ceiling's kept
+    optimum answers without a solve when it uses none of those paths.
     """
+    _check_routing(network, routing)
     for k in unpeeled:
         if not 0 <= k < network.edge_count:
             raise ValueError(f"unpeeled channel index {k} out of range")
+    kept = _lp_forms(routing).ceiling
+    if kept is not None and kept[0] == network.capacities:
+        _, value, x = kept
+        zeroed = np.zeros(network.edge_count, dtype=bool)
+        zeroed[list(unpeeled)] = True
+        if not (x[routing.path[zeroed[routing.edge]]] != 0).any():
+            return value
     half = [c / 2 if k not in unpeeled else _ZERO
             for k, c in enumerate(network.capacities)]
     return _optimal_value(_throughput(routing, half))

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -13,6 +14,7 @@ from creditnet.cli import (
     desk_scale_config,
     load_sweep_config,
     main,
+    results_csv,
     run_sweep,
     SweepConfig,
 )
@@ -172,6 +174,38 @@ def test_sweep_rows_match_library_sweep(tmp_path, capsys):
     body = (tmp_path / "sweep_results.csv").read_text("utf-8")
     for row in rows:
         assert f"Star,{row['seed']},20," in body
+
+
+def test_sweep_floor_does_not_depend_on_the_ceiling():
+    # 3 * 60 channels * 120+ paths > EXACT_CELL_LIMIT, so every LP takes
+    # the float route
+    solves, highs = [], lp._highs
+
+    def counting_highs(*args):
+        solves.append(args)
+        return highs(*args)
+
+    def sweep(with_phi_max):
+        solves.clear()
+        with mock.patch.object(lp, "_highs", counting_highs):
+            return run_sweep(SweepConfig(
+                topologies=(TopologySpec(kind=ERDOS_RENYI, node_count=30,
+                                         edge_budget=60),),
+                densities=(120, 240), graph_instances=2, demand_matrices=2,
+                with_phi_max=with_phi_max, measure_runtime=False))
+
+    without_max = sweep(False)
+    assert len(solves) == 8
+    with_max = sweep(True)
+    # the kept ceilings answer some floors, not all
+    assert 8 < len(solves) < 16
+    assert all(isinstance(row["phi_max"], float) for row in with_max)
+    assert all(row["phi_max"] == "" for row in without_max)
+    for a, b in zip(with_max, without_max):
+        assert a["frac_unpeeled"] == b["frac_unpeeled"]
+        assert a["phi_min"] == pytest.approx(b["phi_min"], rel=1e-9, abs=1e-9)
+    assert ([line.split(",")[4] for line in results_csv(with_max).splitlines()]
+            == [line.split(",")[4] for line in results_csv(without_max).splitlines()])
 
 
 def test_sweep_config_validation():

@@ -436,6 +436,16 @@ def test_min_throughput_rejects_bad_index(line):
         lp.min_throughput(net, routing, {7})
 
 
+def test_throughputs_reject_a_routing_of_another_network(line):
+    _, _, routing = line
+    other = make_network(2, [(0, 1)], [20])
+    for call in (lambda: lp.max_throughput(other, routing),
+                 lambda: lp.min_throughput(other, routing, set()),
+                 lambda: lp.one_step_throughput(other, routing, center_state(other))):
+        with pytest.raises(ValueError, match="does not match network edge count"):
+            call()
+
+
 def test_worst_state_full_freeze_is_zero(line):
     net, _, routing = line
     assert lp.worst_state_throughput(net, routing, {0: 20, 1: 0}) == 0
@@ -744,6 +754,91 @@ def test_kept_optima_leave_the_route_choice_per_call(line):
     assert fallback.route == lp.SIMPLEX
     assert fallback.psi_value == certified.psi_value == 20
     assert _signature(fallback) == _signature(kept)
+
+
+# --- the floor from the ceiling's kept optimum ---
+
+
+@st.composite
+def _floor_cases(draw):
+    """A small instance with the reverse of some of its paths added, so
+    that most carry flow at C/2, next to one-way paths that steady state
+    may hold at zero, and a set of at most two unpeeled channels."""
+    net, paths, _, _ = draw(small_instance())
+    flip = {FORWARD: BACKWARD, BACKWARD: FORWARD}
+    back = [Path(p.destination, p.source, tuple((e, flip[d]) for e, d in reversed(p.hops)))
+            for p in paths if draw(st.booleans())]
+    paths = PathSet.of([*paths, *back])
+    unpeeled = draw(st.sets(st.integers(0, net.edge_count - 1), max_size=2))
+    return net, paths, unpeeled
+
+
+def _floors(net, paths, unpeeled):
+    """min_throughput after max_throughput on one routing, and on a fresh
+    routing of the same paths, which has no optimum kept."""
+    routing = build_routing_system(net, paths)
+    lp.max_throughput(net, routing)
+    warm = lp.min_throughput(net, routing, unpeeled)
+    return warm, lp.min_throughput(net, build_routing_system(net, paths), unpeeled)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_floor_cases())
+def test_floor_after_the_ceiling_matches_a_fresh_routing(case):
+    warm, fresh = _floors(*case)
+    assert isinstance(warm, Fraction) and isinstance(fresh, Fraction)
+    assert warm == fresh
+
+
+@settings(max_examples=60, deadline=None)
+@given(_floor_cases())
+def test_floor_after_the_ceiling_matches_a_fresh_routing_on_floats(case):
+    with _route(exact=False):
+        warm, fresh = _floors(*case)
+    assert isinstance(warm, float) and isinstance(fresh, float)
+    assert warm == pytest.approx(fresh, rel=1e-9, abs=1e-9)
+
+
+def _line_with_a_one_way_spur():
+    """The line instance plus channel 2 = (2, 3), crossed by the one-way
+    path 2->3 alone. Steady state forces the flow of 2->3, 1->2 and 1->0 to
+    exactly 0, so the one optimum at C/2 sends 10 each way along 0-1-2."""
+    net = make_network(4, [(0, 1), (1, 2), (2, 3)], [20, 20, 20])
+    paths = PathSet.of(path_from_nodes(net, h)
+                       for h in ([0, 1, 2], [2, 1, 0], [1, 2], [1, 0], [2, 3]))
+    return net, build_routing_system(net, paths)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("unpeeled, solves, floor",
+                         [(set(), 0, 20), ({2}, 0, 20), ({0}, 1, 0), ({1, 2}, 1, 0)])
+def test_floor_reuses_the_ceiling_only_when_it_fits(exact, unpeeled, solves, floor):
+    net, routing = _line_with_a_one_way_spur()
+    counted = []
+
+    def counting(solve):
+        def wrapped(*args, **kwargs):
+            counted.append(solve)
+            return solve(*args, **kwargs)
+        return wrapped
+
+    with _route(exact), \
+            mock.patch.object(simplex, "solve_dense", counting(simplex.solve_dense)), \
+            mock.patch.object(lp, "linprog", counting(linprog)):
+        assert lp.max_throughput(net, routing) == 20
+        assert len(counted) == 1
+        assert lp.min_throughput(net, routing, unpeeled) == pytest.approx(floor)
+    assert len(counted) == 1 + solves
+
+
+def test_floor_never_reads_another_networks_ceiling(line):
+    net_a, paths, routing = line
+    net_b = make_network(3, [(0, 1), (1, 2)], [40, 40])
+    assert lp.max_throughput(net_a, routing) == 20
+    # net_a's optimum fits the empty set, but net_b's floor is its own
+    assert lp.min_throughput(net_b, routing, set()) == 40
+    assert lp.max_throughput(net_b, build_routing_system(net_b, paths)) == 40
+    assert lp.min_throughput(net_a, routing, set()) == 20
 
 
 # --- channel usage and the certificate against hop-by-hop references ---
