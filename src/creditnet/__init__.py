@@ -21,8 +21,6 @@ from .model import (
     make_flow,
     make_network,
     make_state,
-    path_from_nodes,
-    path_nodes,
 )
 
 __version__ = "0.1.0"

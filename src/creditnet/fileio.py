@@ -5,24 +5,18 @@ Graph file: one header line `nodes <N>`, then one line per edge
 written as plain decimals when the rational has a terminating decimal
 expansion and as `p/q` otherwise, so round-trips are exact either way.
 
-Path file: one line per path, `src dst n0 n1 ... nk` (node sequence,
-n0 = src, nk = dst). Demand file: one line per pair, `src dst`.
+Path file: one line per path, `src dst n0 n1 ... nk` (node walk, n0 = src,
+nk = dst, k >= 1), read and written through the `PathSet` node-walk
+converters; `build_routing_system` checks both. Demand file: `src dst` lines.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path as FsPath
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
-from .model import (
-    CreditNetwork,
-    Path,
-    PathSet,
-    make_network,
-    path_from_nodes,
-    path_nodes,
-)
+from .model import CreditNetwork, PathSet, build_routing_system, make_network
 
 TextSource = Union[str, FsPath]
 
@@ -58,10 +52,10 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _read_text(source: TextSource) -> str:
-    if isinstance(source, FsPath):
-        return source.read_text(encoding="utf-8")
-    return source
+def _lines(source: TextSource) -> list[str]:
+    """The stripped, non-empty lines of a file, or of a text."""
+    text = source.read_text(encoding="utf-8") if isinstance(source, FsPath) else source
+    return [ln for ln in map(str.strip, text.splitlines()) if ln]
 
 
 def write_graph(network: CreditNetwork) -> str:
@@ -72,8 +66,7 @@ def write_graph(network: CreditNetwork) -> str:
 
 
 def read_graph(source: TextSource) -> CreditNetwork:
-    text = _read_text(source)
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    lines = _lines(source)
     if not lines or not lines[0].startswith("nodes "):
         raise ValueError("graph file must start with a 'nodes <N>' header")
     node_count = int(lines[0].split()[1])
@@ -96,28 +89,26 @@ def save_graph(network: CreditNetwork, path: FsPath) -> None:
 
 
 def write_paths(network: CreditNetwork, paths: PathSet) -> str:
-    lines = []
-    for p in paths:
-        nodes = path_nodes(network, p)
-        lines.append(f"{p.source} {p.destination} " + " ".join(map(str, nodes)))
+    walks = paths.walks(network)
+    hopless = [i for i, walk in enumerate(walks) if len(walk) < 2]
+    if hopless:
+        raise ValueError(f"path {hopless[0]}: a path file needs at least one hop")
+    lines = [f"{w[0]} {w[-1]} " + " ".join(map(str, w)) for w in walks]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def read_paths(network: CreditNetwork, source: TextSource) -> PathSet:
-    text = _read_text(source)
-    out: list[Path] = []
-    for raw in text.splitlines():
-        ln = raw.strip()
-        if not ln:
-            continue
+    walks = []
+    for ln in _lines(source):
         parts = [int(tok) for tok in ln.split()]
         if len(parts) < 4:
-            raise ValueError(f"bad path line: {raw!r}")
-        src, dst, nodes = parts[0], parts[1], parts[2:]
-        if nodes[0] != src or nodes[-1] != dst:
-            raise ValueError(f"path endpoints disagree with node walk: {raw!r}")
-        out.append(path_from_nodes(network, nodes))
-    return PathSet.of(out)
+            raise ValueError(f"bad path line: {ln!r}")
+        if parts[2] != parts[0] or parts[-1] != parts[1]:
+            raise ValueError(f"path endpoints disagree with node walk: {ln!r}")
+        walks.append(parts[2:])
+    paths = PathSet.of_walks(network, walks)
+    build_routing_system(network, paths)  # input from outside: check it all
+    return paths
 
 
 def write_demand(pairs: Iterable[tuple[int, int]]) -> str:
@@ -126,12 +117,8 @@ def write_demand(pairs: Iterable[tuple[int, int]]) -> str:
 
 
 def read_demand(source: TextSource) -> list[tuple[int, int]]:
-    text = _read_text(source)
     pairs = []
-    for raw in text.splitlines():
-        ln = raw.strip()
-        if not ln:
-            continue
+    for ln in _lines(source):
         s, d = ln.split()
         pairs.append((int(s), int(d)))
     return pairs

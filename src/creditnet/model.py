@@ -9,7 +9,9 @@ the LP solver.
 
 Routes are kept once, as the read-only CSR arrays of a `PathSet`;
 `build_routing_system` validates them and the `RoutingSystem` that the
-LP, peeling and the oracles read shares them without a copy.
+LP, peeling and the oracles read shares them without a copy.  Node walks
+(path files, the SAT gadget) become arrays through `PathSet.of_walks` and
+come back through `PathSet.walks`, which runs that one check first.
 
 Hop distances come from one kernel, `hop_levels`: a breadth-first search
 from many sources at once on bitset rows.  Route building and every
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -62,38 +65,27 @@ class CreditNetwork:
             raise ValueError("node_count must be positive")
         if len(self.edges) != len(self.capacities):
             raise ValueError("edges and capacities must have equal length")
-        seen = set()
         prev = None
         for k, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
                 raise ValueError(f"edge {k} endpoint out of range: ({u}, {v})")
             if u >= v:
                 raise ValueError(f"edge {k} not in canonical (u < v) form: ({u}, {v})")
-            if (u, v) in seen:
+            # in sorted order a duplicate sits next to its twin
+            if (u, v) == prev:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             if prev is not None and (u, v) < prev:
                 raise ValueError("edges not sorted lexicographically")
-            seen.add((u, v))
             prev = (u, v)
         for k, c in enumerate(self.capacities):
             if not isinstance(c, Fraction):
                 raise TypeError(f"capacity {k} is not a Fraction")
             if c <= 0:
                 raise ValueError(f"capacity {k} must be positive, got {c}")
-        index = {e: k for k, e in enumerate(self.edges)}
-        object.__setattr__(self, "_edge_index", index)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def edge_between(self, a: int, b: int) -> tuple[int, int]:
-        """Return (edge index, direction) for the directed hop a -> b."""
-        key = (a, b) if a < b else (b, a)
-        idx = self._edge_index.get(key)
-        if idx is None:
-            raise ValueError(f"no edge between {a} and {b}")
-        return idx, (FORWARD if a < b else BACKWARD)
 
     def degree_sequence(self) -> list[int]:
         deg = [0] * self.node_count
@@ -281,6 +273,46 @@ class PathSet:
         indptr = np.cumsum([0] + [len(p) for p in paths])
         return cls(ends[:, 0], ends[:, 1], indptr, hops[:, 0], 1 - 2 * hops[:, 1])
 
+    @classmethod
+    def of_walks(cls, network: CreditNetwork,
+                 walks: Iterable[Sequence[int]]) -> PathSet:
+        """The arrays of node walks, source first (one node: no hops), with
+        every hop looked up at once among the network's sorted edge keys
+        u * n + v. A hop between nodes that share no edge is refused; every
+        other check is `build_routing_system`'s."""
+        walks = list(walks)
+        counts = np.array([len(w) for w in walks], dtype=np.int64)
+        if (counts == 0).any():
+            raise ValueError("a path needs at least one node")
+        try:
+            nodes = np.fromiter(chain.from_iterable(walks), np.int64, counts.sum())
+        except OverflowError:
+            raise ValueError("node id out of the int64 range") from None
+        last = np.cumsum(counts) - 1
+        first = last - counts + 1
+        tail, head = np.delete(nodes, last), np.delete(nodes, first)
+        n = network.node_count
+        low, high = np.minimum(tail, head), np.maximum(tail, head)
+        # ids out of range get key -1, so that low * n + high aliases no edge;
+        # the last key, n * n, is no pair's and keeps the lookup in bounds
+        pair = np.where((low >= 0) & (high < n), low * n + high, -1)
+        keys = np.append(np.array(network.edges, np.int64).reshape(-1, 2) @ [n, 1], n * n)
+        edge = np.searchsorted(keys, pair)
+        missing = keys[edge] != pair
+        if missing.any():
+            k = np.argmax(missing)
+            raise ValueError(f"no edge between {tail[k]} and {head[k]}")
+        return cls(nodes[first], nodes[last], np.append(0, np.cumsum(counts - 1)),
+                   edge, np.where(tail < head, 1, -1))
+
+    def walks(self, network: CreditNetwork) -> list[list[int]]:
+        """Every path's node walk, source first, once `build_routing_system`
+        has accepted the paths: the inverse of `of_walks`."""
+        build_routing_system(network, self)
+        walk = _hop_ends(network, self, self.edge)[1].tolist()
+        bounds = (self.indptr + np.arange(len(self) + 1)).tolist()
+        return [walk[a:b] for a, b in zip(bounds, bounds[1:])]
+
     def __len__(self) -> int:
         return len(self.source)
 
@@ -296,33 +328,6 @@ class PathSet:
     def __eq__(self, other):
         return isinstance(other, PathSet) and all(
             np.array_equal(array, getattr(other, name)) for name, array in vars(self).items())
-
-
-def path_from_nodes(network: CreditNetwork, nodes: Sequence[int]) -> Path:
-    """Convert a node walk into a Path, checking existence and simplicity."""
-    if len(nodes) < 2:
-        raise ValueError("a path needs at least two nodes")
-    hops = []
-    used = set()
-    for a, b in zip(nodes, nodes[1:]):
-        e, d = network.edge_between(a, b)
-        if e in used:
-            raise ValueError(f"edge {e} repeats; paths must be simple")
-        used.add(e)
-        hops.append((e, d))
-    return Path(source=nodes[0], destination=nodes[-1], hops=tuple(hops))
-
-
-def path_nodes(network: CreditNetwork, path: Path) -> list[int]:
-    """Recover the node sequence of a path."""
-    nodes = [path.source]
-    for e, d in path.hops:
-        u, v = network.edges[e]
-        tail, head = (u, v) if d == FORWARD else (v, u)
-        if tail != nodes[-1]:
-            raise ValueError("path hops are not contiguous")
-        nodes.append(head)
-    return nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,6 +374,15 @@ class RoutingSystem:
         return tuple(tuple(paths[a:b]) for a, b in zip([0] + ends, ends))
 
 
+def _hop_ends(network: CreditNetwork, paths: PathSet, edge: np.ndarray):
+    """The tail of every hop, read as crossing `edge`, and all node walks,
+    source first, in one array: path p's is [indptr[p] + p, indptr[p + 1] + p]."""
+    # the placeholder row keeps the lookup valid on a network without edges
+    ends = np.array(network.edges or [(0, 0)], dtype=np.int64)[edge]
+    tail, head = np.where(paths.sign > 0, ends.T, ends[:, ::-1].T)
+    return tail, np.insert(head, paths.indptr[:-1], paths.source)
+
+
 def build_routing_system(network: CreditNetwork, paths: PathSet) -> RoutingSystem:
     """Validate a path set and wrap its arrays as the routing incidence.
 
@@ -383,11 +397,7 @@ def build_routing_system(network: CreditNetwork, paths: PathSet) -> RoutingSyste
     in_range = (edge >= 0) & (edge < network.edge_count)
     directed = np.abs(sign) == 1
     safe = np.where(in_range & directed, edge, 0)
-    # the placeholder row keeps the lookup valid on a network without edges
-    ends = np.array(network.edges or [(0, 0)], dtype=np.int64)[safe]
-    tail, head = np.where(sign > 0, ends.T, ends[:, ::-1].T)
-    # every path's node walk, source first; at_end indexes each walk's end
-    walk = np.insert(head, indptr[:-1], paths.source)
+    tail, walk = _hop_ends(network, paths, safe)
     at_end = indptr[1:] + np.arange(routing.path_count)
     repeated = np.ones(edge.size, dtype=bool)
     repeated[np.unique(path * network.edge_count + safe, return_index=True)[1]] = False

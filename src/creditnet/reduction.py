@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .model import CreditNetwork, Path, PathSet, make_network, path_from_nodes
+from .model import CreditNetwork, PathSet, make_network
 
 BRIDGE_CAPACITY = 2  # any positive value works; 2 keeps midpoints integral
 
@@ -142,21 +142,17 @@ def cnf_to_creditnet(cnf: CnfFormula) -> tuple[CreditNetwork, PathSet]:
     node_count = 2 * cnf.variable_count
     net = make_network(node_count, edges, [BRIDGE_CAPACITY] * len(edges))
 
-    paths: list[Path] = []
+    walks = []
     for clause in clauses:
         if len(clause) == 1 and abs(clause[0]) > cnf.variable_count:
             # pinning flow: walk the bridge channel right-to-left
-            left, right = bridge_ends[abs(clause[0])]
-            paths.append(path_from_nodes(net, [right, left]))
-            continue
-        walk: list[int] = []
-        for lit in clause:
-            if abs(lit) <= cnf.variable_count:
-                walk.extend((entry(lit), exit_(lit)))
+            walks.append(bridge_ends[abs(clause[0])][::-1])
+        else:
             # bridge hops need no nodes of their own: each one runs from the
             # previous literal's exit to the next literal's entry
-        paths.append(path_from_nodes(net, walk))
-    return net, PathSet.of(paths)
+            walks.append([node for lit in clause if abs(lit) <= cnf.variable_count
+                          for node in (entry(lit), exit_(lit))])
+    return net, PathSet.of_walks(net, walks)
 
 
 def sat_bruteforce(cnf: CnfFormula) -> bool:

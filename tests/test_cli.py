@@ -466,3 +466,29 @@ def test_invalid_input_exits_two(tmp_path, capsys):
         rc = main(argv + ["--out-dir", str(tmp_path)])
         assert rc == EXIT_BAD_INPUT, argv
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("0 3 0 3", "no edge between 0 and 3"),
+    # on 10 nodes the keys 0 * 10 + 12 and -1 * 10 + 11 are those of the
+    # edges (1, 2) and (0, 1)
+    ("0 12 0 12", "no edge between 0 and 12"),
+    ("-1 11 -1 11", "no edge between -1 and 11"),
+    ("0 0 0 1 0", "path 1: edge 0 used twice"),
+    ("0 0 0", "bad path line: '0 0 0'"),
+    ("0 2 0 1 3", "path endpoints disagree with node walk: '0 2 0 1 3'"),
+    ("0 1 0 1.5", "invalid literal for int() with base 10: '1.5'"),
+    (f"0 {2 ** 70} 0 {2 ** 70}", "node id out of the int64 range"),
+])
+def test_malformed_path_file_exits_two(tmp_path, capsys, line, message):
+    network = make_network(10, [(0, 1), (0, 9), (1, 2), (2, 3)], [4] * 4)
+    save_graph(network, tmp_path / "bad.graph")
+    (tmp_path / "bad.paths").write_text(f"0 3 0 1 2 3\n{line}\n", encoding="utf-8")
+    for argv in (["analyze", "--graph", str(tmp_path / "bad.graph"), "--paths",
+                  str(tmp_path / "bad.paths"), "--out-dir", str(tmp_path)],
+                 ["verify", "--corpus", str(tmp_path)]):
+        rc = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == EXIT_BAD_INPUT, argv
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert message in err[0]

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creditnet import demand, fileio
-from creditnet.model import (PathSet, make_network, path_from_nodes,
-                             path_nodes)
+from creditnet.model import PathSet, make_network
 
 
 def _triangle():
@@ -100,22 +99,21 @@ def test_line_pair_routes_through_middle():
     net = _line(3)
     matrix = demand.DemandMatrix(pairs=((0, 2),))
     paths = demand.build_paths(net, matrix)
-    assert path_nodes(net, paths[0]) == [0, 1, 2]
+    assert paths.walks(net) == [[0, 1, 2]]
 
 
 def test_star_leaves_route_through_hub():
     net = make_network(5, [(0, v) for v in range(1, 5)], [1] * 4)
     matrix = demand.DemandMatrix(pairs=((1, 2), (4, 3)))
     paths = demand.build_paths(net, matrix)
-    assert path_nodes(net, paths[0]) == [1, 0, 2]
-    assert path_nodes(net, paths[1]) == [4, 0, 3]
+    assert paths.walks(net) == [[1, 0, 2], [4, 0, 3]]
 
 
 def test_square_tie_breaks_toward_low_ids():
     net = make_network(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [1] * 4)
     matrix = demand.DemandMatrix(pairs=((1, 3),))
     paths = demand.build_paths(net, matrix)
-    assert path_nodes(net, paths[0]) == [1, 0, 3]
+    assert paths.walks(net) == [[1, 0, 3]]
 
 
 def test_reversed_pair_rides_the_same_channels():
@@ -125,8 +123,7 @@ def test_reversed_pair_rides_the_same_channels():
     net = make_network(6, edges, [1] * 6)
     matrix = demand.DemandMatrix(pairs=((0, 5), (5, 0)))
     paths = demand.build_paths(net, matrix)
-    assert path_nodes(net, paths[0]) == [0, 1, 4, 5]
-    assert path_nodes(net, paths[1]) == [5, 4, 1, 0]
+    assert paths.walks(net) == [[0, 1, 4, 5], [5, 4, 1, 0]]
 
 
 def test_reversed_pairs_symmetric_on_random_graphs():
@@ -142,10 +139,10 @@ def test_reversed_pairs_symmetric_on_random_graphs():
             pairs.append((s, r))
     both = demand.DemandMatrix(
         pairs=tuple(pairs) + tuple((r, s) for s, r in pairs))
-    paths = demand.build_paths(net, both)
+    walks = demand.build_paths(net, both).walks(net)
     for i in range(30):
-        fwd = path_nodes(net, paths[i])
-        rev = path_nodes(net, paths[30 + i])
+        fwd = walks[i]
+        rev = walks[30 + i]
         assert rev == fwd[::-1]
 
 
@@ -203,8 +200,8 @@ def _reference_paths(network, matrix):
     for (s, r), walk in zip(matrix, walks):
         if walk is None:
             raise ValueError(f"no route between {s} and {r}")
-        routes.append(path_from_nodes(network, walk if s < r else walk[::-1]))
-    return routes
+        routes.append(walk if s < r else walk[::-1])
+    return list(PathSet.of_walks(network, routes))
 
 
 def _assert_routes_match(paths, reference):
@@ -283,8 +280,7 @@ def test_routes_match_plain_bfs_reference(case):
             if s in component and r in component and component[s] == component[r]))
     paths = demand.build_paths(net, matrix)
     _assert_routes_match(paths, _reference_paths(net, matrix))
-    for path in paths:
-        assert path_from_nodes(net, path_nodes(net, path)) == path
+    assert PathSet.of_walks(net, paths.walks(net)) == paths
 
 
 def test_routes_cross_a_word_of_roots():

@@ -23,7 +23,6 @@ from creditnet import (
     center_state,
     make_network,
     make_state,
-    path_from_nodes,
 )
 from creditnet import lp, simplex
 from creditnet.demand import DemandSpec, build_paths, sample_demand
@@ -38,7 +37,7 @@ def _triangle(bidirectional):
     hops = [[0, 1], [1, 2], [2, 0]]
     if bidirectional:
         hops += [[1, 0], [2, 1], [0, 2]]
-    paths = PathSet.of(path_from_nodes(net, h) for h in hops)
+    paths = PathSet.of_walks(net, hops)
     return net, build_routing_system(net, paths)
 
 
@@ -804,8 +803,7 @@ def _line_with_a_one_way_spur():
     path 2->3 alone. Steady state forces the flow of 2->3, 1->2 and 1->0 to
     exactly 0, so the one optimum at C/2 sends 10 each way along 0-1-2."""
     net = make_network(4, [(0, 1), (1, 2), (2, 3)], [20, 20, 20])
-    paths = PathSet.of(path_from_nodes(net, h)
-                       for h in ([0, 1, 2], [2, 1, 0], [1, 2], [1, 0], [2, 3]))
+    paths = PathSet.of_walks(net, ([0, 1, 2], [2, 1, 0], [1, 2], [1, 0], [2, 3]))
     return net, build_routing_system(net, paths)
 
 

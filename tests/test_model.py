@@ -27,8 +27,6 @@ from creditnet.model import (
     make_flow,
     make_network,
     make_state,
-    path_from_nodes,
-    path_nodes,
 )
 
 
@@ -277,9 +275,7 @@ def test_center_state(line):
 
 def test_path_node_round_trip(line):
     net, paths, routing = line
-    for p in paths:
-        nodes = path_nodes(net, p)
-        assert path_from_nodes(net, nodes) == p
+    assert PathSet.of_walks(net, paths.walks(net)) == paths
 
 
 @st.composite
@@ -299,7 +295,7 @@ def small_instance(draw):
     net = make_network(n, sorted(edges), caps)
 
     adj = net.adjacency()
-    paths = []
+    walks = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         start = draw(st.integers(min_value=0, max_value=n - 1))
         walk = [start]
@@ -309,19 +305,21 @@ def small_instance(draw):
             options = [
                 w
                 for w in adj[walk[-1]]
-                if net.edge_between(walk[-1], w)[0] not in used
+                if frozenset((walk[-1], w)) not in used
             ]
             if not options:
                 break
             nxt = draw(st.sampled_from(sorted(options)))
-            used.add(net.edge_between(walk[-1], nxt)[0])
+            used.add(frozenset((walk[-1], nxt)))
             walk.append(nxt)
         if len(walk) >= 2:
-            paths.append(path_from_nodes(net, walk))
-    if not paths:
-        u, v = net.edges[0]
-        paths = [path_from_nodes(net, [u, v])]
-    pathset = PathSet.of(paths)
+            walks.append(walk)
+    if not walks:
+        walks = [list(net.edges[0])]
+    # the reverse of about two in three walks, so that most draws can
+    # circulate flow and some still have a zero optimum
+    walks += [walk[::-1] for walk in walks if draw(st.integers(0, 2))]
+    pathset = PathSet.of_walks(net, walks)
     routing = build_routing_system(net, pathset)
 
     balances = [

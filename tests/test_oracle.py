@@ -15,7 +15,6 @@ from creditnet import (
     build_routing_system,
     make_network,
     make_state,
-    path_from_nodes,
 )
 from creditnet import lp
 from creditnet.oracle import (
@@ -37,7 +36,7 @@ from test_model import small_instance
 
 def _instance(node_count, edges, routes, capacity=10):
     net = make_network(node_count, edges, [capacity] * len(edges))
-    paths = PathSet.of(path_from_nodes(net, r) for r in routes)
+    paths = PathSet.of_walks(net, routes)
     return net, paths
 
 
@@ -230,7 +229,7 @@ def test_search_matches_reference_milp(line):
             while prev[walk[-1]] is not None:
                 walk.append(prev[walk[-1]])
             routes.append(walk[::-1])
-        paths = PathSet.of(path_from_nodes(net, r) for r in routes)
+        paths = PathSet.of_walks(net, routes)
         cases.append((net, paths))
     for net, paths in cases:
         mine = max_deadlock_exact(net, paths)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creditnet import BACKWARD, FORWARD, PathSet, make_network, path_from_nodes
-from creditnet.model import Path
+from creditnet import BACKWARD, FORWARD, PathSet, make_network
 from creditnet.peeling import (FAILURE, SUCCESS, PeelResult, build_peeling_graph,
                                peel, ripple_trace_csv)
 from test_model import routing_hops
@@ -86,7 +85,7 @@ def _reference_peel(routing, seed, pairing=False):
 
 def _instance(node_count, edges, routes):
     net = make_network(node_count, edges, [10] * len(edges))
-    paths = PathSet.of(path_from_nodes(net, r) for r in routes)
+    paths = PathSet.of_walks(net, routes)
     return net, paths
 
 
@@ -282,9 +281,7 @@ def _random_instance(instance_seed):
         routes.append(walk)
     if routes:
         routes += [rng.choice(routes) for _ in range(rng.randrange(4))]
-    paths = PathSet.of(
-        path_from_nodes(net, r) if len(r) > 1 else Path(r[0], r[0], ())
-        for r in routes)
+    paths = PathSet.of_walks(net, routes)  # a one-node route has no hops
     return net, paths
 
 

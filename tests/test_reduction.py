@@ -72,10 +72,8 @@ def test_gadget_sizes_on_worked_formula():
 
 
 def test_gadget_clause_walks_on_worked_formula():
-    from creditnet.model import path_nodes
-
     net, paths = cnf_to_creditnet(WORKED)
-    walks = [path_nodes(net, p) for p in paths]
+    walks = paths.walks(net)
     assert walks[0] == [0, 1, 2, 3, 4, 5]
     assert walks[1] == [3, 2, 6, 7]
     assert walks[2] == [5, 4]
