@@ -340,15 +340,13 @@ def cmd_analyze(args) -> int:
         paths = read_paths(network, Path(args.paths))
     else:
         if args.demand:
-            pairs = read_demand(Path(args.demand))
-            demand_pairs = tuple(pairs)
+            demand = DemandMatrix(read_demand(Path(args.demand)))
         elif args.pairs:
-            demand_pairs = tuple(sample_demand(network, DemandSpec(
-                pair_count=args.pairs, mode=args.mode, seed=_seed(args))))
+            demand = sample_demand(network, DemandSpec(
+                pair_count=args.pairs, mode=args.mode, seed=_seed(args)))
         else:
             raise ValueError("analyze needs --paths, --demand, or --pairs")
-        paths = build_paths(network, DemandMatrix(demand_pairs),
-                            seed=_seed(args))
+        paths = build_paths(network, demand, seed=_seed(args))
     routing = build_routing_system(network, paths)
     result = peel(routing, seed=_seed(args), pairing=args.pairing)
     unpeeled = set(result.unpeeled_edges)

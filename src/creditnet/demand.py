@@ -5,6 +5,30 @@ each chosen pair rides exactly one shortest route.  The skewed sampling
 mode concentrates traffic on a small set of hub nodes to mimic the
 uneven activity seen in deployed payment networks.
 
+A demand draw is defined by a per-draw loop over `random.Random(seed)`:
+two node draws per pair, self-pairs and repeats skipped.  A node draw is
+`randrange(n)`; in Skewed mode it is a `random()` that picks the heavy
+or the light pool (only when light nodes exist), then `randrange` over
+that pool.  `sample_demand` gives that loop's pairs bit for bit without
+running it, because CPython builds both calls from the Mersenne Twister's
+32-bit words (Matsumoto & Nishimura, ACM TOMACS 8(1), 1998) in a fixed
+way:
+
+* `randbytes(4 * c)` is `getrandbits(32 * c)` written little-endian, and
+  `getrandbits` fills its result from the low end one word at a time, so
+  `np.frombuffer(rng.randbytes(4 * c), "<u4")` is the next c words in
+  stream order;
+* `randrange(m)` with k = m.bit_length() <= 32 is `getrandbits(k)`, the
+  top k bits of one word (`word >> (32 - k)`), retried on the next word
+  while the value is m or more;
+* `random()` is ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53 from two words.
+
+So the words can be read in bulk and parsed with numpy.  With one pool a
+draw is an accepted word.  With two, where a draw ends depends on its own
+words, so a table holds the end of the draw that would start at every
+word and one walk from word 0 follows it.  Node ids stay below 2**31, so
+a pair's key s * n + r fits int64.
+
 Routes come off the package's one hop-distance kernel,
 `model.hop_levels`, run on 64 distinct roots at a time, and a next-hop
 table that keeps, for every node and root, the first closer neighbour
@@ -15,6 +39,8 @@ route read from the lower-numbered endpoint, written straight into a
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -33,6 +59,9 @@ DEFAULT_HEAVY_PROBABILITY = 0.70
 # Roots routed together: one uint64 word of source bits per node row.
 _BLOCK = 64
 
+# Most stream words read at once (1 MiB), whatever the demand's size.
+_MAX_CHUNK_WORDS = 1 << 18
+
 
 @dataclass(frozen=True)
 class DemandSpec:
@@ -45,6 +74,8 @@ class DemandSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown demand mode {self.mode!r}")
+        if not isinstance(self.pair_count, numbers.Integral):
+            raise ValueError(f"pair_count must be an integer, got {self.pair_count!r}")
         if self.pair_count < 0:
             raise ValueError("pair_count must be non-negative")
         if not 0.0 < self.heavy_fraction <= 1.0:
@@ -53,37 +84,152 @@ class DemandSpec:
             raise ValueError("heavy_probability must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """The index of every distinct key's first occurrence, ascending."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    return np.sort(np.minimum.reduceat(order, np.flatnonzero(head))
+                   if len(keys) else order)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class DemandMatrix:
-    """Distinct ordered (sender, receiver) pairs, kept in draw order."""
+    """Distinct ordered (sender, receiver) pairs in draw order, held as
+    read-only int64 `source` and `destination` arrays, named as in
+    `model.PathSet`.  Built from (s, r) pairs or an (m, 2) array; iterates
+    as (s, r) tuples of ints.  One vectorized check refuses the first pair,
+    in order, that pays itself or repeats an earlier one."""
 
-    pairs: tuple[tuple[int, int], ...]
+    source: np.ndarray
+    destination: np.ndarray
 
-    def __post_init__(self):
-        seen = set()
-        for s, r in self.pairs:
-            if s == r:
-                raise ValueError(f"node {s} cannot pay itself")
-            if (s, r) in seen:
-                raise ValueError(f"duplicate pair {(s, r)}")
-            seen.add((s, r))
+    def __init__(self, pairs=()):
+        try:
+            ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            bad = next(p for p in pairs if not all(-2 ** 63 <= v < 2 ** 63 for v in p))
+            raise ValueError(f"pair {tuple(bad)} names a node outside the "
+                             "int64 range") from None
+        source, destination = ends.T
+        low, high = int(ends.min(initial=0)), int(ends.max(initial=0))
+        span = high - low + 1
+        if span <= 2 ** 31:
+            codes = ends - low
+        else:  # ids too far apart for an int64 key: number those named
+            ids, codes = np.unique(ends, return_inverse=True)
+            codes, span = codes.reshape(-1, 2), len(ids)
+        key = codes @ [span, 1]
+        bad = source == destination
+        ordered = np.sort(key)
+        if (ordered[1:] == ordered[:-1]).any():  # only then find the first repeat
+            repeat = np.ones(len(key), dtype=bool)
+            repeat[_first_occurrences(key)] = False
+            bad |= repeat
+        if bad.any():
+            i = int(np.argmax(bad))
+            s, r = int(source[i]), int(destination[i])
+            raise ValueError(f"node {s} cannot pay itself" if s == r
+                             else f"duplicate pair {(s, r)}")
+        for name, array in (("source", source), ("destination", destination)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.source)
 
     def __iter__(self):
-        return iter(self.pairs)
+        return zip(self.source.tolist(), self.destination.tolist())
+
+    def __eq__(self, other):
+        return (isinstance(other, DemandMatrix)
+                and np.array_equal(self.source, other.source)
+                and np.array_equal(self.destination, other.destination))
+
+
+def _walk(table: np.ndarray) -> np.ndarray:
+    """The chain table[0], table[table[0]], ... up to the absorbing last
+    index: one Python step per eight links, over the table composed with
+    itself three times, and the links in between gathered with numpy."""
+    stop = len(table) - 1
+    leap = table
+    for _ in range(3):
+        leap = leap[leap]
+    view = memoryview(leap)
+    starts = [0]
+    j = view[0]
+    while j < stop:
+        starts.append(j)
+        j = view[j]
+    links = [np.array(starts)]
+    for _ in range(8):
+        links.append(table[links[-1]])
+    ends = np.stack(links[1:], axis=1).ravel()
+    return ends[ends < stop]
+
+
+def _draws(words: np.ndarray, pools, heavy_probability: float):
+    """The node draws that lie whole in `words`, in draw order, and the
+    index of the word after each.
+
+    A draw is `randrange(len(pool))`: the pool's bit length off the top of
+    a word, and the next word while that is past the pool.  With two
+    pools, heavy then light, a `random()` off two words comes first and
+    picks light when it is at least heavy_probability.  Where such a draw
+    ends then depends on its own words: a table gives the end of the draw
+    that would start at each word, and one walk from word 0 follows it.
+    """
+    m = len(words)
+    shifts = [32 - len(pool).bit_length() for pool in pools]
+    accepted = [(words >> shift) < len(pool) for shift, pool in zip(shifts, pools)]
+    if len(pools) == 1:
+        ends = np.flatnonzero(accepted[0]) + 1
+        return pools[0][words[ends - 1] >> shifts[0]], ends
+    index = np.arange(m + 1)
+    # the word after the first accepted word at or after each index, m + 1
+    # where there is none
+    after = [np.minimum.accumulate(
+        np.maximum(index, m * ~np.append(ok, True))[::-1])[::-1] + 1 for ok in accepted]
+    coin = ((words[:-1] >> 5).astype(np.float64) * 67108864.0
+            + (words[1:] >> 6)) * (1.0 / 9007199254740992.0)
+    pick = coin >= heavy_probability
+    # the randrange of a draw starting at word j begins at word j + 2; the
+    # last two words start no whole draw, and m + 1 absorbs
+    table = np.full(m + 2, m + 1)
+    table[:len(pick)] = np.where(pick, after[1][2:], after[0][2:])
+    ends = _walk(table)
+    light = pick[np.append(0, ends)[:-1]]  # each draw's start
+    last = words[ends - 1]
+    # read every draw as heavy, then the light ones as light
+    nodes = pools[0][np.minimum(last >> shifts[0], len(pools[0]) - 1)]
+    nodes[light] = pools[1][last[light] >> shifts[1]]
+    return nodes, ends
 
 
 def sample_demand(network: CreditNetwork, spec: DemandSpec) -> DemandMatrix:
-    """Draw pair_count distinct ordered pairs, rejecting repeats."""
+    """Draw pair_count distinct ordered pairs, rejecting repeats.
+
+    The draws are those of a loop that takes two node draws per pair and
+    skips self-pairs and repeats, read off the rng's words in bulk: each
+    read parses its words at once, keeps every pair's first occurrence in
+    draw order, and sizes the next read by the words per new pair that
+    this one took, at most _MAX_CHUNK_WORDS at a time.
+    """
     n = network.node_count
     if spec.pair_count > n * (n - 1):
         raise ValueError(
             f"cannot place {spec.pair_count} distinct pairs among "
             f"{n * (n - 1)} possible ones")
+    if n >= 2 ** 31:
+        raise ValueError("demand sampling needs fewer than 2**31 nodes")
     rng = random.Random(spec.seed)
-
+    pools = [np.arange(n)]
+    shares = [1.0]
     if spec.mode == SKEWED:
         heavy_count = max(1, round(spec.heavy_fraction * n))
         # A pool picked with certainty holds every draw; with no light
@@ -96,28 +242,38 @@ def sample_demand(network: CreditNetwork, spec: DemandSpec) -> DemandMatrix:
                 raise ValueError(f"cannot place {spec.pair_count} distinct pairs "
                                  f"among the {pairs} between {size} {kind} nodes")
         heavy = rng.sample(range(n), heavy_count)
-        heavy_set = set(heavy)
-        light = [v for v in range(n) if v not in heavy_set]
+        light = np.ones(n, dtype=bool)
+        light[heavy] = False
+        pools = [np.array(heavy, dtype=np.int64), np.flatnonzero(light)]
+        shares = [spec.heavy_probability, 1.0 - spec.heavy_probability]
+        if not len(pools[1]):
+            pools, shares = pools[:1], [1.0]
 
-        def draw_node():
-            pool = heavy
-            if light and rng.random() >= spec.heavy_probability:
-                pool = light
-            return pool[rng.randrange(len(pool))]
-    else:
-        def draw_node():
-            return rng.randrange(n)
-
-    chosen: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    while len(chosen) < spec.pair_count:
-        s = draw_node()
-        r = draw_node()
-        if s == r or (s, r) in seen:
-            continue
-        seen.add((s, r))
-        chosen.append((s, r))
-    return DemandMatrix(pairs=tuple(chosen))
+    want = spec.pair_count
+    # words per drawn pair, and the pair draws that would give `want`
+    # distinct pairs if all n * n were equally likely
+    per_pair = 2 * (2 * (len(pools) - 1) + sum(
+        share * 2 ** len(pool).bit_length() / len(pool)
+        for share, pool in zip(shares, pools)))
+    possible = n * (n - 1)
+    draws = n * n * math.log((possible + 0.5) / (possible - want + 0.5))
+    chunk = per_pair * draws
+    keys = np.empty(0, dtype=np.int64)
+    words = np.empty(0, dtype=np.uint32)
+    while len(keys) < want:
+        chunk = min(_MAX_CHUNK_WORDS, math.ceil(1.25 * chunk) + 64)
+        words = np.concatenate((words, np.frombuffer(rng.randbytes(4 * chunk), "<u4")))
+        nodes, ends = _draws(words, pools, spec.heavy_probability)
+        count = len(nodes) // 2
+        s, r = nodes[:2 * count:2], nodes[1:2 * count:2]
+        drawn = np.concatenate((keys, (s * n + r)[s != r]))
+        first = _first_occurrences(drawn)
+        used = int(ends[2 * count - 1]) if count else 0
+        # words per new pair in this read, times the pairs still missing
+        chunk = (want - len(first)) * used / max(1, len(first) - len(keys))
+        keys = drawn[first[:want]]
+        words = words[used:]
+    return DemandMatrix(np.stack(np.divmod(keys, n), axis=1))
 
 
 def build_paths(network: CreditNetwork, demand: DemandMatrix,
@@ -145,23 +301,24 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
     """
     del seed
     n = network.node_count
-    for s, r in demand:
-        if not (0 <= s < n and 0 <= r < n):
-            raise ValueError(f"pair ({s}, {r}) names a node outside "
-                             f"0..{n - 1}")
+    source, destination = demand.source, demand.destination
+    lows, highs = np.minimum(source, destination), np.maximum(source, destination)
+    outside = (lows < 0) | (highs >= n)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"pair ({source[i]}, {destination[i]}) names a node "
+                         f"outside 0..{n - 1}")
     arcs = closed_arcs(n, network.edges)
     arc_count = len(arcs.heads)
     arc_sign = np.where(arcs.tails < arcs.heads, 1, -1)
     self_arc = np.flatnonzero(arcs.edge < 0)[:, None]
     arc_ids = np.arange(arc_count, dtype=np.int32)[:, None]
 
-    pairs = np.array(demand.pairs, dtype=np.int64).reshape(-1, 2)
-    lows = pairs.min(axis=1)
-    roots, root_of = np.unique(pairs.max(axis=1), return_inverse=True)
+    roots, root_of = np.unique(highs, return_inverse=True)
     order = np.argsort(root_of, kind="stable")
     bounds = np.searchsorted(root_of[order],
                              np.arange(0, len(roots) + _BLOCK, _BLOCK))
-    length = np.zeros(len(pairs), dtype=np.int64)  # 0 until routed
+    length = np.zeros(len(source), dtype=np.int64)  # 0 until routed
     blocks = []
     for block, first in enumerate(range(0, len(roots), _BLOCK)):
         dist = hop_distances(arcs, roots[first:first + _BLOCK])
@@ -186,8 +343,8 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
         length[members] = hops
         blocks.append((members, walks))
     if not length.all():
-        s, r = demand.pairs[int(np.argmin(length))]
-        raise ValueError(f"no route between {s} and {r}")
+        i = int(np.argmin(length))
+        raise ValueError(f"no route between {source[i]} and {destination[i]}")
     indptr = np.concatenate(([0], np.cumsum(length)))
     edge, sign = np.empty((2, indptr[-1]), dtype=np.int64)
     for members, walks in blocks:
@@ -195,9 +352,9 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
         # when the lower endpoint sends, and the route reversed otherwise
         hop = np.arange(walks.shape[1])
         hops = length[members, None]
-        reverse = (pairs[members, 0] > pairs[members, 1])[:, None]
+        reverse = (source[members] > destination[members])[:, None]
         place = indptr[members, None] + np.where(reverse, hops - 1 - hop, hop)
         sent = hop < hops
         edge[place[sent]] = arcs.edge[walks[sent]]
         sign[place[sent]] = (np.where(reverse, -1, 1) * arc_sign[walks])[sent]
-    return PathSet(pairs[:, 0], pairs[:, 1], indptr, edge, sign)
+    return PathSet(source, destination, indptr, edge, sign)

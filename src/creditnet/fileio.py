@@ -119,6 +119,9 @@ def write_demand(pairs: Iterable[tuple[int, int]]) -> str:
 def read_demand(source: TextSource) -> list[tuple[int, int]]:
     pairs = []
     for ln in _lines(source):
-        s, d = ln.split()
-        pairs.append((int(s), int(d)))
+        try:
+            s, d = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"bad demand line: {ln!r}") from None
+        pairs.append((s, d))
     return pairs

@@ -50,6 +50,8 @@ a routing with no kept optimum for these capacities, is solved as before.
 
 one_step_throughput reports the solver status with its value; the peak and
 floor functions raise RuntimeError when the solver stops short of an optimum.
+All three refuse, with ValueError, a routing with a path without hops: such
+a path crosses no channel, so no bound limits its flow.
 """
 
 from __future__ import annotations
@@ -150,9 +152,15 @@ class _LpForms:
     the same one) is not solved again.
     `ceiling` is max_throughput's last optimum as (capacities, value, x),
     None until one is reached; min_throughput reuses it.
-    It holds the arrays, not the routing, so the two form no cycle."""
+    It holds the arrays, not the routing, so the two form no cycle.
+    A routing with a path without hops has no LP forms: no bound limits
+    the flow of a path that crosses no channel."""
 
     def __init__(self, routing: RoutingSystem):
+        hopless = np.flatnonzero(np.diff(routing.indptr) == 0)
+        if hopless.size:
+            raise ValueError(f"path {hopless[0]} has no hops: it crosses no channel, "
+                             "so its flow is unbounded")
         self.indptr, self.edge, self.sign = routing.indptr, routing.edge, routing.sign
         self.path = routing.path
         self.shape = (routing.path_count, routing.edge_count)
@@ -316,6 +324,7 @@ def _optimal_value(report: ThroughputReport) -> Fraction | float:
 def _check_routing(network: CreditNetwork, routing: RoutingSystem) -> None:
     if routing.edge_count != network.edge_count:
         raise ValueError("routing system does not match network edge count")
+    _lp_forms(routing)  # refuses a path without hops, once per routing
 
 
 def one_step_throughput(network: CreditNetwork, routing: RoutingSystem,

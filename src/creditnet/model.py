@@ -389,8 +389,9 @@ def build_routing_system(network: CreditNetwork, paths: PathSet) -> RoutingSyste
     The one check of a path set's hops, run over the routing's arrays at
     once. In hop order each hop must name an edge in range, go FORWARD or
     BACKWARD, not repeat an edge of its path and start where the previous
-    hop (or the source) ended; the walk must end at the destination. The
-    error names the lowest failing path and the first check it fails.
+    hop (or the source) ended; the walk must end at the destination, and a
+    path without hops must name a node of the network. The error names the
+    lowest failing path and the first check it fails.
     """
     routing = RoutingSystem(paths.indptr, paths.edge, paths.sign, network.edge_count)
     edge, sign, path, indptr = routing.edge, routing.sign, routing.path, routing.indptr
@@ -402,14 +403,19 @@ def build_routing_system(network: CreditNetwork, paths: PathSet) -> RoutingSyste
     repeated = np.ones(edge.size, dtype=bool)
     repeated[np.unique(path * network.edge_count + safe, return_index=True)[1]] = False
     bad_hop = ~in_range | ~directed | repeated | (tail != np.delete(walk, at_end))
-    bad_path = walk[at_end] != paths.destination
+    astray = walk[at_end] != paths.destination
+    # only a path without hops can pass every other check off the graph
+    n = network.node_count
+    outside = (paths.source < 0) | (paths.source >= n)
+    bad_path = astray | outside
     bad_path[path[bad_hop]] = True
     if not bad_path.any():
         return routing
     pi = int(np.argmax(bad_path))
     hops = np.flatnonzero(bad_hop[indptr[pi]:indptr[pi + 1]]) + indptr[pi]
     if not hops.size:
-        raise ValueError(f"path {pi}: does not end at its destination")
+        raise ValueError(f"path {pi}: does not end at its destination" if astray[pi]
+                         else f"path {pi}: node {paths.source[pi]} outside 0..{n - 1}")
     k = hops[0]
     e = int(edge[k])
     problem = (f"edge index {e} out of range" if not in_range[k] else

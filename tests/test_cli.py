@@ -492,3 +492,24 @@ def test_malformed_path_file_exits_two(tmp_path, capsys, line, message):
         assert rc == EXIT_BAD_INPUT, argv
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert message in err[0]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("0 1 2", "bad demand line: '0 1 2'"),
+    ("0", "bad demand line: '0'"),
+    ("0 x", "bad demand line: '0 x'"),
+    ("0 1.5", "bad demand line: '0 1.5'"),
+    ("1 1", "node 1 cannot pay itself"),
+    ("0 2", "duplicate pair (0, 2)"),
+    (f"0 {2 ** 64}", f"pair (0, {2 ** 64}) names a node outside the int64 range"),
+])
+def test_malformed_demand_file_exits_two(tmp_path, capsys, line, message):
+    network = make_network(10, [(0, 1), (1, 2), (2, 3)], [4] * 3)
+    save_graph(network, tmp_path / "bad.graph")
+    (tmp_path / "bad.demand").write_text(f"0 2\n{line}\n", encoding="utf-8")
+    rc = main(["analyze", "--graph", str(tmp_path / "bad.graph"), "--demand",
+               str(tmp_path / "bad.demand"), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == EXIT_BAD_INPUT
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert message in err[0]

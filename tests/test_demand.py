@@ -1,6 +1,9 @@
+import math
 import random
+from unittest import mock
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +59,155 @@ def test_demand_matrix_validation():
         demand.DemandSpec(pair_count=4, mode="Bursty")
     with pytest.raises(ValueError):
         demand.DemandSpec(pair_count=4, heavy_fraction=0.0)
+
+
+def _reference_sample(network, spec):
+    """The sampler as a per-draw loop, as written before it read the rng's
+    words in bulk: the draws sample_demand must give, bit for bit."""
+    n = network.node_count
+    if spec.pair_count > n * (n - 1):
+        raise ValueError(
+            f"cannot place {spec.pair_count} distinct pairs among "
+            f"{n * (n - 1)} possible ones")
+    rng = random.Random(spec.seed)
+
+    if spec.mode == demand.SKEWED:
+        heavy_count = max(1, round(spec.heavy_fraction * n))
+        # A pool picked with certainty holds every draw; with no light
+        # nodes the heavy pool is all n nodes, checked above.
+        for certain, kind, size in ((1.0, "heavy", heavy_count),
+                                    (0.0, "light", n - heavy_count)):
+            pairs = size * (size - 1)
+            if (spec.heavy_probability == certain and size
+                    and spec.pair_count > pairs):
+                raise ValueError(f"cannot place {spec.pair_count} distinct pairs "
+                                 f"among the {pairs} between {size} {kind} nodes")
+        heavy = rng.sample(range(n), heavy_count)
+        heavy_set = set(heavy)
+        light = [v for v in range(n) if v not in heavy_set]
+
+        def draw_node():
+            pool = heavy
+            if light and rng.random() >= spec.heavy_probability:
+                pool = light
+            return pool[rng.randrange(len(pool))]
+    else:
+        def draw_node():
+            return rng.randrange(n)
+
+    chosen: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    while len(chosen) < spec.pair_count:
+        s = draw_node()
+        r = draw_node()
+        if s == r or (s, r) in seen:
+            continue
+        seen.add((s, r))
+        chosen.append((s, r))
+    return demand.DemandMatrix(pairs=tuple(chosen))
+
+
+@st.composite
+def demand_cases(draw):
+    """A node count in 2..70 (powers of two and one past them often), a
+    mode, and a pair count up to n(n - 1). Skewed draws with two pools and
+    a split heavy_probability stay at or below half the pairs and inside
+    [0.2, 0.8], where the loop above finishes quickly."""
+    n = draw(st.one_of(st.integers(2, 70),
+                       st.sampled_from([2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65])))
+    possible = n * (n - 1)
+    mode = draw(st.sampled_from(demand.MODES))
+    heavy_fraction = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+    heavy_probability = draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                                       st.floats(0.2, 0.8)))
+    heavy_count = max(1, round(heavy_fraction * n))
+    split = mode == demand.SKEWED and heavy_count < n and 0 < heavy_probability < 1
+    top = possible // 2 if split else possible
+    pair_count = draw(st.one_of(st.integers(0, top), st.just(top)))
+    seed = draw(st.one_of(st.integers(-2 ** 40, 2 ** 40), st.integers(2 ** 32, 2 ** 70)))
+    return n, demand.DemandSpec(pair_count=pair_count, mode=mode,
+                                heavy_fraction=heavy_fraction,
+                                heavy_probability=heavy_probability, seed=seed)
+
+
+def _assert_same_draw(n, spec):
+    net = make_network(n, [], [])
+    try:
+        expected = _reference_sample(net, spec)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            demand.sample_demand(net, spec)
+        assert str(raised.value) == str(error)
+        return
+    matrix = demand.sample_demand(net, spec)
+    assert matrix == expected
+    assert matrix.pairs == expected.pairs
+
+
+@given(demand_cases())
+@settings(max_examples=150, deadline=None)
+def test_bulk_draws_equal_the_per_draw_loop(case):
+    _assert_same_draw(*case)
+
+
+def test_coin_ties_follow_random():
+    # heavy_probability equal to the first draw's random(), and one float
+    # above it: the comparison turns on the exact value of the coin
+    n = 20
+    for seed in range(20):
+        rng = random.Random(seed)
+        rng.sample(range(n), 2)
+        coin = rng.random()
+        for heavy_probability in (coin, math.nextafter(coin, 1.0)):
+            _assert_same_draw(n, demand.DemandSpec(
+                pair_count=30, mode=demand.SKEWED, heavy_fraction=0.1,
+                heavy_probability=heavy_probability, seed=seed))
+
+
+@pytest.mark.parametrize("n, mode, heavy_fraction", [
+    (9, demand.UNIFORM, 0.1), (17, demand.SKEWED, 0.2), (16, demand.SKEWED, 1.0)])
+def test_draws_carry_across_many_small_reads(n, mode, heavy_fraction):
+    # reads of 80 words end inside draws and inside pairs, and a saturated
+    # demand takes many of them
+    with mock.patch.object(demand, "_MAX_CHUNK_WORDS", 80):
+        for pair_count in (1, n * (n - 1) // 3, n * (n - 1)):
+            _assert_same_draw(n, demand.DemandSpec(
+                pair_count=pair_count, mode=mode, heavy_fraction=heavy_fraction,
+                heavy_probability=0.6, seed=pair_count))
+
+
+@pytest.mark.parametrize("pairs, message", [
+    (((0, 1), (1, 1), (2, 2)), "node 1 cannot pay itself"),
+    (((0, 1), (2, 3), (1, 0), (2, 3), (0, 1)), r"duplicate pair \(2, 3\)"),
+    (((0, 1), (3, 3), (0, 1)), "node 3 cannot pay itself"),
+    (((0, 1), (0, 2 ** 64)),
+     r"pair \(0, 18446744073709551616\) names a node outside the int64 range"),
+    (((-3, 2 ** 62), (1, 2), (-3, 2 ** 62)),
+     r"duplicate pair \(-3, 4611686018427387904\)"),
+])
+def test_demand_matrix_names_the_first_bad_pair(pairs, message):
+    with pytest.raises(ValueError, match=message):
+        demand.DemandMatrix(pairs)
+
+
+def test_demand_matrix_holds_read_only_arrays():
+    matrix = demand.DemandMatrix(((3, 1), (1, 3), (-2, 2 ** 62)))
+    for array in (matrix.source, matrix.destination):
+        assert array.dtype == np.int64 and not array.flags.writeable
+    assert matrix.source.tolist() == [3, 1, -2]
+    assert matrix.destination.tolist() == [1, 3, 2 ** 62]
+    assert list(matrix) == [(3, 1), (1, 3), (-2, 2 ** 62)]
+    assert all(type(v) is int for pair in matrix for v in pair)
+    assert matrix == demand.DemandMatrix(np.array(matrix.pairs))
+    assert matrix != demand.DemandMatrix(matrix.pairs[:2])
+    assert len(demand.DemandMatrix(())) == 0
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
+def test_pair_count_must_be_an_integer(count):
+    with pytest.raises(ValueError, match="pair_count must be an integer"):
+        demand.DemandSpec(pair_count=count)
+    assert demand.DemandSpec(pair_count=np.int64(3)).pair_count == 3
 
 
 def test_sampling_is_deterministic():

@@ -445,6 +445,19 @@ def test_throughputs_reject_a_routing_of_another_network(line):
             call()
 
 
+def test_throughputs_refuse_a_hopless_path():
+    # a path without hops crosses no channel, so its flow has no bound
+    net = make_network(3, [(0, 1), (1, 2)], [20, 20])
+    routing = build_routing_system(net, PathSet.of((
+        Path(0, 1, ((0, FORWARD),)), Path(2, 2, ()), Path(1, 1, ()))))
+    for call in (lambda: lp.max_throughput(net, routing),
+                 lambda: lp.min_throughput(net, routing, set()),
+                 lambda: lp.one_step_throughput(net, routing, center_state(net)),
+                 lambda: lp.worst_state_throughput(net, routing, {})):
+        with pytest.raises(ValueError, match="path 1 has no hops"):
+            call()
+
+
 def test_worst_state_full_freeze_is_zero(line):
     net, _, routing = line
     assert lp.worst_state_throughput(net, routing, {0: 20, 1: 0}) == 0

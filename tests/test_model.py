@@ -121,6 +121,19 @@ def test_routing_rejects_malformed_paths():
         build_routing_system(edgeless, PathSet.of((Path(0, 1, ((0, FORWARD),)),)))
 
 
+def test_routing_refuses_a_hopless_path_off_the_graph():
+    net = make_network(3, [(0, 1), (1, 2)], [1, 1])
+    inside = PathSet.of((Path(0, 1, ((0, FORWARD),)), Path(2, 2, ())))
+    assert build_routing_system(net, inside).path_count == 2
+    for node in (99, 3, -1):
+        off = PathSet.of((Path(0, 1, ((0, FORWARD),)), Path(node, node, ())))
+        with pytest.raises(ValueError, match=rf"path 1: node {node} outside 0\.\.2"):
+            build_routing_system(net, off)
+    # a hopless path between two nodes still fails on where it ends
+    with pytest.raises(ValueError, match="path 0: does not end at its destination"):
+        build_routing_system(net, PathSet.of((Path(0, 99, ()),)))
+
+
 @st.composite
 def _hop_lists(draw):
     edge_count = draw(st.integers(min_value=1, max_value=6))
