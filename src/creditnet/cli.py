@@ -36,7 +36,7 @@ from .fileio import (
 from .lp import max_throughput, min_throughput
 from .model import build_routing_system
 from .oracle import UNSOLVED, export_ilp, max_deadlock_exact
-from .peeling import peel, ripple_trace_csv
+from .peeling import peel, residue, ripple_trace_csv
 from .reduction import cnf_to_creditnet, parse_dimacs
 from .ripple import predict_ripple, simulate_iid_peeling, trajectory_csv
 from .synthesis import (
@@ -166,8 +166,7 @@ def _sweep_cell(args):
         pair_count=pairs, mode=mode, seed=demand_seed))
     paths = build_paths(network, demand, seed=demand_seed)
     routing = build_routing_system(network, paths)
-    result = peel(routing, seed=demand_seed)
-    unpeeled = set(result.unpeeled_edges)
+    unpeeled = set(residue(routing).unpeeled_edges)
     phi_max = ""
     phi_min = ""
     if want_max:
@@ -578,7 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=None)
     p.add_argument("--mode", choices=MODES, default=UNIFORM)
     p.add_argument("--pairing", action="store_true",
-                   help="peel opposite channel directions as one unit")
+                   help="peel opposite channel directions as one unit; "
+                        "changes only the ripple trace, not the unpeeled "
+                        "set or the outcome")
     p.add_argument("--trace", default="ripple_trace.csv")
     p.set_defaults(handler=cmd_analyze)
 

@@ -99,8 +99,10 @@ class DemandMatrix:
     """Distinct ordered (sender, receiver) pairs in draw order, held as
     read-only int64 `source` and `destination` arrays, named as in
     `model.PathSet`.  Built from (s, r) pairs or an (m, 2) array; iterates
-    as (s, r) tuples of ints.  One vectorized check refuses the first pair,
-    in order, that pays itself or repeats an earlier one."""
+    as (s, r) tuples of ints.  Refuses the first pair that names a node id
+    not equal to an integer (1.5, "3") rather than truncating it; then one
+    vectorized check refuses the first pair, in order, that pays itself or
+    repeats an earlier one."""
 
     source: np.ndarray
     destination: np.ndarray
@@ -112,6 +114,13 @@ class DemandMatrix:
             bad = next(p for p in pairs if not all(-2 ** 63 <= v < 2 ** 63 for v in p))
             raise ValueError(f"pair {tuple(bad)} names a node outside the "
                              "int64 range") from None
+        if np.asarray(pairs).dtype.kind not in "iub":
+            given = np.array(pairs, dtype=object).reshape(-1, 2)
+            truncated = ~(given == ends).all(axis=1)
+            if truncated.any():
+                bad = tuple(given[np.argmax(truncated)].tolist())
+                raise ValueError(f"pair {bad} names a node id that is not "
+                                 "an integer")
         source, destination = ends.T
         low, high = int(ends.min(initial=0)), int(ends.max(initial=0))
         span = high - low + 1

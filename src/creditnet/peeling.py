@@ -21,6 +21,24 @@ makes the count and the sum exact.
 Peeling every directed channel proves the instance deadlock-free. A stall
 proves nothing by itself: the unpeeled edge set is only an upper bound on
 the deadlock-prone region (exact answers live in the oracle module).
+
+The processed set is the least fixed point of that monotone release rule:
+the stopping set of erasure decoding, the same for every pick order (Di,
+Proietti, Telatar, Richardson & Urbanke, "Finite-length analysis of
+low-density parity-check codes on the binary erasure channel", IEEE Trans.
+Inf. Theory 48(6), 2002). So `processed`, `unpeeled_edges` and `outcome`
+do not depend on the seed or on `pairing`; only the ripple trace does.
+Two decoders compute it:
+
+- `peel` pops one directed channel per Python step and records the ripple
+  trace. `creditnet analyze` (which writes the trace) and `creditnet
+  verify` use it, and the tests take it as the reference.
+- `residue` processes the whole ripple at once in numpy rounds, at
+  O(channels + hops) a round. The sweep cell uses it: its routes are
+  shortest paths on generated graphs, which peel in a few rounds, where it
+  is several times faster than `peel`. A route file can be a chain that
+  releases one channel a round, and there it is far slower (thousands of
+  rounds), so the commands that read route files keep `peel`.
 """
 
 from __future__ import annotations
@@ -45,9 +63,25 @@ class PeelResult:
     outcome: str
 
 
+@dataclass(frozen=True)
+class Residue:
+    processed: frozenset[tuple[int, int]]  # (edge, direction) pairs
+    unpeeled_edges: frozenset[int]
+    rounds: tuple[int, ...]  # channels processed in each round
+    outcome: str
+
+
 def build_peeling_graph(network: CreditNetwork, paths: PathSet) -> RoutingSystem:
     """`build_routing_system` under its old name, kept because perfbench imports it."""
     return build_routing_system(network, paths)
+
+
+def _unprocessed(routing: RoutingSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Per flow: the count of its hops not yet processed, and the sum of
+    their ids, before any channel is processed."""
+    running = np.concatenate(([0], np.cumsum(routing.directed)))
+    return (np.diff(routing.indptr),
+            running[routing.indptr[1:]] - running[routing.indptr[:-1]])
 
 
 def peel(routing: RoutingSystem, seed: int, pairing: bool = False) -> PeelResult:
@@ -65,10 +99,7 @@ def peel(routing: RoutingSystem, seed: int, pairing: bool = False) -> PeelResult
     on_channel = routing.directed_paths
     hops = routing.directed.tolist()
     starts = routing.indptr.tolist()
-    # per flow: the hops not yet processed, and the sum of their ids
-    left = np.diff(routing.indptr).tolist()
-    running = np.concatenate(([0], np.cumsum(routing.directed)))
-    rest = (running[routing.indptr[1:]] - running[routing.indptr[:-1]]).tolist()
+    left, rest = (a.tolist() for a in _unprocessed(routing))
     processed = bytearray(total)
     released = bytearray(total)  # rippling or processed
     # kept sorted, so the seeded pick goes by rank without a sort per step
@@ -119,6 +150,55 @@ def peel(routing: RoutingSystem, seed: int, pairing: bool = False) -> PeelResult
         unpeeled_edges=unpeeled,
         ripple_trace=tuple(trace),
         outcome=SUCCESS if step == total else FAILURE,
+    )
+
+
+def residue(routing: RoutingSystem) -> Residue:
+    """`peel`'s processed set, unpeeled edges and outcome, in numpy rounds.
+
+    Each round processes the whole ripple (the frontier) at once: it lowers
+    every flow's count and hop-id sum by the frontier hops it holds, then
+    releases by `peel`'s rule, the last hop's reverse for flows brought to
+    one hop and every hop's reverse for flows brought to zero. A flow that
+    skips from two or more hops to zero in one round releases a superset of
+    what one hop would, so the fixed point is `peel`'s. Hopless flows start
+    at zero and release nothing. Takes a routing from
+    `build_routing_system`, for the same reason as `peel`.
+    """
+    total = 2 * routing.edge_count
+    hops, path = routing.directed, routing.path
+    flows = routing.path_count
+    left, rest = _unprocessed(routing)
+    frontier = np.zeros(total, dtype=bool)
+    frontier[rest[left == 1] ^ 1] = True
+    # each round processes what the round before released
+    released = frontier.copy()
+    rounds = []
+    while True:
+        size = int(np.count_nonzero(frontier))
+        if not size:
+            break
+        rounds.append(size)
+        hit = frontier[hops]
+        on = path[hit]
+        drop = np.bincount(on, minlength=flows)
+        left -= drop
+        rest -= np.bincount(on, weights=hops[hit], minlength=flows).astype(np.int64)
+        touched = drop > 0
+        frontier = np.zeros(total, dtype=bool)
+        frontier[rest[touched & (left == 1)] ^ 1] = True
+        emptied = touched & (left == 0)
+        if emptied.any():
+            frontier[hops[emptied[path]] ^ 1] = True
+        frontier &= ~released
+        released |= frontier
+    ids = np.flatnonzero(released)
+    both = released.reshape(-1, 2).all(axis=1)
+    return Residue(
+        processed=frozenset(zip((ids >> 1).tolist(), (ids & 1).tolist())),
+        unpeeled_edges=frozenset(np.flatnonzero(~both).tolist()),
+        rounds=tuple(rounds),
+        outcome=SUCCESS if both.all() else FAILURE,
     )
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from unittest import mock
 
 import networkx as nx
@@ -201,6 +202,20 @@ def test_demand_matrix_holds_read_only_arrays():
     assert matrix == demand.DemandMatrix(np.array(matrix.pairs))
     assert matrix != demand.DemandMatrix(matrix.pairs[:2])
     assert len(demand.DemandMatrix(())) == 0
+
+
+@pytest.mark.parametrize("pairs, bad", [
+    ([(0, 1.5), (2, 3.9)], "(0, 1.5)"),
+    ([(0, 1), (2, 3.9)], "(2, 3.9)"),
+    (np.array([[4.0, 1.0], [0.25, 2.0]]), "(0.25, 2.0)"),
+    ([(0, "3")], "(0, '3')"),
+], ids=["floats", "second pair", "float array", "string"])
+def test_demand_matrix_refuses_node_ids_that_are_not_integers(pairs, bad):
+    message = re.escape(f"pair {bad} names a node id that is not an integer")
+    with pytest.raises(ValueError, match=message):
+        demand.DemandMatrix(pairs)
+    # an integral float is the same node
+    assert demand.DemandMatrix([(0, 2.0), (np.int32(1), 2)]).pairs == ((0, 2), (1, 2))
 
 
 @pytest.mark.parametrize("count", [2.5, 3.0, "3", None])

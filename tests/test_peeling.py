@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from creditnet import BACKWARD, FORWARD, PathSet, make_network
 from creditnet.peeling import (FAILURE, SUCCESS, PeelResult, build_peeling_graph,
-                               peel, ripple_trace_csv)
+                               peel, residue, ripple_trace_csv)
 from test_model import routing_hops
 
 
@@ -240,8 +240,14 @@ def _duplicated_routes():
     return _instance(3, [(0, 1), (1, 2)], routes)
 
 
+def _hopless():
+    # one-node routes start at zero hops and release nothing
+    return _instance(3, [(0, 1), (1, 2)], [[0], [0, 1], [2], [2, 1, 0], [1]])
+
+
 _NAMED = {
     "empty": lambda: (_opposing_pair()[0], PathSet.of(())),
+    "hopless": _hopless,
     "single hops": _single_hops,
     "stalled triangle": _stuck_triangle,
     "duplicated routes": _duplicated_routes,
@@ -255,7 +261,33 @@ _NAMED = {
 def test_peel_matches_reference_on_named_instances(name, pairing):
     graph = _graph(_NAMED[name]())
     for seed in range(6):
-        assert peel(graph, seed, pairing) == _reference_peel(graph, seed, pairing)
+        expected = _reference_peel(graph, seed, pairing)
+        assert peel(graph, seed, pairing) == expected
+        _assert_residue_matches(graph, expected)
+
+
+def _assert_residue_matches(graph, expected):
+    """residue's order-free answer is the step-by-step decoder's, and its
+    rounds account for every processed channel."""
+    found = residue(graph)
+    assert found.processed == expected.processed
+    assert found.unpeeled_edges == expected.unpeeled_edges
+    assert found.outcome == expected.outcome
+    assert sum(found.rounds) == len(found.processed)
+    assert all(found.rounds)
+
+
+def test_residue_takes_a_round_per_link_of_an_alternating_chain():
+    # each three-node flow waits for the one before it: one channel a round
+    n = 200
+    routes = [[1, 0]] + [[k, k + 1, k + 2] if k % 2 == 0 else [k + 2, k + 1, k]
+                         for k in range(n - 2)]
+    graph = _graph(_instance(n, [(k, k + 1) for k in range(n - 1)], routes))
+    found = residue(graph)
+    assert found.rounds == (1,) * (n - 1)
+    assert found.outcome == FAILURE
+    _assert_residue_matches(graph, peel(graph, 0))
+    _assert_residue_matches(graph, _reference_peel(graph, 0))
 
 
 def _random_instance(instance_seed):
@@ -290,4 +322,6 @@ def _random_instance(instance_seed):
 @settings(max_examples=150, deadline=None)
 def test_peel_matches_reference(instance_seed, seed, pairing):
     graph = build_peeling_graph(*_random_instance(instance_seed))
-    assert peel(graph, seed, pairing) == _reference_peel(graph, seed, pairing)
+    expected = _reference_peel(graph, seed, pairing)
+    assert peel(graph, seed, pairing) == expected
+    _assert_residue_matches(graph, expected)
