@@ -12,9 +12,15 @@ into one row per channel, F.x <= min(b, c - b), beside (F - B).x = 0.
 
 Three solve routes; ThroughputReport.route names the one that ran:
 
-* "float": scipy's HiGHS dual simplex on sparse F and F - B built from the
-  routing's CSR arrays. Results are floats. A bound HiGHS would read as
-  infinite (HIGHS_INFINITE_BOUND and above) raises ValueError.
+* "float": HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018),
+  called directly through scipy's bundled binding with the options
+  linprog(method="highs-ds") sets, one module-level options object that no
+  call changes. Each routing keeps the column-wise arrays of [F; F - B],
+  built once from its CSR arrays, so the ceiling, the floor and every
+  one-step LP of a routing pass the same model with their own row bounds;
+  each solve starts a fresh solver with no basis carried over. Results are
+  floats. A bound HiGHS would read as infinite (HIGHS_INFINITE_BOUND and
+  above) raises ValueError.
 * "certified": the same HiGHS solve, then an exact certificate (after
   Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007, and Gleixner,
   Steffy & Wolter, INFORMS J. Comput. 2016). The primal x and the dual
@@ -31,7 +37,7 @@ Three solve routes; ThroughputReport.route names the one that ran:
   (each row a positive integer multiple of the rational row, so no
   Fraction per cell) with the pivots and the Fraction optimum of a
   rational tableau. It runs directly below CERTIFY_MIN_CELLS, where it is
-  faster than a linprog call plus the certificate, when a bound is beyond
+  faster than the HiGHS call plus the certificate, when a bound is beyond
   HiGHS's range, and when the certificate fails. Its LP depends only on the
   routing and the bounds, so each routing keeps the simplex optimum of every
   bound vector it has solved and never solves one twice.
@@ -63,8 +69,7 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
 
 from . import simplex
 from .model import (
@@ -90,12 +95,12 @@ EXACT_CELL_LIMIT = 20_000
 # Exact results below this many cells come from the integer-tableau simplex
 # directly. On the four exact-small recipes at 10-50 pairs (phi_max and
 # phi_min LPs, median of 5 seeds, best of 3; Python 3.11, 2-vCPU VM) it took
-# 0.6-5.5 ms against 3.0-7.1 ms for linprog plus the certificate at every
-# size up to 1,950 cells, and first lost at 2,430 cells. The limit stays
-# below 1,950 so that 50-pair criterion-2 LPs (1,950-2,700 cells) stay
-# certified. Values are equal on either route; only the route label and
-# possibly the optimal vertex depend on it.
-CERTIFY_MIN_CELLS = 1_900
+# 0.41-0.58 ms against 0.51-0.60 ms for the HiGHS call plus the certificate
+# up to 540 cells, where the two tie, and lost at every size from 780 cells
+# on (0.68-5.5 ms against 0.55-1.2 ms), so 50-pair criterion-2 LPs
+# (1,950-2,700 cells) stay certified. Values are equal on either route; only
+# the route label and possibly the optimal vertex depend on it.
+CERTIFY_MIN_CELLS = 600
 
 # Largest denominator tried when reading HiGHS's floats as rationals.
 CERTIFICATE_DENOMINATOR = 10 ** 6
@@ -130,23 +135,81 @@ class ThroughputReport:
     route: str
 
 
-def _highs(objective, a_ub, b_ub, a_eq, b_eq) -> LpSolution:
-    c = -np.asarray(objective, dtype=float)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs-ds")
-    if res.status == 0:
-        x = np.maximum(res.x, 0.0)
-        # adding 0.0 turns a -0.0 optimum into 0.0
-        return LpSolution(OPTIMAL, tuple(float(v) for v in x), float(-res.fun) + 0.0,
-                          (res.ineqlin.marginals, res.eqlin.marginals))
-    status = {2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, NUMERICAL_FAILURE)
-    return LpSolution(status, (), 0.0)
+def _highs_options(**values) -> _core.HighsOptions:
+    """HiGHS options as linprog(method="highs-ds") sets them, with `values`
+    on top (solver="ipm" selects the interior-point method)."""
+    options = _core.HighsOptions()
+    linprog_values = {
+        "presolve": "on",
+        "solver": "simplex",
+        "simplex_strategy": _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+        "highs_debug_level": _core.HighsDebugLevel.kHighsDebugLevelNone,
+        "output_flag": False,
+        "log_to_console": False,
+    }
+    for name, value in {**linprog_values, **values}.items():
+        setattr(options, name, value)
+    return options
+
+
+# passed to every solve and never changed
+_HIGHS_OPTIONS = _highs_options()
+
+# HiGHS model status -> ours; any other status is a NUMERICAL_FAILURE
+_HIGHS_STATUS = {
+    _core.HighsModelStatus.kInfeasible: INFEASIBLE,
+    _core.HighsModelStatus.kModelError: INFEASIBLE,
+    _core.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+
+# linprog's feasibility tolerance on a reported optimum, sqrt(1e-9) * 10
+_FEASIBILITY_TOL = math.sqrt(1e-9) * 10
+
+
+def _highs(columns: tuple, b_ub: np.ndarray) -> LpSolution:
+    """Maximize sum(x) s.t. A[:m].x <= b_ub, A[m:].x = 0 and x >= 0, on the
+    column-wise (start, index, value) arrays of a 2m-row A, in a fresh
+    HiGHS solver: no basis is carried from one LP to the next."""
+    ncol, m = columns[0].size - 1, b_ub.size
+    model = _core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = ncol
+    model.num_row_ = model.a_matrix_.num_row_ = 2 * m
+    model.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = columns
+    model.col_cost_ = np.full(ncol, -1.0)
+    model.col_lower_ = np.zeros(ncol)
+    model.col_upper_ = np.full(ncol, _core.kHighsInf)
+    zeros = np.zeros(m)
+    model.row_lower_ = np.concatenate((np.full(m, -_core.kHighsInf), zeros))
+    model.row_upper_ = np.concatenate((b_ub, zeros))
+    solver = _core._Highs()
+    solver.passOptions(_HIGHS_OPTIONS)
+    if (solver.passModel(model) == _core.HighsStatus.kError
+            or solver.run() == _core.HighsStatus.kError):
+        return LpSolution(NUMERICAL_FAILURE, (), 0.0)
+    status = solver.getModelStatus()
+    if status != _core.HighsModelStatus.kOptimal:
+        return LpSolution(_HIGHS_STATUS.get(status, NUMERICAL_FAILURE), (), 0.0)
+    solution = solver.getSolution()
+    fun = solver.getInfo().objective_function_value
+    x, rows = np.array(solution.col_value), np.array(solution.row_value)
+    # linprog's check of an optimum: no NaN, and every bound and row within
+    # its tolerance (a NaN fails every comparison)
+    within = ((x >= -_FEASIBILITY_TOL).all()
+              and (b_ub - rows[:m] >= -_FEASIBILITY_TOL).all()
+              and (np.abs(rows[m:]) <= _FEASIBILITY_TOL).all())
+    if math.isnan(fun) or not within:
+        return LpSolution(NUMERICAL_FAILURE, (), 0.0)
+    dual = np.array(solution.row_dual)
+    # adding 0.0 turns a -0.0 optimum into 0.0
+    return LpSolution(OPTIMAL, tuple(np.maximum(x, 0.0).tolist()), -fun + 0.0,
+                      (dual[:m], dual[m:]))
 
 
 class _LpForms:
     """One routing's LP forms, each built from its CSR arrays on first use
-    and kept with the routing: HiGHS's sparse F and F - B and the simplex's
-    dense channel x path rows of F and F - B.
+    and kept with the routing: HiGHS's column-wise [F; F - B] and the
+    simplex's dense channel x path rows of F and F - B.
     `simplex_optima` maps tuple(bounds) to the simplex's solution for those
     bounds, so a bound vector met again (a state and its mirror c - b give
     the same one) is not solved again.
@@ -168,10 +231,18 @@ class _LpForms:
         self.ceiling: tuple | None = None
 
     @cached_property
-    def highs_matrices(self):
-        delta = sparse.csr_matrix((self.sign.astype(float), self.edge, self.indptr),
-                                  shape=self.shape).T
-        return delta.maximum(0), delta
+    def highs_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """HiGHS's (start, index, value) of [F; F - B], one column per path:
+        row e for a forward hop over e, then row E + e with its sign for
+        every hop, rows ascending within a column as a CSC matrix keeps them."""
+        pcount, ecount = self.shape
+        forward = self.sign > 0
+        col = np.concatenate((self.path[forward], self.path))
+        row = np.concatenate((self.edge[forward], self.edge + ecount))
+        value = np.concatenate((np.ones(forward.sum()), self.sign.astype(float)))
+        order = np.argsort(col * 2 * ecount + row)
+        start = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=pcount))))
+        return (start.astype(np.int32), row[order].astype(np.int32), value[order])
 
     @cached_property
     def simplex_rows(self) -> tuple[list, list]:
@@ -292,8 +363,7 @@ def _solve_flow(routing: RoutingSystem, bounds: list) -> tuple[LpSolution, str]:
             raise
         # no float vertex can be certified against such a bound
         return dense_simplex()
-    f, delta = forms.highs_matrices
-    solution = _highs([1] * pcount, f, b_ub, delta, np.zeros(routing.edge_count))
+    solution = _highs(forms.highs_columns, b_ub)
     if not exact:
         return solution, FLOAT
     certified = _certify(routing, bounds, solution)

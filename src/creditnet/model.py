@@ -9,7 +9,9 @@ the LP solver.
 
 Routes are kept once, as the read-only CSR arrays of a `PathSet`;
 `build_routing_system` validates them and the `RoutingSystem` that the
-LP, peeling and the oracles read shares them without a copy.  Node walks
+LP, peeling and the oracles read shares them without a copy.  The path set
+keeps that routing for the network it was validated against, so one
+instance is validated once whichever of them asks first.  Node walks
 (path files, the SAT gadget) become arrays through `PathSet.of_walks` and
 come back through `PathSet.walks`, which runs that one check first.
 
@@ -327,7 +329,7 @@ class PathSet:
 
     def __eq__(self, other):
         return isinstance(other, PathSet) and all(
-            np.array_equal(array, getattr(other, name)) for name, array in vars(self).items())
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,7 +388,23 @@ def _hop_ends(network: CreditNetwork, paths: PathSet, edge: np.ndarray):
 def build_routing_system(network: CreditNetwork, paths: PathSet) -> RoutingSystem:
     """Validate a path set and wrap its arrays as the routing incidence.
 
-    The one check of a path set's hops, run over the routing's arrays at
+    The path set keeps the routing with the network it was validated
+    against, so that peeling, the exact oracles and the LP of one instance
+    share one routing (and the LP forms kept on it): a repeat call with the
+    same network object returns that routing, and any other network is
+    validated anew. A network is immutable, so its identity stands for its
+    edges.
+    """
+    kept = paths.__dict__.get("_routing")
+    if kept is not None and kept[0] is network:
+        return kept[1]
+    routing = _validated_routing(network, paths)
+    object.__setattr__(paths, "_routing", (network, routing))
+    return routing
+
+
+def _validated_routing(network: CreditNetwork, paths: PathSet) -> RoutingSystem:
+    """The one check of a path set's hops, run over the routing's arrays at
     once. In hop order each hop must name an edge in range, go FORWARD or
     BACKWARD, not repeat an edge of its path and start where the previous
     hop (or the source) ended; the walk must end at the destination, and a

@@ -1,7 +1,6 @@
 import json
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -27,7 +26,7 @@ from creditnet.fileio import (
     save_graph,
     write_paths,
 )
-from creditnet import lp
+from creditnet import lp, model
 from creditnet.lp import max_throughput, min_throughput
 from creditnet.model import build_routing_system, make_network
 from creditnet.peeling import build_peeling_graph, peel
@@ -238,6 +237,22 @@ def test_verify_reports_equality(tmp_path, capsys):
     assert "unsolved" in out
 
 
+def test_verify_validates_each_instance_once(tmp_path, capsys):
+    (tmp_path / "corpus").mkdir()
+    _line_files(tmp_path / "corpus")
+    validated = []
+    validate = model._validated_routing
+
+    def counting(network, paths):
+        validated.append(paths)
+        return validate(network, paths)
+
+    with mock.patch.object(model, "_validated_routing", counting):
+        assert main(["verify", "--corpus", str(tmp_path / "corpus")]) == EXIT_OK
+    assert "line,2,2,yes" in capsys.readouterr().out
+    assert len(validated) == 1
+
+
 def test_reduce_round_trips_the_gadget(tmp_path, capsys):
     text = "p cnf 3 2\n1 -2 0\n2 3 0\n"
     cnf_file = tmp_path / "f.cnf"
@@ -327,7 +342,7 @@ def test_solver_failure_exits_three(tmp_path, capsys, monkeypatch):
                "--edges", "50", "--seed", "4", "--out-dir", str(tmp_path)])
     assert rc == EXIT_OK
     capsys.readouterr()
-    monkeypatch.setattr(lp, "linprog", lambda *a, **k: SimpleNamespace(status=4))
+    monkeypatch.setattr(lp, "_highs", lambda *a: lp.LpSolution(lp.NUMERICAL_FAILURE, (), 0.0))
     rc = main(["analyze", "--graph", str(tmp_path / "graph.txt"),
                "--pairs", "200", "--seed", "9", "--out-dir", str(tmp_path)])
     captured = capsys.readouterr()

@@ -1,13 +1,14 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import linprog
 
 from creditnet import (
@@ -25,10 +26,13 @@ from creditnet import (
     make_state,
 )
 from creditnet import lp, simplex
+from creditnet.cli import desk_scale_config, sweep_cells
 from creditnet.demand import DemandSpec, build_paths, sample_demand
 from creditnet.model import channel_usage
+from creditnet.peeling import residue
 from creditnet.topology import ERDOS_RENYI, TopologySpec, gen_topology
 from conftest import line_instance
+from test_acceptance import criterion_2_instances
 from test_model import dense_views, routing_hops, small_instance
 
 
@@ -45,6 +49,12 @@ def _route(exact):
     """Send every LP down the exact or the float route: the cell count
     against EXACT_CELL_LIMIT is all that picks one."""
     return mock.patch.object(lp, "EXACT_CELL_LIMIT", math.inf if exact else -1)
+
+
+def _fresh_routing(net, paths):
+    """A routing of `paths` with nothing kept on it: a path set keeps the
+    routing it was validated into, and a copy keeps none."""
+    return build_routing_system(net, replace(paths))
 
 
 def _delta_residual(routing, flow):
@@ -499,7 +509,7 @@ def test_one_step_rejects_states_that_do_not_fit(line, balances, message):
 
 def test_solver_failure_raises_instead_of_nan(line, monkeypatch):
     net, _, routing = line
-    monkeypatch.setattr(lp, "linprog", lambda *a, **k: SimpleNamespace(status=4))
+    monkeypatch.setattr(lp, "_highs", lambda *a: lp.LpSolution(lp.NUMERICAL_FAILURE, (), 0.0))
     monkeypatch.setattr(lp, "EXACT_CELL_LIMIT", -1)
     report = lp.one_step_throughput(net, routing, center_state(net))
     assert report.solver_status == lp.NUMERICAL_FAILURE
@@ -635,38 +645,24 @@ def test_certified_route_on_large_exact_instance():
     assert _delta_residual(routing, report.optimal_flow) == 0
 
 
-def _halve_primal(res):
-    # x / 2 stays feasible, but sum(x) falls short of the dual bound
-    res.x = res.x / 2
+def _perturbed_highs(kind):
+    """lp._highs with its optimum perturbed by `_perturbed`."""
+    highs = lp._highs
+    return mock.patch.object(lp, "_highs", lambda *args: _perturbed(highs(*args), kind, None))
 
 
-def _zero_primal_and_dual(res):
-    # x = 0 and alpha = gamma = 0 close the gap, but no reduced cost reaches 1
-    res.x = np.zeros_like(res.x)
-    res.ineqlin.marginals = np.zeros_like(res.ineqlin.marginals)
-    res.eqlin.marginals = np.zeros_like(res.eqlin.marginals)
-
-
-def _optimum_on_one_path(res):
-    # sum(x) still equals the dual bound, but one path alone shifts balances
-    res.x = np.zeros_like(res.x)
-    res.x[0] = -res.fun
-
-
-@pytest.mark.parametrize("perturb", [_halve_primal, _zero_primal_and_dual,
-                                     _optimum_on_one_path])
-def test_failed_certificate_falls_back_to_simplex(perturb):
+# x / 2 stays feasible, but sum(x) falls short of the dual bound; x = 0 and
+# alpha = gamma = 0 close the gap, but no reduced cost reaches 1; sum(x) on
+# one path still equals the dual bound, but that path alone shifts balances
+@pytest.mark.parametrize("kind", ["halve_primal", "zero_primal_and_dual",
+                                  "optimum_on_one_path"], ids=lambda kind: f"_{kind}")
+def test_failed_certificate_falls_back_to_simplex(kind):
     net, routing = _er_instance(10, 18, 50, seed=3, demand_seed=10)
     state = center_state(net)
     reference = lp.one_step_throughput(net, routing, state)
     assert reference.route == lp.CERTIFIED
 
-    def perturbed_linprog(*args, **kwargs):
-        res = linprog(*args, **kwargs)
-        perturb(res)
-        return res
-
-    with mock.patch.object(lp, "linprog", perturbed_linprog):
+    with _perturbed_highs(kind):
         report = lp.one_step_throughput(net, routing, state)
     assert report.route == lp.SIMPLEX
     assert report.psi_value == reference.psi_value
@@ -720,7 +716,7 @@ def test_warm_routing_matches_a_fresh_one(instance, data):
         lp.one_step_throughput(net, routing, other)
     lp.one_step_throughput(net, routing, mirror)
     warm = lp.one_step_throughput(net, routing, state)
-    fresh = lp.one_step_throughput(net, build_routing_system(net, paths), state)
+    fresh = lp.one_step_throughput(net, _fresh_routing(net, paths), state)
     assert fresh.route == lp.SIMPLEX
     assert _signature(warm) == _signature(fresh)
 
@@ -755,13 +751,7 @@ def test_kept_optima_leave_the_route_choice_per_call(line):
     with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
         certified = lp.one_step_throughput(net, routing, state)
         assert certified.route == lp.CERTIFIED
-
-        def perturbed_linprog(*args, **kwargs):
-            res = linprog(*args, **kwargs)
-            _halve_primal(res)
-            return res
-
-        with mock.patch.object(lp, "linprog", perturbed_linprog):
+        with _perturbed_highs("halve_primal"):
             fallback = lp.one_step_throughput(net, routing, state)
     assert fallback.route == lp.SIMPLEX
     assert fallback.psi_value == certified.psi_value == 20
@@ -791,7 +781,7 @@ def _floors(net, paths, unpeeled):
     routing = build_routing_system(net, paths)
     lp.max_throughput(net, routing)
     warm = lp.min_throughput(net, routing, unpeeled)
-    return warm, lp.min_throughput(net, build_routing_system(net, paths), unpeeled)
+    return warm, lp.min_throughput(net, _fresh_routing(net, paths), unpeeled)
 
 
 @settings(max_examples=100, deadline=None)
@@ -835,7 +825,7 @@ def test_floor_reuses_the_ceiling_only_when_it_fits(exact, unpeeled, solves, flo
 
     with _route(exact), \
             mock.patch.object(simplex, "solve_dense", counting(simplex.solve_dense)), \
-            mock.patch.object(lp, "linprog", counting(linprog)):
+            mock.patch.object(lp, "_highs", counting(lp._highs)):
         assert lp.max_throughput(net, routing) == 20
         assert len(counted) == 1
         assert lp.min_throughput(net, routing, unpeeled) == pytest.approx(floor)
@@ -1111,3 +1101,105 @@ def test_bounds_beyond_highs_range(capacity):
             lp.one_step_throughput(net, routing, state)
         with pytest.raises(ValueError, match="channel 5"):
             lp.max_throughput(net, routing)
+
+
+# --- the direct HiGHS call against linprog ---
+#
+# _linprog_solution is the float route as it ran through
+# scipy.optimize.linprog(method="highs-ds") on scipy.sparse F and F - B;
+# lp._highs passes the same LP to the same HiGHS binding with the same
+# options, so every result must agree bit for bit.
+
+
+def _linprog_solution(routing, b_ub):
+    delta = sparse.csr_matrix((routing.sign.astype(float), routing.edge, routing.indptr),
+                              shape=(routing.path_count, routing.edge_count)).T
+    res = linprog(-np.ones(routing.path_count), A_ub=delta.maximum(0), b_ub=b_ub,
+                  A_eq=delta, b_eq=np.zeros(routing.edge_count), bounds=(0, None),
+                  method="highs-ds")
+    assert res.status == 0
+    return lp.LpSolution(lp.OPTIMAL, tuple(float(v) for v in np.maximum(res.x, 0.0)),
+                         float(-res.fun) + 0.0, (res.ineqlin.marginals, res.eqlin.marginals))
+
+
+def _bits(solution):
+    """A solution's status and the bytes of every float it holds."""
+    return (solution.status, np.array(solution.x).tobytes(),
+            np.float64(solution.objective_value).tobytes(),
+            tuple(np.asarray(d).tobytes() for d in solution.duals))
+
+
+def _ceiling_and_floor_lps():
+    """Criterion 2's 200 instances and the first graph and demand draw of
+    each desk-sweep family at 300 and 3000 pairs, each with its ceiling
+    bounds c / 2 and its floor bounds (0 on the unpeeled channels)."""
+    instances = [(net, paths) for _, _, net, paths in criterion_2_instances()]
+    desk = set()
+    for spec, pairs, graph_seed, demand_seed, mode, *_ in sweep_cells(desk_scale_config()):
+        if pairs not in (300, 3000) or (spec.kind, pairs) in desk:
+            continue
+        desk.add((spec.kind, pairs))
+        net = gen_topology(replace(spec, seed=graph_seed))
+        demand = sample_demand(net, DemandSpec(pair_count=pairs, mode=mode, seed=demand_seed))
+        instances.append((net, build_paths(net, demand, seed=demand_seed)))
+    for net, paths in instances:
+        routing = build_routing_system(net, paths)
+        unpeeled = set(residue(routing).unpeeled_edges)
+        ceiling = [c / 2 for c in net.capacities]
+        yield routing, ceiling
+        yield routing, [Fraction(0) if k in unpeeled else b for k, b in enumerate(ceiling)]
+
+
+def test_direct_highs_call_equals_linprog():
+    count = 0
+    for routing, bounds in _ceiling_and_floor_lps():
+        b_ub = lp._highs_bounds(bounds)
+        direct = lp._highs(lp._lp_forms(routing).highs_columns, b_ub)
+        assert _bits(direct) == _bits(_linprog_solution(routing, b_ub))
+        count += 1
+    assert count == 2 * (200 + 8)
+
+
+def _columns(start, index, value):
+    return (np.array(start, np.int32), np.array(index, np.int32), np.array(value, float))
+
+
+def _linprog_status(columns, b_ub, **options):
+    """linprog's status on the LP lp._highs reads off `columns`, mapped as
+    the float route mapped it."""
+    start, index, value = columns
+    a = np.zeros((2 * b_ub.size, start.size - 1))
+    for j, (lo, hi) in enumerate(zip(start[:-1], start[1:])):
+        a[index[lo:hi], j] = value[lo:hi]
+    res = linprog(-np.ones(a.shape[1]), A_ub=a[:b_ub.size], b_ub=b_ub, A_eq=a[b_ub.size:],
+                  b_eq=np.zeros(b_ub.size), bounds=(0, None), method="highs-ds",
+                  options=options)
+    return {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}.get(res.status,
+                                                                  lp.NUMERICAL_FAILURE)
+
+
+@pytest.mark.parametrize("columns, b_ub, status", [
+    # x <= -1
+    (_columns([0, 1], [0], [1.0]), [-1.0], lp.INFEASIBLE),
+    # no row holds x
+    (_columns([0, 0], [], []), [1.0], lp.UNBOUNDED),
+    # x1 - x2 <= 1 and x1 - x2 = 0 hold x1 = x2 anywhere
+    (_columns([0, 2, 4], [0, 1, 0, 1], [1.0, 1.0, -1.0, -1.0]), [1.0], lp.UNBOUNDED),
+], ids=["infeasible", "unbounded-free-column", "unbounded-ray"])
+def test_direct_highs_status_maps_as_linprog(columns, b_ub, status):
+    b_ub = np.array(b_ub)
+    assert lp._highs(columns, b_ub).status == _linprog_status(columns, b_ub) == status
+
+
+def test_direct_highs_failures_are_numerical():
+    # x1 + x2 <= 4 and x1 - x2 = 0: optimal at (2, 2), but not in zero
+    # iterations without presolve
+    columns, b_ub = _columns([0, 2, 4], [0, 1, 0, 1], [1.0, 1.0, 1.0, -1.0]), np.array([4.0])
+    assert lp._highs(columns, b_ub).x == (2.0, 2.0)
+    stopped = lp._highs_options(presolve="off", simplex_iteration_limit=0)
+    with mock.patch.object(lp, "_HIGHS_OPTIONS", stopped):
+        assert lp._highs(columns, b_ub).status == lp.NUMERICAL_FAILURE
+    assert _linprog_status(columns, b_ub, presolve=False, maxiter=0) == lp.NUMERICAL_FAILURE
+    # a row index past the model: passModel refuses it
+    broken = _columns([0, 1], [7], [1.0])
+    assert lp._highs(broken, np.array([1.0])).status == lp.NUMERICAL_FAILURE

@@ -121,6 +121,31 @@ def test_routing_rejects_malformed_paths():
         build_routing_system(edgeless, PathSet.of((Path(0, 1, ((0, FORWARD),)),)))
 
 
+def test_path_set_keeps_its_routing_per_network(line):
+    net, paths, routing = line
+    assert build_routing_system(net, paths) is routing
+    # an equal network is another object, so the paths are validated anew
+    twin = make_network(3, [(0, 1), (1, 2)], [20, 20])
+    again = build_routing_system(twin, paths)
+    assert again is not routing
+    assert _csr(again) == _csr(routing) and again.edge_count == routing.edge_count
+    assert build_routing_system(twin, paths) is again
+    # the kept routing is no part of what a path set equals
+    fresh = PathSet.of(tuple(paths))
+    assert paths == fresh and fresh == paths
+
+
+def test_path_set_valid_for_one_network_still_fails_on_another(line):
+    net, paths, routing = line
+    # the line's path 0 walks 0 -> 1 -> 2 over edges 0 and 1; here edge 1 is
+    # (0, 2), so its second hop does not start where the first ended
+    other = make_network(3, [(0, 1), (0, 2)], [20, 20])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="path 0: non-contiguous at edge 1"):
+            build_routing_system(other, paths)
+    assert build_routing_system(net, paths) is routing
+
+
 def test_routing_refuses_a_hopless_path_off_the_graph():
     net = make_network(3, [(0, 1), (1, 2)], [1, 1])
     inside = PathSet.of((Path(0, 1, ((0, FORWARD),)), Path(2, 2, ())))
