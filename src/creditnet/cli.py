@@ -224,17 +224,11 @@ def results_csv(rows: list[dict]) -> str:
 def whisker_stats(rows: list[dict]) -> list[dict]:
     """Per-cell min/mean/max, aggregated over the trial draws."""
     groups: dict[tuple[str, int], list[dict]] = {}
-    order = []
     for row in rows:
-        key = (row["topology"], row["pairs"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault((row["topology"], row["pairs"]), []).append(row)
     out = []
-    for key in order:
-        bucket = groups[key]
-        stat = {"topology": key[0], "pairs": key[1]}
+    for (kind, pairs), bucket in groups.items():
+        stat = {"topology": kind, "pairs": pairs}
         for metric in ("frac_unpeeled", "phi_max", "phi_min"):
             values = [float(r[metric]) for r in bucket if r[metric] != ""]
             if not values:
@@ -273,27 +267,15 @@ def gnuplot_script(topologies, stats_name: str) -> str:
         "set key outside right",
         "set xlabel \"demand pairs\"",
         "set terminal svg size 800,500",
-        "set output 'sweep_unpeeled.svg'",
-        "set ylabel \"fraction of channels unpeeled\"",
     ]
-    curves = []
-    for kind in topologies:
-        curves.append(
-            f"  '{stats_name}' skip 1 "
-            f"using (strcol(1) eq '{kind}' ? $2 : NaN):4:3:5 "
-            f"with yerrorlines title '{kind}'")
-    lines.append("plot \\\n" + ", \\\n".join(curves))
-    lines.extend([
-        "set output 'sweep_phi_max.svg'",
-        "set ylabel \"throughput ceiling\"",
-    ])
-    curves = []
-    for kind in topologies:
-        curves.append(
-            f"  '{stats_name}' skip 1 "
-            f"using (strcol(1) eq '{kind}' ? $2 : NaN):7:6:8 "
-            f"with yerrorlines title '{kind}'")
-    lines.append("plot \\\n" + ", \\\n".join(curves))
+    for svg, ylabel, columns in (
+            ("sweep_unpeeled.svg", "fraction of channels unpeeled", "4:3:5"),
+            ("sweep_phi_max.svg", "throughput ceiling", "7:6:8")):
+        lines.extend((f"set output '{svg}'", f"set ylabel \"{ylabel}\""))
+        curves = (f"  '{stats_name}' skip 1 "
+                  f"using (strcol(1) eq '{kind}' ? $2 : NaN):{columns} "
+                  f"with yerrorlines title '{kind}'" for kind in topologies)
+        lines.append("plot \\\n" + ", \\\n".join(curves))
     return "\n".join(lines) + "\n"
 
 
@@ -376,10 +358,7 @@ def cmd_sweep(args) -> int:
                                           encoding="utf-8")
     stats = whisker_stats(rows)
     (directory / args.stats).write_text(stats_csv(stats), encoding="utf-8")
-    kinds = []
-    for spec in config.topologies:
-        if spec.kind not in kinds:
-            kinds.append(spec.kind)
+    kinds = dict.fromkeys(spec.kind for spec in config.topologies)
     (directory / args.plot).write_text(gnuplot_script(kinds, args.stats),
                                        encoding="utf-8")
     print(f"wrote {directory / args.results} ({len(rows)} rows)")

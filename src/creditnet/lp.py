@@ -36,14 +36,15 @@ Three solve routes; ThroughputReport.route names the one that ran:
   channel x path rows built once per routing, run on an integer tableau
   (each row a positive integer multiple of the rational row, so no
   Fraction per cell) with the pivots and the Fraction optimum of a
-  rational tableau. It runs directly below CERTIFY_MIN_CELLS, where it is
-  faster than the HiGHS call plus the certificate, when a bound is beyond
-  HiGHS's range, and when the certificate fails. Its LP depends only on the
-  routing and the bounds, so each routing keeps the simplex optimum of every
-  bound vector it has solved and never solves one twice.
+  rational tableau. It runs below CERTIFY_MIN_CELLS, where it is faster
+  than HiGHS plus the certificate, when a bound is beyond HiGHS's range,
+  and when the certificate fails.
 
-The size alone picks the route: results are exact (certified or simplex)
-for 3 * channels * paths <= EXACT_CELL_LIMIT and float above.
+Two branches, by size: above EXACT_CELL_LIMIT cells (3 * channels * paths)
+the float solve is returned and not kept. At or below it, each routing keeps
+one table of exact optima by bound vector (the LP depends only on the
+routing and the bounds); a vector met again is answered from it, on
+whichever exact route first solved it, and only a new one is solved.
 
 The floor min_throughput is the same LP as the ceiling max_throughput with
 the unpeeled channels' bounds lowered from c/2 to 0, so each routing keeps
@@ -53,6 +54,9 @@ flow over any path through an unpeeled channel. Proof: the floor's feasible
 set lies inside the ceiling's, so floor <= ceiling, and such an x is
 feasible for the floor and reaches the ceiling. Any other unpeeled set, or
 a routing with no kept optimum for these capacities, is solved as before.
+
+worst_state_throughput is that floor with the deadlocked set zeroed: a
+channel frozen at 0 or its capacity has the bound min(b, c - b) = 0.
 
 one_step_throughput reports the solver status with its value; the peak and
 floor functions raise RuntimeError when the solver stops short of an optimum.
@@ -210,9 +214,9 @@ class _LpForms:
     """One routing's LP forms, each built from its CSR arrays on first use
     and kept with the routing: HiGHS's column-wise [F; F - B] and the
     simplex's dense channel x path rows of F and F - B.
-    `simplex_optima` maps tuple(bounds) to the simplex's solution for those
-    bounds, so a bound vector met again (a state and its mirror c - b give
-    the same one) is not solved again.
+    `exact_optima` maps tuple(bounds) to the exact (solution, route) for
+    those bounds, so a bound vector met again (a state and its mirror c - b
+    give the same one) is not solved again on either exact route.
     `ceiling` is max_throughput's last optimum as (capacities, value, x),
     None until one is reached; min_throughput reuses it.
     It holds the arrays, not the routing, so the two form no cycle.
@@ -227,7 +231,7 @@ class _LpForms:
         self.indptr, self.edge, self.sign = routing.indptr, routing.edge, routing.sign
         self.path = routing.path
         self.shape = (routing.path_count, routing.edge_count)
-        self.simplex_optima: dict[tuple, LpSolution] = {}
+        self.exact_optima: dict[tuple, tuple[LpSolution, str]] = {}
         self.ceiling: tuple | None = None
 
     @cached_property
@@ -335,41 +339,41 @@ def _certify(routing: RoutingSystem, bounds: list, solution: LpSolution) -> LpSo
                       Fraction(int(total), dx))
 
 
+def _exact_solve(routing: RoutingSystem, forms: _LpForms, bounds: list,
+                 cells: int) -> tuple[LpSolution, str]:
+    """The certified optimum from cells >= CERTIFY_MIN_CELLS up, when every
+    bound is within HiGHS's range and the certificate holds; the simplex's
+    otherwise."""
+    if cells >= CERTIFY_MIN_CELLS:
+        try:
+            b_ub = _highs_bounds(bounds)
+        except ValueError:
+            pass  # no float vertex can be certified against such a bound
+        else:
+            certified = _certify(routing, bounds, _highs(forms.highs_columns, b_ub))
+            if certified is not None:
+                return certified, CERTIFIED
+    forward, delta = forms.simplex_rows
+    return LpSolution(*simplex.solve_dense([1] * routing.path_count, forward, bounds,
+                                           delta, [0] * routing.edge_count)), SIMPLEX
+
+
 def _solve_flow(routing: RoutingSystem, bounds: list) -> tuple[LpSolution, str]:
     """Maximize total path flow s.t. F.x <= bounds and (F - B).x = 0.
 
-    Returns the solution and the route that produced it.
+    Returns the solution and the route that produced it: a float solve above
+    EXACT_CELL_LIMIT, else the routing's kept exact optimum for `bounds`,
+    solved on first use.
     """
-    pcount = routing.path_count
     forms = _lp_forms(routing)
-    cells = 3 * routing.edge_count * pcount
-    exact = cells <= EXACT_CELL_LIMIT
-
-    def dense_simplex():
-        key = tuple(bounds)
-        solution = forms.simplex_optima.get(key)
-        if solution is None:
-            forward, delta = forms.simplex_rows
-            solution = forms.simplex_optima[key] = LpSolution(*simplex.solve_dense(
-                [1] * pcount, forward, bounds, delta, [0] * routing.edge_count))
-        return solution, SIMPLEX
-
-    if exact and cells < CERTIFY_MIN_CELLS:
-        return dense_simplex()
-    try:
-        b_ub = _highs_bounds(bounds)
-    except ValueError:
-        if not exact:
-            raise
-        # no float vertex can be certified against such a bound
-        return dense_simplex()
-    solution = _highs(forms.highs_columns, b_ub)
-    if not exact:
-        return solution, FLOAT
-    certified = _certify(routing, bounds, solution)
-    if certified is None:
-        return dense_simplex()
-    return certified, CERTIFIED
+    cells = 3 * routing.edge_count * routing.path_count
+    if cells > EXACT_CELL_LIMIT:
+        return _highs(forms.highs_columns, _highs_bounds(bounds)), FLOAT
+    key = tuple(bounds)
+    kept = forms.exact_optima.get(key)
+    if kept is None:
+        kept = forms.exact_optima[key] = _exact_solve(routing, forms, bounds, cells)
+    return kept
 
 
 def _throughput(routing: RoutingSystem, bounds: list) -> ThroughputReport:
@@ -447,15 +451,20 @@ def worst_state_throughput(network: CreditNetwork, routing: RoutingSystem,
                            deadlock) -> Fraction | float:
     """One-step value at the adversarial state induced by a deadlock.
 
-    Deadlocked channels sit frozen at their blocking balances, everything
-    else at the midpoint. `deadlock` is a mapping from channel index to the
-    frozen balance, or any object exposing one as `frozen_balances`.
+    Deadlocked channels sit frozen at their blocking balances, 0 or the
+    capacity, everything else at the midpoint, so this is the floor with the
+    frozen channels zeroed. `deadlock` maps channel index to frozen balance,
+    or exposes one as `frozen_balances`, as an Optimal DeadlockAssignment
+    does; a search that ended otherwise is refused.
     """
+    status = getattr(deadlock, "status", OPTIMAL)
+    if status != OPTIMAL:
+        raise ValueError(f"deadlock search ended with status {status}, not {OPTIMAL}")
     frozen: Mapping = getattr(deadlock, "frozen_balances", deadlock)
-    for k in frozen:
+    for k, balance in frozen.items():
         if not 0 <= k < network.edge_count:
             raise ValueError(f"frozen channel index {k} out of range")
-    state = BalanceState(tuple(Fraction(frozen[k]) if k in frozen else c / 2
-                               for k, c in enumerate(network.capacities)))
-    # one_step_throughput checks every balance against its capacity
-    return _optimal_value(one_step_throughput(network, routing, state))
+        if balance != 0 and balance != network.capacities[k]:
+            raise ValueError(f"frozen balance {balance} on channel {k} is neither 0 "
+                             f"nor its capacity {network.capacities[k]}")
+    return min_throughput(network, routing, set(frozen))

@@ -11,6 +11,7 @@ from creditnet.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     desk_scale_config,
+    gnuplot_script,
     load_sweep_config,
     main,
     results_csv,
@@ -31,7 +32,14 @@ from creditnet.lp import max_throughput, min_throughput
 from creditnet.model import build_routing_system, make_network
 from creditnet.peeling import build_peeling_graph, peel
 from creditnet.reduction import cnf_to_creditnet, parse_dimacs
-from creditnet.synthesis import neutral_mixing_jdd, write_jdd_csv
+from creditnet.synthesis import (
+    BUDGET_EXHAUSTED,
+    SynthesisTarget,
+    neutral_mixing_jdd,
+    search_flow_budget,
+    write_distribution_csv,
+    write_jdd_csv,
+)
 from creditnet.topology import ERDOS_RENYI, TopologySpec, gen_topology
 
 
@@ -207,6 +215,32 @@ def test_sweep_floor_does_not_depend_on_the_ceiling():
             == [line.split(",")[4] for line in results_csv(without_max).splitlines()])
 
 
+# gnuplot_script's output for three kinds, pinned byte for byte
+_PLOT_SCRIPT = """\
+set datafile separator ","
+set key outside right
+set xlabel "demand pairs"
+set terminal svg size 800,500
+set output 'sweep_unpeeled.svg'
+set ylabel "fraction of channels unpeeled"
+plot \\
+  'stats.csv' skip 1 using (strcol(1) eq 'ErdosRenyi' ? $2 : NaN):4:3:5 with yerrorlines title 'ErdosRenyi', \\
+  'stats.csv' skip 1 using (strcol(1) eq 'Star' ? $2 : NaN):4:3:5 with yerrorlines title 'Star', \\
+  'stats.csv' skip 1 using (strcol(1) eq 'ScaleFreeBA' ? $2 : NaN):4:3:5 with yerrorlines title 'ScaleFreeBA'
+set output 'sweep_phi_max.svg'
+set ylabel "throughput ceiling"
+plot \\
+  'stats.csv' skip 1 using (strcol(1) eq 'ErdosRenyi' ? $2 : NaN):7:6:8 with yerrorlines title 'ErdosRenyi', \\
+  'stats.csv' skip 1 using (strcol(1) eq 'Star' ? $2 : NaN):7:6:8 with yerrorlines title 'Star', \\
+  'stats.csv' skip 1 using (strcol(1) eq 'ScaleFreeBA' ? $2 : NaN):7:6:8 with yerrorlines title 'ScaleFreeBA'
+"""
+
+
+def test_plot_script_text():
+    kinds = dict.fromkeys(["ErdosRenyi", "Star", "ScaleFreeBA"])
+    assert gnuplot_script(kinds, "stats.csv") == _PLOT_SCRIPT
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError, match="density"):
         SweepConfig(
@@ -302,6 +336,34 @@ def test_optimize_dist_reports_fit(tmp_path, capsys):
     total = sum(float(line.split(",")[1])
                 for line in body.strip().splitlines()[1:])
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_optimize_dist_searches_the_flow_total(tmp_path, capsys):
+    rc = main(["optimize-dist", "--channels", "60", "--nodes", "20",
+               "--search-flows", "10", "200", "--out-dir", str(tmp_path)])
+    record = _parse_record(capsys.readouterr().out)
+    flows, fit = search_flow_budget(
+        SynthesisTarget(channel_budget=60, node_budget=20, flow_budget=1), 10, 200)
+    assert rc == EXIT_OK
+    assert 10 <= flows <= 200
+    assert record["flows"] == str(flows)
+    assert record["residual"] == f"{fit.residual:.6f}"
+    assert (tmp_path / "dist.csv").read_text("utf-8") \
+        == write_distribution_csv(fit.distribution)
+
+
+def test_synthesize_runs_the_degree_mix_search(tmp_path, capsys):
+    # no --jdd: five evaluations do not match the fitted mix, so the run
+    # still writes its graph and exits with the budget code
+    rc = main(["synthesize", "--channels", "40", "--nodes", "20", "--flows",
+               "30", "--budget", "5", "--out-dir", str(tmp_path)])
+    record = _parse_record(capsys.readouterr().out)
+    assert rc == EXIT_BUDGET
+    assert record["search_status"] == BUDGET_EXHAUSTED
+    assert record["search_evaluations"] == "5"
+    network = read_graph(tmp_path / "synthesized.graph")
+    assert network.edge_count == int(record["channels"])
+    assert (tmp_path / "jdd.csv").exists()
 
 
 def test_synthesize_with_fixed_degree_matrix(tmp_path, capsys):

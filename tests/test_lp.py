@@ -57,6 +57,16 @@ def _fresh_routing(net, paths):
     return build_routing_system(net, replace(paths))
 
 
+def _counting(target, name, calls):
+    """Patch target.name to record each call in `calls` and run the original."""
+    original = getattr(target, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    return mock.patch.object(target, name, counted)
+
+
 def _delta_residual(routing, flow):
     worst = 0
     for row in dense_views(routing)[2]:
@@ -491,6 +501,9 @@ def test_worst_state_rejects_out_of_range_balance(line):
     for key in (99, -1, 2):
         with pytest.raises(ValueError, match="out of range"):
             lp.worst_state_throughput(net, routing, {key: 0})
+    # a frozen balance strictly inside the channel blocks nothing
+    with pytest.raises(ValueError, match="balance 5 on channel 1 is neither 0 nor its capacity 20"):
+        lp.worst_state_throughput(net, routing, {1: 5})
 
 
 @pytest.mark.parametrize("balances, message", [
@@ -617,18 +630,20 @@ def _er_instance(nodes, channels, pairs, seed, demand_seed):
     net = gen_topology(TopologySpec(kind=ERDOS_RENYI, node_count=nodes,
                                     edge_budget=channels, seed=seed))
     demand = sample_demand(net, DemandSpec(pair_count=pairs, seed=demand_seed))
-    return net, build_routing_system(net, build_paths(net, demand))
+    paths = build_paths(net, demand)
+    return net, paths, build_routing_system(net, paths)
 
 
 def test_routes_by_size(line):
-    net, _, routing = line
+    # a routing keeps its exact optima, so each route setting gets its own
+    net, paths, routing = line
     assert 3 * routing.edge_count * routing.path_count < lp.CERTIFY_MIN_CELLS
     state = center_state(net)
     assert lp.one_step_throughput(net, routing, state).route == lp.SIMPLEX
     with _route(exact=False):
-        assert lp.one_step_throughput(net, routing, state).route == lp.FLOAT
+        assert lp.one_step_throughput(net, _fresh_routing(net, paths), state).route == lp.FLOAT
     with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
-        report = lp.one_step_throughput(net, routing, state)
+        report = lp.one_step_throughput(net, _fresh_routing(net, paths), state)
     assert report.route == lp.CERTIFIED
     assert report.psi_value == 20 and isinstance(report.psi_value, Fraction)
 
@@ -636,7 +651,7 @@ def test_routes_by_size(line):
 def test_certified_route_on_large_exact_instance():
     # 30 channels x 200 paths = 18,000 cells, just under EXACT_CELL_LIMIT;
     # the float route alone returns 9166.66666666667
-    net, routing = _er_instance(15, 30, 200, seed=0, demand_seed=1)
+    net, _, routing = _er_instance(15, 30, 200, seed=0, demand_seed=1)
     assert 3 * routing.edge_count * routing.path_count == 18_000
     report = lp.one_step_throughput(net, routing, center_state(net))
     assert report.route == lp.CERTIFIED
@@ -657,11 +672,13 @@ def _perturbed_highs(kind):
 @pytest.mark.parametrize("kind", ["halve_primal", "zero_primal_and_dual",
                                   "optimum_on_one_path"], ids=lambda kind: f"_{kind}")
 def test_failed_certificate_falls_back_to_simplex(kind):
-    net, routing = _er_instance(10, 18, 50, seed=3, demand_seed=10)
+    net, paths, routing = _er_instance(10, 18, 50, seed=3, demand_seed=10)
     state = center_state(net)
     reference = lp.one_step_throughput(net, routing, state)
     assert reference.route == lp.CERTIFIED
 
+    # a fresh routing, since `routing` answers from its kept optimum
+    routing = _fresh_routing(net, paths)
     with _perturbed_highs(kind):
         report = lp.one_step_throughput(net, routing, state)
     assert report.route == lp.SIMPLEX
@@ -695,7 +712,7 @@ def test_certified_value_matches_simplex(instance, denominator, data):
     assert _delta_residual(routing, report.optimal_flow) == 0
 
 
-# --- the simplex route's optima, kept per routing by bound vector ---
+# --- exact optima, kept per routing by bound vector ---
 
 
 def _signature(report):
@@ -723,14 +740,9 @@ def test_warm_routing_matches_a_fresh_one(instance, data):
 
 def test_mirrored_states_share_one_simplex_solve(line):
     net, _, routing = line
-    solves, solve_dense = [], simplex.solve_dense
-
-    def counting_solve_dense(*args):
-        solves.append(args)
-        return solve_dense(*args)
-
+    solves = []
     state, mirror = make_state(net, [15, 5]), make_state(net, [5, 15])
-    with mock.patch.object(simplex, "solve_dense", counting_solve_dense):
+    with _counting(simplex, "solve_dense", solves):
         report = lp.one_step_throughput(net, routing, state)
         assert len(solves) == 1
         assert lp.one_step_throughput(net, routing, mirror) == report
@@ -743,18 +755,44 @@ def test_mirrored_states_share_one_simplex_solve(line):
     assert report.psi_value == 10 and report.route == lp.SIMPLEX
 
 
-def test_kept_optima_leave_the_route_choice_per_call(line):
-    net, _, routing = line
-    state = center_state(net)
-    kept = lp.one_step_throughput(net, routing, state)
-    assert kept.route == lp.SIMPLEX
-    with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
-        certified = lp.one_step_throughput(net, routing, state)
-        assert certified.route == lp.CERTIFIED
-        with _perturbed_highs("halve_primal"):
-            fallback = lp.one_step_throughput(net, routing, state)
+def test_kept_exact_optimum_answers_a_repeat_on_either_route(line):
+    # 3 * 18 channels * 20 paths = 1,080 cells, on the certified route
+    net, paths, routing = _er_instance(10, 18, 20, seed=3, demand_seed=10)
+    assert 3 * routing.edge_count * routing.path_count == 1_080
+    rng = random.Random(5)
+    state = make_state(net, [rng.randint(0, int(c)) for c in net.capacities])
+    mirror = make_state(net, [c - b for c, b in zip(net.capacities, state.balances)])
+    highs_calls, solves = [], []
+    with _counting(lp, "_highs", highs_calls), _counting(simplex, "solve_dense", solves):
+        reports = [lp.one_step_throughput(net, routing, s)
+                   for s in (state, mirror, state, mirror)]
+        assert (len(highs_calls), len(solves)) == (1, 0)
+        assert reports[0].route == lp.CERTIFIED and reports[0].psi_value > 0
+        assert {_signature(r) for r in reports} == {_signature(reports[0])}
+        # the kept certified optimum answers where the simplex would run
+        with mock.patch.object(lp, "CERTIFY_MIN_CELLS", math.inf):
+            assert _signature(lp.one_step_throughput(net, routing, state)) \
+                == _signature(reports[0])
+            assert lp.one_step_throughput(
+                net, _fresh_routing(net, paths), state).psi_value == reports[0].psi_value
+        assert (len(highs_calls), len(solves)) == (1, 1)
+
+        # and a kept simplex optimum where HiGHS and the certificate would
+        net, paths, routing = line
+        kept = lp.one_step_throughput(net, routing, center_state(net))
+        assert kept.route == lp.SIMPLEX
+        with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
+            assert _signature(lp.one_step_throughput(net, routing, center_state(net))) \
+                == _signature(kept)
+            certified = lp.one_step_throughput(net, _fresh_routing(net, paths),
+                                               center_state(net))
+            with _perturbed_highs("halve_primal"):
+                fallback = lp.one_step_throughput(net, _fresh_routing(net, paths),
+                                                  center_state(net))
+        assert (len(highs_calls), len(solves)) == (3, 3)
+    assert certified.route == lp.CERTIFIED
     assert fallback.route == lp.SIMPLEX
-    assert fallback.psi_value == certified.psi_value == 20
+    assert fallback.psi_value == certified.psi_value == kept.psi_value == 20
     assert _signature(fallback) == _signature(kept)
 
 
@@ -816,16 +854,8 @@ def _line_with_a_one_way_spur():
 def test_floor_reuses_the_ceiling_only_when_it_fits(exact, unpeeled, solves, floor):
     net, routing = _line_with_a_one_way_spur()
     counted = []
-
-    def counting(solve):
-        def wrapped(*args, **kwargs):
-            counted.append(solve)
-            return solve(*args, **kwargs)
-        return wrapped
-
-    with _route(exact), \
-            mock.patch.object(simplex, "solve_dense", counting(simplex.solve_dense)), \
-            mock.patch.object(lp, "_highs", counting(lp._highs)):
+    with _route(exact), _counting(simplex, "solve_dense", counted), \
+            _counting(lp, "_highs", counted):
         assert lp.max_throughput(net, routing) == 20
         assert len(counted) == 1
         assert lp.min_throughput(net, routing, unpeeled) == pytest.approx(floor)
@@ -1082,7 +1112,7 @@ def test_certificate_on_python_ints():
 @pytest.mark.parametrize("capacity", [10 ** 21, 10 ** 300, 10 ** 400],
                          ids=["1e21", "1e300", "1e400"])
 def test_bounds_beyond_highs_range(capacity):
-    base, routing = _er_instance(10, 18, 50, seed=3, demand_seed=10)
+    base, _, routing = _er_instance(10, 18, 50, seed=3, demand_seed=10)
     assert 3 * routing.edge_count * routing.path_count > lp.CERTIFY_MIN_CELLS
     capacities = list(base.capacities)
     capacities[5] = Fraction(capacity)

@@ -31,6 +31,7 @@ from creditnet.oracle import (
 from creditnet.peeling import build_peeling_graph, peel
 from creditnet.reduction import cnf_to_creditnet
 from test_acceptance import criterion_2_instances, criterion_3_formulas
+from test_lp import _er_instance, _fresh_routing, _route
 from test_model import small_instance
 
 
@@ -461,3 +462,57 @@ def test_worst_state_agrees_with_floor_on_line(line):
     floor_frozen = lp.worst_state_throughput(net, routing, exact)
     floor_zeroed = lp.min_throughput(net, routing, set(exact.deadlocked_edges))
     assert floor_frozen == floor_zeroed == 0
+
+
+def _worst_and_floors(net, paths, routing, deadlock):
+    """worst_state_throughput at `deadlock`, then on fresh routings the floor
+    with its deadlocked set zeroed and the one-step value at its witness."""
+    worst = lp.worst_state_throughput(net, routing, deadlock)
+    floor = lp.min_throughput(net, _fresh_routing(net, paths), set(deadlock.deadlocked_edges))
+    witness = lp.one_step_throughput(net, _fresh_routing(net, paths), deadlock.witness_state)
+    return worst, floor, witness.psi_value
+
+
+def _assert_worst_is_the_floor(net, paths, routing):
+    deadlock = max_deadlock_exact(net, paths)
+    assert deadlock.status == OPTIMAL
+    worst, floor, witness = _worst_and_floors(net, paths, routing, deadlock)
+    if isinstance(worst, Fraction):
+        assert type(floor) is type(witness) is Fraction
+        assert worst == floor == witness
+    else:
+        assert worst == pytest.approx(floor, rel=1e-9, abs=1e-9)
+        assert worst == pytest.approx(witness, rel=1e-9, abs=1e-9)
+    with _route(exact=False):
+        worst, floor, witness = _worst_and_floors(net, paths, _fresh_routing(net, paths),
+                                                  deadlock)
+    assert type(worst) is type(floor) is type(witness) is float
+    assert worst == pytest.approx(floor, rel=1e-9, abs=1e-9)
+    assert worst == pytest.approx(witness, rel=1e-9, abs=1e-9)
+
+
+def test_worst_state_is_the_floor_on_criterion_2_instances():
+    exact = 0
+    for _, _, net, paths in criterion_2_instances():
+        routing = build_routing_system(net, paths)
+        exact += 3 * net.edge_count * routing.path_count <= lp.EXACT_CELL_LIMIT
+        _assert_worst_is_the_floor(net, paths, routing)
+    assert exact > 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instance())
+def test_worst_state_is_the_floor_on_small_instances(instance):
+    net, paths, routing, _ = instance
+    _assert_worst_is_the_floor(net, paths, routing)
+
+
+def test_worst_state_refuses_an_unsolved_search():
+    # 24 channels, over the search's 20-channel cap; an Unsolved result
+    # has no witness, and its empty freeze would read as the ceiling 16250/3
+    net, paths, routing = _er_instance(12, 24, 60, seed=1, demand_seed=1)
+    deadlock = max_deadlock_exact(net, paths)
+    assert net.edge_count == 24 and deadlock.status == "Unsolved"
+    assert lp.max_throughput(net, routing) == Fraction(16250, 3)
+    with pytest.raises(ValueError, match="status Unsolved"):
+        lp.worst_state_throughput(net, routing, deadlock)
