@@ -42,9 +42,11 @@ Three solve routes; ThroughputReport.route names the one that ran:
 
 Two branches, by size: above EXACT_CELL_LIMIT cells (3 * channels * paths)
 the float solve is returned and not kept. At or below it, each routing keeps
-one table of exact optima by bound vector (the LP depends only on the
-routing and the bounds); a vector met again is answered from it, on
-whichever exact route first solved it, and only a new one is solved.
+one table of exact reports by bound vector (the LP depends only on the
+routing and the bounds): the finished ThroughputReport, from whichever exact
+route first solved it. A vector met again returns that same report object,
+with no solve and no new FlowVector; only a new one is solved. The balance
+check runs on every call all the same.
 
 The floor min_throughput is the same LP as the ceiling max_throughput with
 the unpeeled channels' bounds lowered from c/2 to 0, so each routing keeps
@@ -214,9 +216,10 @@ class _LpForms:
     """One routing's LP forms, each built from its CSR arrays on first use
     and kept with the routing: HiGHS's column-wise [F; F - B] and the
     simplex's dense channel x path rows of F and F - B.
-    `exact_optima` maps tuple(bounds) to the exact (solution, route) for
-    those bounds, so a bound vector met again (a state and its mirror c - b
-    give the same one) is not solved again on either exact route.
+    `exact_optima` maps tuple(bounds) to the finished exact
+    ThroughputReport for those bounds, so a bound vector met again (a state
+    and its mirror c - b give the same one) returns that report object,
+    with no solve on either exact route and no new FlowVector.
     `ceiling` is max_throughput's last optimum as (capacities, value, x),
     None until one is reached; min_throughput reuses it.
     It holds the arrays, not the routing, so the two form no cycle.
@@ -231,7 +234,7 @@ class _LpForms:
         self.indptr, self.edge, self.sign = routing.indptr, routing.edge, routing.sign
         self.path = routing.path
         self.shape = (routing.path_count, routing.edge_count)
-        self.exact_optima: dict[tuple, tuple[LpSolution, str]] = {}
+        self.exact_optima: dict[tuple, ThroughputReport] = {}
         self.ceiling: tuple | None = None
 
     @cached_property
@@ -358,35 +361,32 @@ def _exact_solve(routing: RoutingSystem, forms: _LpForms, bounds: list,
                                            delta, [0] * routing.edge_count)), SIMPLEX
 
 
-def _solve_flow(routing: RoutingSystem, bounds: list) -> tuple[LpSolution, str]:
-    """Maximize total path flow s.t. F.x <= bounds and (F - B).x = 0.
-
-    Returns the solution and the route that produced it: a float solve above
-    EXACT_CELL_LIMIT, else the routing's kept exact optimum for `bounds`,
-    solved on first use.
-    """
-    forms = _lp_forms(routing)
-    cells = 3 * routing.edge_count * routing.path_count
-    if cells > EXACT_CELL_LIMIT:
-        return _highs(forms.highs_columns, _highs_bounds(bounds)), FLOAT
-    key = tuple(bounds)
-    kept = forms.exact_optima.get(key)
-    if kept is None:
-        kept = forms.exact_optima[key] = _exact_solve(routing, forms, bounds, cells)
-    return kept
-
-
-def _throughput(routing: RoutingSystem, bounds: list) -> ThroughputReport:
-    """The one-step LP's optimum under per-channel limits F.x <= bounds
-    (min(b, c - b) for a balance state b)."""
-    if routing.path_count == 0:
-        return ThroughputReport(_ZERO, FlowVector(()), OPTIMAL, SIMPLEX)
-    solution, route = _solve_flow(routing, bounds)
+def _report(solution: LpSolution, route: str) -> ThroughputReport:
     if solution.status == INFEASIBLE:
         raise RuntimeError("throughput LP reported infeasible; zero flow is always feasible")
     if solution.status != OPTIMAL:
         return ThroughputReport(float("nan"), FlowVector(()), solution.status, route)
     return ThroughputReport(solution.objective_value, FlowVector(solution.x), OPTIMAL, route)
+
+
+def _throughput(routing: RoutingSystem, bounds: list) -> ThroughputReport:
+    """The one-step LP's optimum under per-channel limits F.x <= bounds
+    (min(b, c - b) for a balance state b) and (F - B).x = 0.
+
+    A float solve above EXACT_CELL_LIMIT, else the routing's kept exact
+    report for `bounds`, solved and built on first use.
+    """
+    if routing.path_count == 0:
+        return ThroughputReport(_ZERO, FlowVector(()), OPTIMAL, SIMPLEX)
+    forms = _lp_forms(routing)
+    cells = 3 * routing.edge_count * routing.path_count
+    if cells > EXACT_CELL_LIMIT:
+        return _report(_highs(forms.highs_columns, _highs_bounds(bounds)), FLOAT)
+    key = tuple(bounds)
+    kept = forms.exact_optima.get(key)
+    if kept is None:
+        kept = forms.exact_optima[key] = _report(*_exact_solve(routing, forms, bounds, cells))
+    return kept
 
 
 def _optimal_value(report: ThroughputReport) -> Fraction | float:

@@ -7,6 +7,10 @@ Three independent oracles live here:
 * a discretized reachability enumeration over the balance lattice, and
 * the stuck-channel brute force built on top of it.
 
+The last two share one BFS on integers: a state is one mixed-radix int of
+per-channel quantum digits, and BalanceStates are built only for the set
+the enumeration returns.
+
 All of them are exponential and guarded by explicit size limits; they exist
 to validate the scalable estimators (peeling, LP floors), not to replace
 them.
@@ -28,6 +32,7 @@ from .model import (
     build_routing_system,
     check_balances,
     make_state,
+    rat,
 )
 
 OPTIMAL = "Optimal"
@@ -226,6 +231,61 @@ def _lattice_estimate(network: CreditNetwork, granularity: Fraction) -> int:
     return total
 
 
+def _reachable_codes(
+    network: CreditNetwork,
+    routing: RoutingSystem,
+    start: BalanceState,
+    granularity,
+) -> tuple[list[list[Fraction]], list[int], set[int]]:
+    """The reachability BFS on integers: (values, strides, codes). Channel
+    e of code s has digit d = s // strides[e] % len(values[e]) and balance
+    values[e][d], the start's plus (d - floor(b / q)) quanta."""
+    check_balances(network, start.balances)
+    quantum = rat(granularity)
+    if quantum <= 0:
+        raise ValueError("granularity must be positive")
+    estimate = _lattice_estimate(network, quantum)
+    if estimate > REACHABLE_STATE_GUARD:
+        raise ValueError(
+            f"balance lattice holds about {estimate} states, over the "
+            f"{REACHABLE_STATE_GUARD} guard; coarsen the granularity"
+        )
+    values, strides, code, size = [], [], 0, 1
+    for b, cap in zip(start.balances, network.capacities):
+        low, high = b // quantum, (cap - b) // quantum
+        values.append([b + k * quantum for k in range(-low, high + 1)])
+        strides.append(size)
+        code += low * size
+        size *= low + high + 1
+    # A hop over channel e reads its digit as s % span // stride with
+    # span = stride * radix: forward sends from the lower end and needs
+    # digit >= 1, backward refills it and needs digit <= radix - 2.
+    hops = [(strides[e], strides[e] * len(values[e]), forward)
+            for e, forward in zip(routing.edge.tolist(), (routing.sign > 0).tolist())]
+    starts = routing.indptr.tolist()
+    routes = [(sum(-st if forward else st for st, _, forward in hops[a:b]), hops[a:b])
+              for a, b in zip(starts, starts[1:])]
+    seen = {code}
+    frontier = [code]
+    while frontier:
+        state = frontier.pop()
+        for delta, route in routes:
+            for st, span, forward in route:
+                if (state % span < st) if forward else (state % span >= span - st):
+                    break
+            else:
+                nxt = state + delta
+                if nxt not in seen:
+                    # codes stay in [0, size), so a wrong digit check ends
+                    # in a wrong set or here, never in an endless walk
+                    if not 0 <= nxt < size:
+                        raise RuntimeError(f"state code {nxt} outside the "
+                                           f"{size}-state lattice")
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return values, strides, seen
+
+
 def enumerate_reachable(
     network: CreditNetwork,
     routing: RoutingSystem,
@@ -237,37 +297,22 @@ def enumerate_reachable(
     Any feasible flow of lattice-sized amounts decomposes into a sequence of
     single-path, single-quantum moves that stay feasible throughout, so BFS
     over those unit moves enumerates the full discretized reachable set.
+    The BFS runs on integers: each channel's balance is start + k * quantum
+    for k in [-floor(b / q), floor((c - b) / q)], a state is one mixed-radix
+    int over those digits, and a move checks its hops' digits and adds the
+    route's integer delta. BalanceStates are built once, at the end, from
+    each channel's precomputed values. `granularity` is coerced like a
+    balance: a float is refused with TypeError.
     """
-    check_balances(network, start.balances)
-    quantum = Fraction(granularity)
-    if quantum <= 0:
-        raise ValueError("granularity must be positive")
-    estimate = _lattice_estimate(network, quantum)
-    if estimate > REACHABLE_STATE_GUARD:
-        raise ValueError(
-            f"balance lattice holds about {estimate} states, over the "
-            f"{REACHABLE_STATE_GUARD} guard; coarsen the granularity"
-        )
-    caps = network.capacities
-    hops = list(zip(routing.edge.tolist(), (routing.sign > 0).tolist()))
-    starts = routing.indptr.tolist()
-    routes = [hops[a:b] for a, b in zip(starts, starts[1:])]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        state = frontier.pop()
-        for route in routes:
-            if any((state.balances[e] if forward else caps[e] - state.balances[e])
-                   < quantum for e, forward in route):
-                continue
-            balances = list(state.balances)
-            for e, forward in route:
-                balances[e] += -quantum if forward else quantum
-            nxt = BalanceState(tuple(balances))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+    values, _, codes = _reachable_codes(network, routing, start, granularity)
+    reached = set()
+    for code in codes:
+        balances = []
+        for channel in values:
+            code, digit = divmod(code, len(channel))
+            balances.append(channel[digit])
+        reached.add(BalanceState(tuple(balances)))
+    return reached
 
 
 def deadlocked_channels_bruteforce(
@@ -278,11 +323,8 @@ def deadlocked_channels_bruteforce(
 ) -> set[int]:
     """Channels whose balance never moves anywhere in the reachable set."""
     if granularity is None:
-        granularity = min(network.capacities) / 2
-    reachable = enumerate_reachable(network, routing, start, granularity)
-    stuck = set()
-    for e in range(network.edge_count):
-        values = {state.balances[e] for state in reachable}
-        if len(values) == 1:
-            stuck.add(e)
-    return stuck
+        # half the smallest capacity; with no channel any quantum will do
+        granularity = min(network.capacities) / 2 if network.capacities else 1
+    values, strides, codes = _reachable_codes(network, routing, start, granularity)
+    return {e for e, (channel, stride) in enumerate(zip(values, strides))
+            if len({code // stride % len(channel) for code in codes}) == 1}

@@ -9,6 +9,7 @@ count is part of the deterministic contract, not a tuning knob.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -124,9 +125,12 @@ def _validate(spec: TopologySpec) -> None:
                 "small-world ring degree must be even, >= 2 and < node_count")
         if not 0.0 <= spec.rewire_prob <= 1.0:
             raise ValueError("rewire_prob must lie in [0, 1]")
-    if spec.kind == POWER_LAW_CONFIG and spec.exponent <= 2.0:
-        # The target mean degree is finite only above exponent 2.
-        raise ValueError("power-law exponent must exceed 2")
+    if spec.kind == POWER_LAW_CONFIG:
+        if not math.isfinite(spec.exponent):
+            raise ValueError(f"power-law exponent must be finite, got {spec.exponent}")
+        if spec.exponent <= 2.0:
+            # The target mean degree is finite only above exponent 2.
+            raise ValueError("power-law exponent must exceed 2")
 
 
 def _realize(spec: TopologySpec, seed: int) -> nx.Graph:
@@ -170,7 +174,8 @@ def _power_law(n: int, budget: int, exponent: float, seed: int) -> nx.Graph:
     """
     rng = random.Random(seed)
     mean_degree = 2 * budget / n
-    scale = mean_degree * (exponent - 2) / (exponent - 1)
+    # the ratio first, so a huge exponent cannot overflow the product
+    scale = mean_degree * ((exponent - 2) / (exponent - 1))
     seq = []
     for _ in range(n):
         draw = scale * (1 - rng.random()) ** (-1 / (exponent - 1))

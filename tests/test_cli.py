@@ -456,6 +456,20 @@ def test_invalid_input_exits_two(tmp_path, capsys):
                "--edges", "2", "--out-dir", str(tmp_path)])
     assert rc == EXIT_BAD_INPUT
     capsys.readouterr()
+    def power_law(nodes, exponent):
+        # --exponent=... so that argparse reads "-inf" as a value
+        return main(["gen", "--kind", "PowerLawConfig", "--nodes", nodes, "--edges", "20",
+                     f"--exponent={exponent}", "--out-dir", str(tmp_path)])
+    for exponent in ("inf", "nan", "-inf"):
+        assert power_law("10", exponent) == EXIT_BAD_INPUT, exponent
+        assert f"power-law exponent must be finite, got {exponent}" in capsys.readouterr().err
+    # a huge exponent draws every degree at the mean, 4 here: no overflow,
+    # but Havel-Hakimi lays 4-regular on 10 nodes out as two K5s every
+    # attempt, so the retry budget runs out; on 11 nodes it connects
+    assert power_law("10", "1e308") == EXIT_BUDGET
+    assert "no connected PowerLawConfig graph" in capsys.readouterr().err
+    assert power_law("11", "1e308") == EXIT_OK
+    capsys.readouterr()
     # only sweep runs worker processes, so only sweep takes --threads
     with pytest.raises(SystemExit) as stop:
         main(["gen", "--kind", "ErdosRenyi", "--nodes", "10", "--edges", "20",

@@ -796,6 +796,37 @@ def test_kept_exact_optimum_answers_a_repeat_on_either_route(line):
     assert _signature(fallback) == _signature(kept)
 
 
+def test_repeats_return_the_kept_report_and_floats_keep_none(line):
+    # a state, its mirror and a repeat: one exact solve on each exact route
+    # and the same report object back, but a float solve on every call
+    certified = _er_instance(10, 18, 20, seed=3, demand_seed=10)
+    assert 3 * certified[2].edge_count * certified[2].path_count == 1_080
+    for (net, paths, routing), route in ((line, lp.SIMPLEX), (certified, lp.CERTIFIED)):
+        rng = random.Random(5)
+        state = make_state(net, [rng.randint(0, int(c)) for c in net.capacities])
+        mirror = make_state(net, [c - b for c, b in zip(net.capacities, state.balances)])
+        highs_calls, solves = [], []
+        with _counting(lp, "_highs", highs_calls), _counting(simplex, "solve_dense", solves):
+            first, *again = [lp.one_step_throughput(net, routing, s)
+                             for s in (state, mirror, state)]
+        assert first.route == route
+        assert all(report is first for report in again)
+        assert len(highs_calls) + len(solves) == 1
+        # a repeat still checks the state: one entry too many would give
+        # the kept bound vector, since min(b, c - b) zips to the shorter
+        with pytest.raises(ValueError, match="entries for"):
+            lp.one_step_throughput(net, routing, BalanceState(state.balances + (Fraction(0),)))
+
+        floats = []
+        with _route(exact=False), _counting(lp, "_highs", floats):
+            routing = _fresh_routing(net, paths)
+            reports = [lp.one_step_throughput(net, routing, s) for s in (state, mirror, state)]
+        assert len(floats) == 3
+        assert {r.route for r in reports} == {lp.FLOAT}
+        assert reports[0] is not reports[1] and reports[0] is not reports[2]
+        assert reports[0].psi_value == pytest.approx(float(first.psi_value), rel=1e-9, abs=1e-9)
+
+
 # --- the floor from the ceiling's kept optimum ---
 
 

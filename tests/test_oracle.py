@@ -17,12 +17,15 @@ from creditnet import (
     make_state,
 )
 from creditnet import lp
+from creditnet.model import check_balances
 from creditnet.oracle import (
     BLOCK_BACKWARD,
     BLOCK_FORWARD,
     OPEN_BOTH,
     OPTIMAL,
+    REACHABLE_STATE_GUARD,
     DeadlockAssignment,
+    _lattice_estimate,
     deadlocked_channels_bruteforce,
     enumerate_reachable,
     export_ilp,
@@ -371,6 +374,46 @@ def test_export_line_structure(line):
 # --- reachability enumeration ---
 
 
+def _reference_reachable(
+    network,
+    routing,
+    start,
+    granularity=1,
+):
+    """The Fraction BFS enumerate_reachable ran before its integer lattice,
+    kept as it was."""
+    check_balances(network, start.balances)
+    quantum = Fraction(granularity)
+    if quantum <= 0:
+        raise ValueError("granularity must be positive")
+    estimate = _lattice_estimate(network, quantum)
+    if estimate > REACHABLE_STATE_GUARD:
+        raise ValueError(
+            f"balance lattice holds about {estimate} states, over the "
+            f"{REACHABLE_STATE_GUARD} guard; coarsen the granularity"
+        )
+    caps = network.capacities
+    hops = list(zip(routing.edge.tolist(), (routing.sign > 0).tolist()))
+    starts = routing.indptr.tolist()
+    routes = [hops[a:b] for a, b in zip(starts, starts[1:])]
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        state = frontier.pop()
+        for route in routes:
+            if any((state.balances[e] if forward else caps[e] - state.balances[e])
+                   < quantum for e, forward in route):
+                continue
+            balances = list(state.balances)
+            for e, forward in route:
+                balances[e] += -quantum if forward else quantum
+            nxt = BalanceState(tuple(balances))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 def test_enumerate_line_from_midpoint():
     net, paths = _unit_line()
     routing = build_routing_system(net, paths)
@@ -422,6 +465,63 @@ def test_enumerate_rejects_bad_granularity():
         enumerate_reachable(net, routing, _state(net, [1, 1]), 0)
 
 
+@pytest.mark.parametrize("granularity", [1.0, 0.5, float("inf"), float("nan")])
+def test_enumerate_refuses_a_float_granularity(granularity):
+    # coerced like a balance: a float is refused, inf included
+    net, paths = _unit_line()
+    routing = build_routing_system(net, paths)
+    start = _state(net, [1, 1])
+    for call in (enumerate_reachable, deadlocked_channels_bruteforce):
+        with pytest.raises(TypeError, match="refusing to coerce float"):
+            call(net, routing, start, granularity)
+
+
+@st.composite
+def _reachability_cases(draw):
+    """A net of at most four channels, possibly none, with capacities that
+    need not be multiples of the quantum, simple routes and hopless ones,
+    a start off the quantum's lattice and a quantum in {1, 2, 1/2, 3/2}."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # about one net in eight has no channel
+    edges = []
+    if draw(st.integers(0, 7)):
+        edges = sorted(draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=4)))
+    caps = [Fraction(draw(st.integers(min_value=1, max_value=8)), draw(st.sampled_from((1, 2))))
+            for _ in edges]
+    net = make_network(n, edges, caps)
+    adj = net.adjacency()
+    walks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        walk = [draw(st.integers(min_value=0, max_value=n - 1))]
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            options = sorted(set(adj[walk[-1]]) - set(walk))
+            if not options:
+                break
+            walk.append(draw(st.sampled_from(options)))
+        walks.append(walk)
+    # the reverse of about two in three walks, so that flow can circulate
+    walks += [walk[::-1] for walk in walks if draw(st.integers(0, 2))]
+    routing = build_routing_system(net, PathSet.of_walks(net, walks))
+    start = make_state(net, [c * Fraction(draw(st.integers(min_value=0, max_value=6)), 6)
+                             for c in caps])
+    quantum = draw(st.sampled_from((1, 2, Fraction(1, 2), Fraction(3, 2))))
+    return net, routing, start, quantum
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reachability_cases())
+def test_enumerate_matches_the_fraction_bfs(case):
+    net, routing, start, quantum = case
+    reached = enumerate_reachable(net, routing, start, quantum)
+    assert start in reached
+    assert reached == _reference_reachable(net, routing, start, quantum)
+    moving = {e for e in range(net.edge_count)
+              if len({state.balances[e] for state in reached}) > 1}
+    assert deadlocked_channels_bruteforce(net, routing, start, quantum) \
+        == set(range(net.edge_count)) - moving
+
+
 @pytest.mark.parametrize("balances, message", [
     ((1,), "1 entries for 2 channels"),
     ((1, 2, 3), "3 entries for 2 channels"),
@@ -436,6 +536,14 @@ def test_enumerate_rejects_states_that_do_not_fit(line, balances, message):
 
 
 # --- stuck-channel brute force ---
+
+
+def test_no_channels_means_none_stuck():
+    # the default granularity is half the smallest capacity, and there is none
+    net = make_network(2, [], [])
+    routing = build_routing_system(net, PathSet.of_walks(net, [[0], [1]]))
+    assert deadlocked_channels_bruteforce(net, routing, _state(net, [])) == set()
+    assert enumerate_reachable(net, routing, _state(net, [])) == {_state(net, [])}
 
 
 def test_stuck_channels_at_deadlock_corner():
