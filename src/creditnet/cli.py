@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .demand import (DemandMatrix, DemandSpec, MODES, UNIFORM, build_paths,
+from .demand import (DEFAULT_HEAVY_FRACTION, DEFAULT_HEAVY_PROBABILITY,
+                     DemandMatrix, DemandSpec, MODES, UNIFORM, build_paths,
                      sample_demand)
 from .fileio import (
     format_rational,
@@ -41,6 +42,7 @@ from .reduction import cnf_to_creditnet, parse_dimacs
 from .ripple import predict_ripple, simulate_iid_peeling, trajectory_csv
 from .synthesis import (
     BUDGET_EXHAUSTED,
+    DEFAULT_SEARCH_BUDGET,
     SynthesisTarget,
     distribution_distance,
     exact_path_length_distribution,
@@ -53,7 +55,7 @@ from .synthesis import (
     write_distribution_csv,
     write_jdd_csv,
 )
-from .topology import KINDS, TopologySpec, gen_topology
+from .topology import DEFAULT_TOTAL_COLLATERAL, KINDS, TopologySpec, gen_topology
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -530,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--rewire-prob", type=float, default=0.1)
     p.add_argument("--exponent", type=float, default=2.5)
-    p.add_argument("--collateral", type=int, default=10_000)
+    p.add_argument("--collateral", type=int, default=DEFAULT_TOTAL_COLLATERAL)
     p.add_argument("--graph", default=None,
                    help="source file for the Imported kind")
     p.add_argument("--out", default="graph.txt")
@@ -541,8 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--mode", choices=MODES, default=UNIFORM)
-    p.add_argument("--heavy-fraction", type=float, default=0.10)
-    p.add_argument("--heavy-probability", type=float, default=0.70)
+    p.add_argument("--heavy-fraction", type=float, default=DEFAULT_HEAVY_FRACTION)
+    p.add_argument("--heavy-probability", type=float,
+                   default=DEFAULT_HEAVY_PROBABILITY)
     p.add_argument("--out", default="demand.txt")
     p.set_defaults(handler=cmd_demand)
 
@@ -622,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target length mix CSV; fitted when omitted")
     p.add_argument("--jdd", default=None,
                    help="skip the search and realize this degree matrix")
-    p.add_argument("--budget", type=int, default=1500)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--match-tol", type=float, default=0.06)
     p.add_argument("--restarts", type=int, default=6)
     p.add_argument("--max-path-length", type=int, default=10)

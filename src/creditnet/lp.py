@@ -32,11 +32,12 @@ Three solve routes; ThroughputReport.route names the one that ran:
   equal sum(x). Weak duality then proves sum(x) optimal, returned as a
   Fraction with the rational x. The integers are int64 when no sum can
   overflow it and Python ints (object arrays) otherwise.
-* "simplex": the exact two-phase simplex of creditnet.simplex on dense
-  channel x path rows built once per routing, run on an integer tableau
-  (each row a positive integer multiple of the rational row, so no
+* "simplex": creditnet.simplex.solve, an exact two-phase simplex for this
+  LP alone, given the dense channel x path rows of F - B (built once per
+  routing; F is their positive part) and the bounds. It runs on an integer
+  tableau (each row a positive integer multiple of the rational row, so no
   Fraction per cell) with the pivots and the Fraction optimum of a
-  rational tableau. It runs below CERTIFY_MIN_CELLS, where it is faster
+  rational tableau. It is taken below CERTIFY_MIN_CELLS, where it is faster
   than HiGHS plus the certificate, when a bound is beyond HiGHS's range,
   and when the certificate fails.
 
@@ -88,7 +89,7 @@ from .model import (
 )
 
 OPTIMAL = simplex.OPTIMAL
-INFEASIBLE = simplex.INFEASIBLE
+INFEASIBLE = "Infeasible"
 UNBOUNDED = simplex.UNBOUNDED
 NUMERICAL_FAILURE = simplex.FAILURE
 
@@ -215,7 +216,7 @@ def _highs(columns: tuple, b_ub: np.ndarray) -> LpSolution:
 class _LpForms:
     """One routing's LP forms, each built from its CSR arrays on first use
     and kept with the routing: HiGHS's column-wise [F; F - B] and the
-    simplex's dense channel x path rows of F and F - B.
+    simplex's dense channel x path rows of F - B.
     `exact_optima` maps tuple(bounds) to the finished exact
     ThroughputReport for those bounds, so a bound vector met again (a state
     and its mirror c - b give the same one) returns that report object,
@@ -252,10 +253,11 @@ class _LpForms:
         return (start.astype(np.int32), row[order].astype(np.int32), value[order])
 
     @cached_property
-    def simplex_rows(self) -> tuple[list, list]:
+    def simplex_rows(self) -> list[list[int]]:
+        """The dense channel x path rows of F - B, the simplex's delta."""
         delta = np.zeros(self.shape[::-1], dtype=np.int64)
         delta[self.edge, self.path] = self.sign
-        return np.maximum(delta, 0).tolist(), delta.tolist()
+        return delta.tolist()
 
 
 def _lp_forms(routing: RoutingSystem) -> _LpForms:
@@ -356,9 +358,7 @@ def _exact_solve(routing: RoutingSystem, forms: _LpForms, bounds: list,
             certified = _certify(routing, bounds, _highs(forms.highs_columns, b_ub))
             if certified is not None:
                 return certified, CERTIFIED
-    forward, delta = forms.simplex_rows
-    return LpSolution(*simplex.solve_dense([1] * routing.path_count, forward, bounds,
-                                           delta, [0] * routing.edge_count)), SIMPLEX
+    return LpSolution(*simplex.solve(forms.simplex_rows, bounds)), SIMPLEX
 
 
 def _report(solution: LpSolution, route: str) -> ThroughputReport:

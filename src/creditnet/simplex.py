@@ -1,8 +1,13 @@
-"""Dense two-phase simplex over exact rationals, run on an integer tableau.
+"""Exact two-phase simplex for the one-step throughput LP, on an integer tableau.
 
-Solves   maximize c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
-exactly on rational inputs. Dantzig pricing switches to Bland's rule after a
-fixed iteration budget, which guarantees termination on degenerate problems.
+solve(delta, bounds) maximizes sum(x) subject to max(delta, 0).x <= bounds,
+delta.x = 0 and x >= 0: lp's limit rows F.x <= min(b, c - b) and net-shift
+rows (F - B).x = 0. delta is the dense channel x path incidence, each entry
+-1, 0 or 1, with at least one row and a nonzero entry in every column (lp
+refuses a path without hops); each bound is an int or a Fraction >= 0. So
+x = 0 is feasible and the optimum is finite.
+Dantzig pricing switches to Bland's rule after a fixed iteration budget,
+which guarantees termination on degenerate problems.
 
 Every tableau row, and the objective row, is held as a list of Python ints
 that is a positive integer multiple of the rational row a textbook tableau
@@ -29,10 +34,9 @@ through the floating-point route instead.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 OPTIMAL = "Optimal"
-INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 FAILURE = "NumericalFailure"
 
@@ -45,16 +49,6 @@ BLAND_SWITCH_FACTOR = 5
 # Hard cap per phase. Bland's rule terminates finitely, so hitting this means
 # something is broken; we surface FAILURE instead of spinning.
 ITERATION_CAP_FACTOR = 400
-
-
-def _exact(value):
-    """An int or a Fraction as it is, anything else as a Fraction; floats
-    are rejected."""
-    if type(value) is int or type(value) is Fraction:
-        return value
-    if isinstance(value, float):
-        raise TypeError("exact simplex rejects floats; use the float route")
-    return Fraction(value)
 
 
 def _reduced(row: list[int]) -> list[int]:
@@ -137,120 +131,56 @@ def _optimize(tab, obj, basis, banned, rhs_col, ncols) -> str:
             return FAILURE
 
 
-def _integer_row(values: list) -> tuple[list[int], int]:
-    """The exact values times the lcm of their denominators, and that lcm."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+def solve(delta: list[list[int]], bounds: list) -> tuple[str, tuple, Fraction]:
+    """The throughput LP's (status, x, value): x a tuple of Fractions (empty
+    when not OPTIMAL) and value a Fraction.
 
-
-def solve_dense(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
-    """Maximize c.x over the given constraints; return (status, x, value).
-
-    x is a tuple of Fractions (empty when not OPTIMAL), value a Fraction.
-    All inputs must be exact (int, Fraction, or string); floats are rejected.
+    Columns: the paths, a slack per limit row, an artificial per net-shift
+    row, the rhs. Limit row e is den(b_e) times its rational row, already
+    in lowest terms since num(b_e) and den(b_e) are coprime.
     """
-    c = [_exact(v) for v in c]
-    nvars = len(c)
-    # each row holds its coefficients with the bound last
-    rows: list[list] = []
-    kinds: list[str] = []
-    for row, bound in zip(a_ub, b_ub, strict=True):
-        coeffs = [_exact(v) for v in row]
-        if len(coeffs) != nvars:
-            raise ValueError("inequality row width does not match objective")
-        rows.append(coeffs + [_exact(bound)])
-        kinds.append("le")
-    for row, bound in zip(a_eq, b_eq, strict=True):
-        coeffs = [_exact(v) for v in row]
-        if len(coeffs) != nvars:
-            raise ValueError("equality row width does not match objective")
-        rows.append(coeffs + [_exact(bound)])
-        kinds.append("eq")
-    m = len(rows)
-
-    if nvars == 0:
-        if any(kinds[i] == "eq" and rows[i][-1] != 0 for i in range(m)):
-            return INFEASIBLE, (), _ZERO
-        if any(kinds[i] == "le" and rows[i][-1] < 0 for i in range(m)):
-            return INFEASIBLE, (), _ZERO
-        return OPTIMAL, (), _ZERO
-    if m == 0:
-        if any(v > 0 for v in c):
-            return UNBOUNDED, (), _ZERO
-        return OPTIMAL, tuple([_ZERO] * nvars), _ZERO
-
-    for i in range(m):
-        if rows[i][-1] < 0:
-            rows[i] = [-v for v in rows[i]]
-            if kinds[i] == "le":
-                kinds[i] = "ge"
-
-    slack_of: dict[int, int] = {}
-    col = nvars
-    for i in range(m):
-        if kinds[i] != "eq":
-            slack_of[i] = col
-            col += 1
-    art_of: dict[int, int] = {}
-    for i in range(m):
-        if kinds[i] != "le":
-            art_of[i] = col
-            col += 1
-    rhs_col = col
-    ncols = col + 1
-
-    # Row i is scale_i times its rational row: slack and artificial
-    # coefficients, +-1 in original units, are +-scale_i here.
+    m, nvars = len(delta), len(delta[0])
+    rhs_col = nvars + 2 * m
+    ncols = rhs_col + 1
     tab: list[list[int]] = []
-    basis: list[int] = []
-    for i in range(m):
-        values, scale = _integer_row(rows[i])
-        trow = [0] * ncols
-        trow[:nvars] = values[:nvars]
-        if i in slack_of:
-            trow[slack_of[i]] = scale if kinds[i] == "le" else -scale
-        if i in art_of:
-            trow[art_of[i]] = scale
-        trow[rhs_col] = values[nvars]
-        tab.append(_reduced(trow))
-        basis.append(slack_of[i] if kinds[i] == "le" else art_of[i])
+    for e, (row, bound) in enumerate(zip(delta, bounds, strict=True)):
+        den = bound.denominator
+        trow = [den if v > 0 else 0 for v in row] + [0] * (2 * m + 1)
+        trow[nvars + e] = den
+        trow[rhs_col] = bound.numerator
+        tab.append(trow)
+    for e, row in enumerate(delta):
+        trow = list(row) + [0] * (2 * m + 1)
+        trow[nvars + m + e] = 1
+        tab.append(trow)
+    basis = list(range(nvars, rhs_col))
+    banned = set(range(nvars + m, rhs_col))
 
-    banned: set[int] = set(art_of.values())
+    # Phase 1: maximize minus the artificial sum, priced out for the basic
+    # artificials: minus the column sums of delta, in the objective row's
+    # scale (a trailing column, here 1). Its optimum is 0, since x = 0 is
+    # feasible.
+    obj = [-sum(col) for col in zip(*delta)] + [0] * (2 * m + 1) + [1]
+    if _optimize(tab, obj, basis, set(), rhs_col, ncols) != OPTIMAL:
+        return FAILURE, (), _ZERO
+    # Degenerate artificials may linger in the basis at level zero; pivot
+    # them out, or drop the row when it has become redundant.
+    for i in range(len(tab) - 1, -1, -1):
+        if basis[i] not in banned:
+            continue
+        pivot_col = next(
+            (j for j in range(rhs_col) if j not in banned and tab[i][j] != 0),
+            None,
+        )
+        if pivot_col is None:
+            del tab[i]
+            del basis[i]
+        else:
+            dummy = [0] * (ncols + 1)
+            _pivot(tab, dummy, basis, i, pivot_col)
 
-    if art_of:
-        # Phase 1: maximize minus the artificial sum, priced out for the
-        # rows where an artificial starts basic. The objective row carries
-        # its scale in a trailing column (here 1).
-        obj = [0] * ncols + [1]
-        for j in art_of.values():
-            obj[j] = 1
-        for i, bcol in enumerate(basis):
-            if bcol in banned:
-                # obj - row / scale_i, where tab[i][bcol] is scale_i
-                obj = _combine(obj, tab[i][bcol], obj[-1], tab[i])
-        status = _optimize(tab, obj, basis, set(), rhs_col, ncols)
-        if status != OPTIMAL:
-            return FAILURE, (), _ZERO
-        if obj[rhs_col] != 0:
-            return INFEASIBLE, (), _ZERO
-        # Degenerate artificials may linger in the basis at level zero; pivot
-        # them out, or drop the row when it has become redundant.
-        for i in range(len(tab) - 1, -1, -1):
-            if basis[i] not in banned:
-                continue
-            pivot_col = next(
-                (j for j in range(rhs_col) if j not in banned and tab[i][j] != 0),
-                None,
-            )
-            if pivot_col is None:
-                del tab[i]
-                del basis[i]
-            else:
-                dummy = [0] * (ncols + 1)
-                _pivot(tab, dummy, basis, i, pivot_col)
-
-    cost, scale = _integer_row(c)
-    obj = [-v for v in cost] + [0] * (ncols - nvars) + [scale]
+    # Phase 2: maximize sum(x), priced out for the basic paths.
+    obj = [-1] * nvars + [0] * (ncols - nvars) + [1]
     for i, bcol in enumerate(basis):
         factor = obj[bcol]
         if factor:

@@ -55,7 +55,7 @@ SOLVER_FTOL = 1e-12
 SOLVER_MAX_ITERATIONS = 1000
 
 # Annealed joint-degree search defaults.
-DEFAULT_SEARCH_BUDGET = 5000
+DEFAULT_SEARCH_BUDGET = 1500
 COOLING_FACTOR = 0.95
 COOLING_INTERVAL = 50
 PROPOSAL_MASS = 0.01

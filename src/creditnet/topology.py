@@ -170,7 +170,9 @@ def _power_law(n: int, budget: int, exponent: float, seed: int) -> nx.Graph:
     edge band.  Instead the drawn sequence is clamped so its stub total
     is exactly twice the budget, repaired until graphical, laid out by
     Havel-Hakimi, and then shuffled with connectivity-preserving double
-    edge swaps so the deterministic layout does not leak structure.
+    edge swaps so the deterministic layout does not leak structure.  A
+    disconnected layout is shuffled with plain double edge swaps instead,
+    which may join its pieces.
     """
     rng = random.Random(seed)
     mean_degree = 2 * budget / n
@@ -202,7 +204,15 @@ def _power_law(n: int, budget: int, exponent: float, seed: int) -> nx.Graph:
     graph = nx.havel_hakimi_graph(seq)
     if nx.is_connected(graph):
         nx.connected_double_edge_swap(graph, nswap=2 * budget, seed=seed)
-    return graph
+        return graph
+    # the same pieces every attempt (4-regular on 10 nodes is two K5s);
+    # gen_topology checks that the swaps joined them
+    shuffled = graph.copy()
+    try:  # 100 tries per swap, networkx's default for a single one
+        nx.double_edge_swap(shuffled, nswap=2 * budget, max_tries=200 * budget, seed=seed)
+    except nx.NetworkXException:
+        return graph  # networkx gave up: this attempt stays disconnected
+    return shuffled
 
 
 def snowball_sample(network: CreditNetwork, target_nodes: int,

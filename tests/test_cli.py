@@ -10,6 +10,7 @@ from creditnet.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
     EXIT_OK,
+    build_parser,
     desk_scale_config,
     gnuplot_script,
     load_sweep_config,
@@ -18,7 +19,8 @@ from creditnet.cli import (
     run_sweep,
     SweepConfig,
 )
-from creditnet.demand import DemandMatrix, DemandSpec, build_paths, sample_demand
+from creditnet.demand import (DEFAULT_HEAVY_FRACTION, DEFAULT_HEAVY_PROBABILITY, DemandMatrix,
+                              DemandSpec, build_paths, sample_demand)
 from creditnet.fileio import (
     parse_rational,
     read_demand,
@@ -34,13 +36,14 @@ from creditnet.peeling import build_peeling_graph, peel
 from creditnet.reduction import cnf_to_creditnet, parse_dimacs
 from creditnet.synthesis import (
     BUDGET_EXHAUSTED,
+    DEFAULT_SEARCH_BUDGET,
     SynthesisTarget,
     neutral_mixing_jdd,
     search_flow_budget,
     write_distribution_csv,
     write_jdd_csv,
 )
-from creditnet.topology import ERDOS_RENYI, TopologySpec, gen_topology
+from creditnet.topology import DEFAULT_TOTAL_COLLATERAL, ERDOS_RENYI, TopologySpec, gen_topology
 
 
 def _parse_record(out: str) -> dict:
@@ -442,6 +445,17 @@ def test_analyze_capacity_beyond_float_range(tmp_path, capsys, capacity):
     assert "channel 5" in capsys.readouterr().err
 
 
+def test_parser_defaults_are_the_library_defaults():
+    parse = build_parser().parse_args
+    gen = parse(["gen", "--kind", "ErdosRenyi"])
+    sampled = parse(["demand", "--graph", "g", "--pairs", "1"])
+    search = parse(["synthesize", "--channels", "1", "--nodes", "1", "--flows", "1"])
+    assert gen.collateral == DEFAULT_TOTAL_COLLATERAL
+    assert sampled.heavy_fraction == DEFAULT_HEAVY_FRACTION
+    assert sampled.heavy_probability == DEFAULT_HEAVY_PROBABILITY
+    assert search.budget == DEFAULT_SEARCH_BUDGET
+
+
 def test_invalid_input_exits_two(tmp_path, capsys):
     graph_file, _ = _line_files(tmp_path)
     rc = main(["demand", "--graph", str(graph_file), "--pairs", "500",
@@ -463,12 +477,17 @@ def test_invalid_input_exits_two(tmp_path, capsys):
     for exponent in ("inf", "nan", "-inf"):
         assert power_law("10", exponent) == EXIT_BAD_INPUT, exponent
         assert f"power-law exponent must be finite, got {exponent}" in capsys.readouterr().err
-    # a huge exponent draws every degree at the mean, 4 here: no overflow,
-    # but Havel-Hakimi lays 4-regular on 10 nodes out as two K5s every
-    # attempt, so the retry budget runs out; on 11 nodes it connects
-    assert power_law("10", "1e308") == EXIT_BUDGET
-    assert "no connected PowerLawConfig graph" in capsys.readouterr().err
+    # a huge exponent draws every degree at the mean, 4 here: no overflow;
+    # Havel-Hakimi lays 4-regular on 10 nodes out as two K5s every attempt,
+    # and the double edge swaps join them; on 11 nodes the layout connects
+    assert power_law("10", "1e308") == EXIT_OK
     assert power_law("11", "1e308") == EXIT_OK
+    capsys.readouterr()
+    # 29 channels on 30 nodes must draw a spanning tree: the retries run out
+    rc = main(["gen", "--kind", "ErdosRenyi", "--nodes", "30", "--edges", "29",
+               "--out-dir", str(tmp_path)])
+    assert rc == EXIT_BUDGET
+    assert "no connected ErdosRenyi graph" in capsys.readouterr().err
     capsys.readouterr()
     # only sweep runs worker processes, so only sweep takes --threads
     with pytest.raises(SystemExit) as stop:

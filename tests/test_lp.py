@@ -76,89 +76,70 @@ def _delta_residual(routing, flow):
 
 
 # --- raw simplex ---
+#
+# simplex.solve(delta, bounds) maximizes sum(x) subject to
+# max(delta, 0).x <= bounds, delta.x = 0 and x >= 0.
+
+
+def test_simplex_one_channel_both_ways():
+    # one path each way over one channel: the limit row holds the forward one
+    status, x, value = simplex.solve(((1, -1),), (5,))
+    assert status == "Optimal"
+    assert x == (5, 5)
+    assert value == 10
 
 
 def test_simplex_single_variable():
-    status, x, value = simplex.solve_dense((1,), ((1,),), (5,))
+    # one path shifts the balance of every channel it crosses: it sends nothing
+    assert simplex.solve(((1,), (-1,)), (5, 5)) == ("Optimal", (0,), 0)
+
+
+def test_simplex_degenerate_optimum(line):
+    # the line instance: 0->2, 2->0, 1->2 and 1->0 over two channels
+    delta = dense_views(line[2])[2]
+    status, x, value = simplex.solve(delta, (10, 10))
     assert status == "Optimal"
-    assert x == (5,)
-    assert value == 5
-
-
-def test_simplex_degenerate_optimum():
-    status, _, value = simplex.solve_dense((1, 1), ((1, 1), (1, 0)), (3, 2))
-    assert status == "Optimal"
-    assert value == 3
-
-
-def test_simplex_equality_constraint():
-    status, x, value = simplex.solve_dense(
-        (1, 2), ((1, 0),), (3,), ((1, 1),), (4,)
-    )
-    assert status == "Optimal"
-    assert value == 8
-    assert x == (0, 4)
-
-
-def test_simplex_infeasible():
-    status, _, _ = simplex.solve_dense((0,), ((1,),), (-1,))
-    assert status == "Infeasible"
-
-
-def test_simplex_unbounded():
-    status, _, _ = simplex.solve_dense((1,), ((-1,),), (0,))
-    assert status == "Unbounded"
-
-
-def test_simplex_rejects_floats():
-    with pytest.raises(TypeError):
-        simplex.solve_dense((1.0,), ((1,),), (5,))
+    assert value == 20 and sum(x) == 20
+    # a zero bound on channel 0 holds every path at zero, a degenerate vertex
+    assert simplex.solve(delta, (0, 10)) == ("Optimal", (0, 0, 0, 0), 0)
 
 
 def test_simplex_exact_fractions():
-    status, x, value = simplex.solve_dense(
-        (1,), ((Fraction(3),),), (Fraction(1, 7),)
-    )
+    status, x, value = simplex.solve(((1, -1),), (Fraction(1, 7),))
     assert status == "Optimal"
-    assert x == (Fraction(1, 21),)
-    assert value == Fraction(1, 21)
+    assert x == (Fraction(1, 7), Fraction(1, 7))
+    assert value == Fraction(2, 7)
+    assert all(type(v) is Fraction for v in x) and type(value) is Fraction
 
 
 def test_simplex_agrees_with_float_route():
     rng = random.Random(20260814)
-    for _ in range(25):
-        nvars = rng.randint(1, 5)
-        nrows = rng.randint(1, 6)
-        obj = [rng.randint(-3, 5) for _ in range(nvars)]
-        rows = [[rng.randint(-2, 4) for _ in range(nvars)] for _ in range(nrows)]
-        bounds = [rng.randint(0, 12) for _ in range(nrows)]
-        # box rows keep the region bounded regardless of the random rows
-        rows += [[1 if j == i else 0 for j in range(nvars)] for i in range(nvars)]
-        bounds += [10] * nvars
-        status, _, value = simplex.solve_dense(obj, rows, bounds)
-        approx = linprog([-v for v in obj], A_ub=rows, b_ub=bounds,
+    for k in range(25):
+        nodes = rng.randint(5, 7)
+        _, _, routing = _er_instance(nodes, nodes + rng.randint(1, 4),
+                                     rng.randint(2, 8), seed=k, demand_seed=k)
+        delta = dense_views(routing)[2]
+        bounds = [rng.randint(0, 12) for _ in delta]
+        status, _, value = simplex.solve(delta, bounds)
+        forward = np.maximum(delta, 0)
+        approx = linprog(-np.ones(routing.path_count), A_ub=forward, b_ub=bounds,
+                         A_eq=delta, b_eq=np.zeros(len(delta)),
                          bounds=(0, None), method="highs-ds")
         assert status == "Optimal"
         assert approx.status == 0
         assert abs(float(value) + approx.fun) < 1e-7
 
 
-def test_simplex_rejects_ragged_rows():
-    with pytest.raises(ValueError, match="inequality row width"):
-        simplex.solve_dense((1, 1), ((1,),), (5,))
-    with pytest.raises(ValueError, match="equality row width"):
-        simplex.solve_dense((1, 1), (), (), ((1, 1, 1),), (0,))
-    with pytest.raises(ValueError):
-        simplex.solve_dense((1,), ((1,), (1,)), (5,))
-
-
 # --- integer tableau against a Fraction-tableau reference ---
 #
-# _reference_solve_dense runs solve_dense's two-phase simplex on a tableau
-# of Fractions: the same pricing, ratio test, tie-break, Bland switch,
-# phase-1 pricing, drive-out and rhs flip, with every cell a rational.
-# Both read simplex.BLAND_SWITCH_FACTOR and ITERATION_CAP_FACTOR at call
-# time, so patching the module patches both sides.
+# _reference_solve_dense is a general two-phase simplex, maximize c.x
+# subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0, on a tableau of
+# Fractions: the pricing, ratio test, tie-break, Bland switch, phase-1
+# pricing and drive-out of simplex.solve, with every cell a rational.
+# Called with c = 1, A_ub = max(delta, 0), b_ub = bounds, A_eq = delta and
+# b_eq = 0, it builds simplex.solve's tableau. Both read
+# simplex.BLAND_SWITCH_FACTOR and ITERATION_CAP_FACTOR at call time, so
+# patching the module patches both sides.
 
 
 def _reference_pivot(tab, obj, basis, row, col):
@@ -277,53 +258,51 @@ def _reference_solve_dense(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     return simplex.OPTIMAL, tuple(x), obj[rhs_col]
 
 
-_ENTRIES = st.one_of(st.integers(min_value=-4, max_value=4),
-                     st.fractions(min_value=-4, max_value=4, max_denominator=6))
+def _throughput_reference(delta, bounds):
+    return _reference_solve_dense([1] * len(delta[0]), np.maximum(delta, 0).tolist(),
+                                  bounds, delta, [0] * len(delta))
+
+
+_BOUNDS = st.one_of(st.just(0),
+                    st.integers(min_value=0, max_value=6),
+                    st.fractions(min_value=0, max_value=6, max_denominator=6),
+                    st.builds(Fraction, st.integers(min_value=10 ** 20, max_value=10 ** 25),
+                              st.integers(min_value=1, max_value=7)))
 
 
 @st.composite
 def _dense_lps(draw):
-    """Small LPs with <=, = and redundant = rows, bounds of both signs and
-    many zeros, so infeasible, unbounded and degenerate cases all occur."""
-    nvars = draw(st.integers(min_value=0, max_value=5))
-    row = st.lists(_ENTRIES, min_size=nvars, max_size=nvars)
-    c = draw(row)
-    a_ub = draw(st.lists(row, max_size=5))
-    b_ub = draw(st.lists(_ENTRIES, min_size=len(a_ub), max_size=len(a_ub)))
-    a_eq = draw(st.lists(row, max_size=3))
-    b_eq = draw(st.lists(_ENTRIES, min_size=len(a_eq), max_size=len(a_eq)))
-    if a_eq and draw(st.booleans()):
-        # a repeated equality leaves an artificial basic at level zero
-        a_eq.append(list(a_eq[0]))
-        b_eq.append(b_eq[0])
-    if nvars and draw(st.booleans()):
-        # box rows x_j <= bound keep more of the draws bounded
-        box = draw(st.integers(min_value=0, max_value=4))
-        a_ub += [[int(j == i) for j in range(nvars)] for i in range(nvars)]
-        b_ub += [box] * nvars
-    return c, a_ub, b_ub, a_eq, b_eq
+    """Throughput LPs of small random routings, (delta, bounds): bounds
+    >= 0 with many zeros, Fractions and values past 1e20, so degenerate
+    bases and zero optima both occur."""
+    routing = draw(small_instance())[2]
+    delta = dense_views(routing)[2]
+    return delta, draw(st.lists(_BOUNDS, min_size=len(delta), max_size=len(delta)))
 
 
 def _assert_matches_reference(lp_args):
-    got = simplex.solve_dense(*lp_args)
-    assert got == _reference_solve_dense(*lp_args)
+    got = simplex.solve(*lp_args)
+    assert got == _throughput_reference(*lp_args)
     assert all(type(v) is Fraction for v in got[1])
     assert type(got[2]) is Fraction
 
 
-# Pinned LPs on which a wrong tie-break, a missing sign flip in the
-# drive-out pivot or a lost objective scale changes (status, x, value);
-# random draws hit the first two only about once in 10,000.
+# Pinned throughput LPs, each from a routing, on which one broken piece of
+# simplex.solve changes (status, x, value) under either pricing rule.
 _PINNED_LPS = [
-    # ratio ties under Bland's rule: the first tied row is not the lowest basis
-    ((0, 1, 1, 1), ((0, 0, 0, 1), (-1, 2, 0, 0), (0, 1, 0, -1), (2, -1, 0, -1),
-                    (0, 1, 1, 0)), (4, 2, 2, 2, 2)),
-    # ratio ties where the higher basis index would end on another optimum
-    ((1, 1, 0, 0), ((1, 2, 0, 1), (1, 0, 0, -1), (2, -1, 0, 0)), (4, 2, 4)),
-    # the degenerate artificial leaves on a negative entry
-    ((Fraction(5, 3), 2), (), (), ((-2, Fraction(-18, 5)),), (0,)),
-    # x = 19/96; the optimum -19/96 needs the objective row's scale
-    ((-1,), (), (), ((16,),), (Fraction(19, 6),)),
+    # two channels in a line, a one-hop and a two-hop path each way: ratio
+    # ties where the higher basis index ends on the other optimum, x = (0, 2,
+    # 2, 0) instead of (2, 0, 0, 2)
+    (((1, 1, -1, -1), (0, 1, -1, 0)), (Fraction(2), 3)),
+    # a drive-out pivot on a negative entry: without the sign flip the row
+    # scale turns negative and the optimum 8/3 reads as 0
+    (((1, -1), (-1, 1)), (4, Fraction(4, 3))),
+    # a two-hop path against the direction of both channels: without the
+    # drive-out an artificial stays basic and the zero optimum reads as
+    # Unbounded
+    (((-1,), (-1,)), (4, Fraction(10, 7))),
+    # x = (1/6, 1/6); the optimum 1/3 needs the objective row's scale
+    (((-1, 1), (0, 0)), (Fraction(1, 6), 0)),
 ]
 
 
@@ -607,7 +586,7 @@ def test_collapsed_lp_matches_three_block_reference(instance):
     net, _, routing, state = instance
     room = [c - b for c, b in zip(net.capacities, state.balances)]
     forward, backward, delta = dense_views(routing)
-    status, _, reference = simplex.solve_dense(
+    status, _, reference = _reference_solve_dense(
         [1] * routing.path_count,
         forward + backward, state.balances + tuple(room),
         delta, [0] * routing.edge_count)
@@ -698,10 +677,7 @@ def test_certified_value_matches_simplex(instance, denominator, data):
                  denominator)
         for c in net.capacities])
     bounds = [min(b, c - b) for c, b in zip(net.capacities, state.balances)]
-    forward, _, delta = dense_views(routing)
-    status, _, reference = simplex.solve_dense(
-        [1] * routing.path_count, forward, bounds, delta,
-        [0] * routing.edge_count)
+    status, _, reference = simplex.solve(dense_views(routing)[2], bounds)
     with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
         report = lp.one_step_throughput(net, routing, state)
     assert status == "Optimal"
@@ -742,7 +718,7 @@ def test_mirrored_states_share_one_simplex_solve(line):
     net, _, routing = line
     solves = []
     state, mirror = make_state(net, [15, 5]), make_state(net, [5, 15])
-    with _counting(simplex, "solve_dense", solves):
+    with _counting(simplex, "solve", solves):
         report = lp.one_step_throughput(net, routing, state)
         assert len(solves) == 1
         assert lp.one_step_throughput(net, routing, mirror) == report
@@ -763,7 +739,7 @@ def test_kept_exact_optimum_answers_a_repeat_on_either_route(line):
     state = make_state(net, [rng.randint(0, int(c)) for c in net.capacities])
     mirror = make_state(net, [c - b for c, b in zip(net.capacities, state.balances)])
     highs_calls, solves = [], []
-    with _counting(lp, "_highs", highs_calls), _counting(simplex, "solve_dense", solves):
+    with _counting(lp, "_highs", highs_calls), _counting(simplex, "solve", solves):
         reports = [lp.one_step_throughput(net, routing, s)
                    for s in (state, mirror, state, mirror)]
         assert (len(highs_calls), len(solves)) == (1, 0)
@@ -806,7 +782,7 @@ def test_repeats_return_the_kept_report_and_floats_keep_none(line):
         state = make_state(net, [rng.randint(0, int(c)) for c in net.capacities])
         mirror = make_state(net, [c - b for c, b in zip(net.capacities, state.balances)])
         highs_calls, solves = [], []
-        with _counting(lp, "_highs", highs_calls), _counting(simplex, "solve_dense", solves):
+        with _counting(lp, "_highs", highs_calls), _counting(simplex, "solve", solves):
             first, *again = [lp.one_step_throughput(net, routing, s)
                              for s in (state, mirror, state)]
         assert first.route == route
@@ -885,7 +861,7 @@ def _line_with_a_one_way_spur():
 def test_floor_reuses_the_ceiling_only_when_it_fits(exact, unpeeled, solves, floor):
     net, routing = _line_with_a_one_way_spur()
     counted = []
-    with _route(exact), _counting(simplex, "solve_dense", counted), \
+    with _route(exact), _counting(simplex, "solve", counted), \
             _counting(lp, "_highs", counted):
         assert lp.max_throughput(net, routing) == 20
         assert len(counted) == 1
@@ -1149,10 +1125,7 @@ def test_bounds_beyond_highs_range(capacity):
     capacities[5] = Fraction(capacity)
     net = make_network(base.node_count, base.edges, capacities)
     state = center_state(net)
-    forward, _, delta = dense_views(routing)
-    _, _, reference = simplex.solve_dense(
-        [1] * routing.path_count, forward, [c / 2 for c in capacities], delta,
-        [0] * routing.edge_count)
+    _, _, reference = simplex.solve(dense_views(routing)[2], [c / 2 for c in capacities])
     report = lp.one_step_throughput(net, routing, state)
     assert report.route == lp.SIMPLEX
     assert report.psi_value == reference > capacity // 2
