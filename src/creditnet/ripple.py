@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 DISTRIBUTION_MASS_TOL = 1e-12
 
@@ -44,14 +47,16 @@ class PathLengthDistribution:
     def max_length(self) -> int:
         return len(self.probabilities)
 
+    @cached_property
+    def _cumulative(self) -> tuple[float, ...]:
+        """Running sums of the probabilities, added left to right."""
+        return tuple(accumulate(self.probabilities))
+
     def sample(self, rng: random.Random) -> int:
-        u = rng.random()
-        acc = 0.0
-        for i, p in enumerate(self.probabilities):
-            acc += p
-            if u < acc:
-                return i + 1
-        return len(self.probabilities)
+        """The first length whose running sum exceeds one `rng.random()`,
+        the longest if rounding leaves the draw past the last sum."""
+        return min(bisect_right(self._cumulative, rng.random()),
+                   self.max_length - 1) + 1
 
 
 def distribution_from_lengths(lengths) -> PathLengthDistribution:
@@ -239,12 +244,43 @@ def simulate_iid_peeling(dist: PathLengthDistribution, flow_count: int,
                          successes)
 
 
+def _sample_set_size(length: int) -> int:
+    """`random.sample`'s rule: it shuffles a pool list when the population
+    has at most this many members, and keeps a set of picks above it."""
+    size = 21
+    if length > 5:
+        size += 4 ** math.ceil(math.log(length * 3, 4))
+    return size
+
+
 def _peel_one(dist, flow_count, channel_count, rng):
-    channels = list(range(channel_count))
+    """One trial: each flow's length from `dist.sample(rng)` and its
+    channels as `rng.sample(range(channel_count), length)` picks them,
+    then a peel that processes a uniformly drawn ripple member per level.
+
+    Above `random.sample`'s set-size rule its set loop is written out, as
+    is the per-level `rng.randrange(len(ripple))`: each draw is
+    `getrandbits(m.bit_length())`, retried while the value is m or more,
+    which is how CPython builds `randrange(m)` (see `demand`'s module
+    note), so the same words give the same picks without the call
+    overhead.
+    """
+    getrandbits = rng.getrandbits
+    channel_bits = channel_count.bit_length()
+    pooled = [channel_count <= _sample_set_size(length)
+              for length in range(1, dist.max_length + 1)]
     flow_sets = []
     for _ in range(flow_count):
         length = dist.sample(rng)
-        flow_sets.append(set(rng.sample(channels, length)))
+        if pooled[length - 1]:
+            flow_sets.append(set(rng.sample(range(channel_count), length)))
+            continue
+        picks = set()
+        while len(picks) < length:
+            c = getrandbits(channel_bits)
+            if c < channel_count:
+                picks.add(c)
+        flow_sets.append(picks)
     members = [[] for _ in range(channel_count)]
     for f, picks in enumerate(flow_sets):
         for c in picks:
@@ -266,7 +302,11 @@ def _peel_one(dist, flow_count, channel_count, rng):
         trace.append(float(len(ripple)))
         if not ripple:
             break
-        pick = rng.randrange(len(ripple))
+        size = len(ripple)
+        bits = size.bit_length()
+        pick = getrandbits(bits)
+        while pick >= size:
+            pick = getrandbits(bits)
         ripple[pick], ripple[-1] = ripple[-1], ripple[pick]
         c = ripple.pop()
         processed[c] = True

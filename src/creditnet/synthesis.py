@@ -23,7 +23,10 @@ Realizations are wired by the construction of Gjoka, Tillman &
 Markopoulou, "Construction of Simple Graphs with a Target Joint Degree
 Matrix and Beyond" (IEEE INFOCOM 2015), ported here step for step from
 `nx.joint_degree_graph`: the same seed gives the same graph, edge for
-edge, without a networkx graph's per-edge bookkeeping.
+edge, without a networkx graph's per-edge bookkeeping.  Where networkx
+calls `randrange`, the wiring calls `getrandbits` itself and retries as
+`randrange` does, so it reads the same Mersenne Twister words (see
+`demand`'s module note) for a fraction of the call overhead.
 
 Every path-length mix here comes from one helper, `_full_pair_mix`,
 over `_level_counts`, which yields per source the number of nodes at
@@ -521,17 +524,22 @@ def _wire_joint_degrees(counts: dict[int, dict[int, int]],
     """Adjacency of a simple graph with the given joint degree counts,
     built step for step as `nx.joint_degree_graph(counts, seed=seed)`
     builds it: node ids go to the degree classes in `counts` order, the
-    same `randrange` calls draw each candidate pair, and the unsaturated
-    sets are built and shrunk the same way.  Each adjacency is an
+    same draws pick each candidate pair, and the unsaturated sets are
+    built and shrunk the same way.  Each adjacency is an
     insertion-ordered dict, as in a networkx graph, so every neighbour
     switch picks the same nodes.
+
+    networkx draws a class member as `randrange(size)`, which CPython
+    builds as `getrandbits(size.bit_length())` retried while the value is
+    `size` or more (see `demand`'s module note); the loop makes those
+    calls itself, with the bit count fixed per class pair.
     """
-    randrange = random.Random(seed).randrange
+    getrandbits = random.Random(seed).getrandbits
     sizes = {k: sum(row.values()) // k for k, row in counts.items()}
-    members = {}
+    first = {}
     residual: list[int] = []
     for k, size in sizes.items():
-        members[k] = range(len(residual), len(residual) + size)
+        first[k] = len(residual)
         residual.extend([k] * size)
     adj: list[dict[int, None]] = [{} for _ in residual]
     for k, row in counts.items():
@@ -539,16 +547,28 @@ def _wire_joint_degrees(counts: dict[int, dict[int, int]],
             if wanted <= 0 or k < l:
                 continue
             k_size, l_size = sizes[k], sizes[l]
-            k_nodes, l_nodes = members[k], members[l]
-            k_unsat = {v for v in k_nodes if residual[v] > 0}
+            if not (k_size and l_size):
+                raise ValueError(f"pair ({k},{l}) wants edges but a class "
+                                 f"has no nodes")
+            k_first, l_first = first[k], first[l]
+            k_bits, l_bits = k_size.bit_length(), l_size.bit_length()
+            k_unsat = {v for v in range(k_first, k_first + k_size)
+                       if residual[v] > 0}
             if k != l:
-                l_unsat = {w for w in l_nodes if residual[w] > 0}
+                l_unsat = {w for w in range(l_first, l_first + l_size)
+                           if residual[w] > 0}
             else:
                 l_unsat = k_unsat
                 wanted //= 2
             while wanted > 0:
-                v = k_nodes[randrange(k_size)]
-                w = l_nodes[randrange(l_size)]
+                v = getrandbits(k_bits)
+                while v >= k_size:
+                    v = getrandbits(k_bits)
+                w = getrandbits(l_bits)
+                while w >= l_size:
+                    w = getrandbits(l_bits)
+                v += k_first
+                w += l_first
                 if v == w or w in adj[v]:
                     continue
                 if residual[v] == 0:
@@ -655,7 +675,8 @@ def synthesize_matched(jdd: JointDegreeDistribution,
                        target: SynthesisTarget, seed: int,
                        restarts: int = 6) -> CreditNetwork:
     """Realize the joint degree mix several times and keep the wiring
-    whose exact path-length mix lands closest to the target.
+    whose exact path-length mix lands closest to the target, the first
+    such on a tie; only that one is given capacities.
 
     Stub matching is random, so realizations scatter around the mix the
     joint degrees imply; restart selection removes that wiring noise.
@@ -665,13 +686,13 @@ def synthesize_matched(jdd: JointDegreeDistribution,
     best = None
     best_gap = math.inf
     for r in range(restarts):
-        network = synthesize_graph(jdd, target.channel_budget,
-                                   seed + 104_729 * r)
-        gap = distribution_distance(exact_path_length_distribution(network),
-                                    target_dist, "l1")
+        realized = _realize_edges(jdd, target.channel_budget,
+                                  seed + 104_729 * r)
+        gap = distribution_distance(_full_pair_mix(*realized), target_dist,
+                                    "l1")
         if best is None or gap < best_gap:
-            best, best_gap = network, gap
-    return best
+            best, best_gap = realized, gap
+    return with_uniform_capacities(*best, DEFAULT_TOTAL_COLLATERAL)
 
 
 @dataclass(frozen=True)
@@ -847,9 +868,10 @@ def optimize_jdd(target_dist: PathLengthDistribution,
         if evaluations % COOLING_INTERVAL == 0:
             temperature = max(temperature * COOLING_FACTOR, 1e-6)
     final_best = energy(best, holdout)
-    final_start = energy(start, holdout)
-    if final_start < final_best:
-        best, final_best = start, final_start
+    if best is not start:
+        final_start = energy(start, holdout)
+        if final_start < final_best:
+            best, final_best = start, final_start
     status = MATCHED if final_best <= match_tol else BUDGET_EXHAUSTED
     return JddSearchResult(jdd=best, distance=final_best,
                            evaluations=evaluations, status=status)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -251,3 +252,107 @@ def test_trajectory_csv_layout():
     other = simulate_iid_peeling(dist, 3, 6, seed=0, trials=20)
     with pytest.raises(ValueError):
         trajectory_csv(pred, other)
+
+
+def _sample_by_loop(dist, u):
+    """A length for the draw u by a running sum, added left to right."""
+    acc = 0.0
+    for i, p in enumerate(dist.probabilities):
+        acc += p
+        if u < acc:
+            return i + 1
+    return dist.max_length
+
+
+def _peel_one_by_library_calls(dist, flow_count, channel_count, rng):
+    """`ripple._peel_one` written with `random.sample`, `randrange` and
+    the running-sum length draw."""
+    channels = list(range(channel_count))
+    flow_sets = []
+    for _ in range(flow_count):
+        length = _sample_by_loop(dist, rng.random())
+        flow_sets.append(set(rng.sample(channels, length)))
+    members = [[] for _ in range(channel_count)]
+    for f, picks in enumerate(flow_sets):
+        for c in picks:
+            members[c].append(f)
+    in_ripple = [False] * channel_count
+    ripple_ = []
+    for picks in flow_sets:
+        if len(picks) == 1:
+            c = next(iter(picks))
+            if not in_ripple[c]:
+                in_ripple[c] = True
+                ripple_.append(c)
+    processed = [False] * channel_count
+    trace = []
+    level = channel_count
+    while level > 0:
+        trace.append(float(len(ripple_)))
+        if not ripple_:
+            break
+        pick = rng.randrange(len(ripple_))
+        ripple_[pick], ripple_[-1] = ripple_[-1], ripple_[pick]
+        c = ripple_.pop()
+        processed[c] = True
+        level -= 1
+        for f in members[c]:
+            picks = flow_sets[f]
+            picks.discard(c)
+            if len(picks) == 1:
+                rest = next(iter(picks))
+                if not processed[rest] and not in_ripple[rest]:
+                    in_ripple[rest] = True
+                    ripple_.append(rest)
+    while len(trace) < channel_count:
+        trace.append(0.0)
+    return trace, level == 0
+
+
+# `random.sample` keeps a pool list up to 21 members for at most 5 picks
+# and up to 85 for 6-21 picks, and a set of picks above that
+@pytest.mark.parametrize("channels", [20, 21, 22, 84, 85, 86, 400])
+def test_peel_one_reads_the_words_the_library_calls_read(channels):
+    assert [ripple._sample_set_size(length) for length in (1, 5, 6, 21)] \
+        == [21, 21, 85, 85]
+    # lengths 1-8, so both set-size rules are met
+    dist = PathLengthDistribution((0.25, 0.3, 0.15, 0.1, 0.05, 0.05, 0.05,
+                                   0.05))
+    flows = channels + channels // 4
+    for trial in range(12):
+        fast, slow = (random.Random(f"{channels}:{trial}") for _ in range(2))
+        assert ripple._peel_one(dist, flows, channels, fast) \
+            == _peel_one_by_library_calls(dist, flows, channels, slow)
+        assert fast.getstate() == slow.getstate()
+
+
+class _FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_length_draw_matches_the_running_sum_at_every_edge():
+    # the sums of ten 0.1s fall short of 1 and are not multiples of 0.1
+    tenths = PathLengthDistribution((0.1,) * 10)
+    lumpy = PathLengthDistribution((0.0, 0.3, 0.0, 0.2, 0.5))
+    for dist in (tenths, lumpy, _soliton_like(60)):
+        sums = list(itertools.accumulate(dist.probabilities))
+        draws = [0.0, 0.1, 0.3, 0.5, 0.7, math.nextafter(1.0, 0.0)]
+        draws += sums + [math.nextafter(s, 0.0) for s in sums] \
+            + [math.nextafter(s, 1.0) for s in sums]
+        for u in draws:
+            assert dist.sample(_FixedDraw(u)) == _sample_by_loop(dist, u), u
+    # draws exactly on a running sum fall to the next length
+    assert lumpy.sample(_FixedDraw(0.3)) == 4
+    assert tenths.sample(_FixedDraw(math.nextafter(1.0, 0.0))) == 10
+
+
+def test_randrange_is_getrandbits_rejection():
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits, (
+        "random.Random._randbelow is no longer _randbelow_with_getrandbits: "
+        "ripple._peel_one, synthesis._wire_joint_degrees and "
+        "demand.sample_demand rely on randrange(m) being getrandbits("
+        "m.bit_length()) retried while the value is m or more")

@@ -682,6 +682,28 @@ def test_realization_matches_networkx_through_neighbour_switches(
     assert any(calls)
 
 
+def test_workload_size_realization_is_networkx_construction():
+    """Criterion 8's warm start at 1500/300/900, wired at the training
+    seeds of its search seed 7: classes of tens to hundreds of nodes,
+    where the draws take 5-8 bits."""
+    target = SynthesisTarget(channel_budget=1500, node_budget=300,
+                             flow_budget=900)
+    warm = synthesis._initial_guess(
+        optimize_path_length_dist(target).distribution, target)
+    for seed in (7 * 65537 + 211 * s for s in range(3)):
+        counts, wiring, realized = _networkx_realization(warm, 1500, seed)
+        assert max(sum(row.values()) // k for k, row in counts.items()) > 64
+        assert [list(row) for row in
+                synthesis._wire_joint_degrees(counts, seed)] == wiring
+        assert synthesis._realize_edges(warm, 1500, seed) == realized
+
+
+def test_wiring_refuses_a_pair_with_an_empty_class():
+    # one stub owed to each class, too few for a degree-2 or degree-3 node
+    with pytest.raises(ValueError, match="has no nodes"):
+        synthesis._wire_joint_degrees({2: {3: 1}, 3: {2: 1}}, seed=0)
+
+
 def test_jdd_search_rejects_bad_settings():
     target = SynthesisTarget(channel_budget=100, node_budget=72,
                              flow_budget=80, jdd_max_degree=8)
@@ -730,3 +752,23 @@ def test_stalled_search_stops_one_window_after_its_best(monkeypatch):
     assert capped.evaluations == stopped.evaluations
     assert capped.jdd == stopped.jdd
     assert capped.distance == stopped.distance
+
+
+def test_unimproved_search_scores_the_start_once_on_the_holdout(monkeypatch):
+    jdd = neutral_mixing_jdd({2: 20, 3: 25, 4: 15}, 8)
+    target = SynthesisTarget(channel_budget=100, node_budget=72,
+                             flow_budget=80, jdd_max_degree=8)
+    target_dist = PathLengthDistribution((0.05, 0.2, 0.3, 0.25, 0.2))
+    seeds = []
+    real_realize = synthesis._realize_edges
+
+    def counted(jdd, channel_budget, seed):
+        seeds.append(seed)
+        return real_realize(jdd, channel_budget, seed)
+
+    monkeypatch.setattr(synthesis, "_realize_edges", counted)
+    result = optimize_jdd(target_dist, target, seed=3, budget=1,
+                          initial=jdd)
+    assert result.jdd is jdd and result.evaluations == 1
+    # three training seeds, then the three holdout seeds once
+    assert len(seeds) == len(set(seeds)) == 6
