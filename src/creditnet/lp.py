@@ -10,44 +10,45 @@ Steady state means F.x = B.x for the forward and backward channel x path
 incidences, so the sending-balance and remaining-capacity limits collapse
 into one row per channel, F.x <= min(b, c - b), beside (F - B).x = 0.
 
-Three solve routes; ThroughputReport.route names the one that ran:
+Two solve routes, by size; ThroughputReport.route names the one that ran:
 
-* "float": HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018),
-  called directly through scipy's bundled binding with the options
-  linprog(method="highs-ds") sets, one module-level options object that no
-  call changes. Each routing keeps the column-wise arrays of [F; F - B],
-  built once from its CSR arrays, so the ceiling, the floor and every
-  one-step LP of a routing pass the same model with their own row bounds;
-  each solve starts a fresh solver with no basis carried over. Results are
-  floats. A bound HiGHS would read as infinite (HIGHS_INFINITE_BOUND and
-  above) raises ValueError.
-* "certified": the same HiGHS solve, then an exact certificate (after
-  Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007, and Gleixner,
-  Steffy & Wolter, INFORMS J. Comput. 2016). The primal x and the dual
-  (alpha per limit row, gamma per net-shift row) are rationalized, only
-  their distinct values, and scaled to integers over common denominators.
-  One integer check over the routing's CSR arrays then asks that x be
-  exactly feasible, that every path's reduced cost
-  sum_forward alpha_e + sum_hops +-gamma_e be >= 1, and that bounds.alpha
-  equal sum(x). Weak duality then proves sum(x) optimal, returned as a
-  Fraction with the rational x. The integers are int64 when no sum can
-  overflow it and Python ints (object arrays) otherwise.
-* "simplex": creditnet.simplex.solve, an exact two-phase simplex for this
-  LP alone, given the dense channel x path rows of F - B (built once per
-  routing; F is their positive part) and the bounds. It runs on an integer
-  tableau (each row a positive integer multiple of the rational row, so no
-  Fraction per cell) with the pivots and the Fraction optimum of a
-  rational tableau. It is taken below CERTIFY_MIN_CELLS, where it is faster
-  than HiGHS plus the certificate, when a bound is beyond HiGHS's range,
-  and when the certificate fails.
+* "float", above EXACT_CELL_LIMIT cells (3 * channels * paths): HiGHS's
+  dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018), called directly
+  through scipy's bundled binding with the options linprog(method="highs-ds")
+  sets, one module-level options object that no call changes. Each routing
+  keeps the column-wise arrays of [F; F - B], built once from its CSR
+  arrays, so the ceiling, the floor and every one-step LP of a routing pass
+  the same model with their own row bounds. Each solve starts a fresh
+  solver with no basis carried over, so results are linprog's, bit for bit.
+  A bound HiGHS would read as infinite (HIGHS_INFINITE_BOUND and above)
+  raises ValueError. Nothing is kept.
+* "certified", at or below it: each routing keeps one HiGHS solver, which
+  gets the model on the routing's first LP and after that only new limit
+  row bounds. Every LP starts cold (the dual simplex without presolve), so
+  its answer, vertex included, depends on its bounds alone. An exact
+  certificate (after Applegate, Cook, Dash & Espinoza, Oper. Res. Lett.
+  2007, and Gleixner, Steffy & Wolter, INFORMS J. Comput. 2016) then proves
+  the optimum: x and the dual (alpha per limit row, gamma per net-shift
+  row) are rationalized, only their distinct values, and scaled to integers
+  over common denominators (int64 when no sum can overflow it, Python ints
+  otherwise). One integer check over the routing's CSR arrays asks that x
+  be exactly feasible and >= 0, that alpha >= 0 and every path's reduced
+  cost sum_forward alpha_e + sum_hops +-gamma_e be >= 1, and that
+  bounds.alpha equal sum(x); weak duality then proves sum(x) optimal,
+  returned as a Fraction with the rational x. When the rationalized floats
+  fail, HiGHS's optimal basis is solved in Fractions (B.x_B = b on the
+  active rows and basic columns, B^T.y = 1) and put to the same check.
+  Bounds reaching HIGHS_INFINITE_BOUND are first scaled into HiGHS's range
+  by an exact power of two (the LP is positively homogeneous in its
+  bounds), and the optimum scaled back; if no check then holds, ValueError
+  names the widest channel. Any other vector no check proves gets HiGHS's
+  float optimum, labelled "float". A routing without paths has the
+  certified optimum 0.
 
-Two branches, by size: above EXACT_CELL_LIMIT cells (3 * channels * paths)
-the float solve is returned and not kept. At or below it, each routing keeps
-one table of exact reports by bound vector (the LP depends only on the
-routing and the bounds): the finished ThroughputReport, from whichever exact
-route first solved it. A vector met again returns that same report object,
-with no solve and no new FlowVector; only a new one is solved. The balance
-check runs on every call all the same.
+Each routing keeps one table of exact-branch reports by bound vector (the
+LP depends only on the routing and the bounds). A vector met again returns
+that same report object, with no solve and no new FlowVector; only a new
+one is solved. The balance check runs on every call all the same.
 
 The floor min_throughput is the same LP as the ceiling max_throughput with
 the unpeeled channels' bounds lowered from c/2 to 0, so each routing keeps
@@ -78,7 +79,6 @@ from typing import Mapping
 import numpy as np
 from scipy.optimize._highspy import _core
 
-from . import simplex
 from .model import (
     BalanceState,
     CreditNetwork,
@@ -88,37 +88,25 @@ from .model import (
     check_balances,
 )
 
-OPTIMAL = simplex.OPTIMAL
+OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
-UNBOUNDED = simplex.UNBOUNDED
-NUMERICAL_FAILURE = simplex.FAILURE
+UNBOUNDED = "Unbounded"
+NUMERICAL_FAILURE = "NumericalFailure"
 
-# Auto route selection: exact rational result at or below this many
-# constraint cells, floating point above. Throughput LPs count
-# 3 * channels * paths (the forward and backward limit blocks apart, plus the
-# net-shift block).
+# Exact rational result at or below this many constraint cells, floating
+# point above. Throughput LPs count 3 * channels * paths (the forward and
+# backward limit blocks apart, plus the net-shift block).
 EXACT_CELL_LIMIT = 20_000
-
-# Exact results below this many cells come from the integer-tableau simplex
-# directly. On the four exact-small recipes at 10-50 pairs (phi_max and
-# phi_min LPs, median of 5 seeds, best of 3; Python 3.11, 2-vCPU VM) it took
-# 0.41-0.58 ms against 0.51-0.60 ms for the HiGHS call plus the certificate
-# up to 540 cells, where the two tie, and lost at every size from 780 cells
-# on (0.68-5.5 ms against 0.55-1.2 ms), so 50-pair criterion-2 LPs
-# (1,950-2,700 cells) stay certified. Values are equal on either route; only
-# the route label and possibly the optimal vertex depend on it.
-CERTIFY_MIN_CELLS = 600
 
 # Largest denominator tried when reading HiGHS's floats as rationals.
 CERTIFICATE_DENOMINATOR = 10 ** 6
 
 # HiGHS reads a bound at or above this as infinite (its infinite_bound
 # option), so the float route refuses larger finite bounds and the exact
-# route sends them to the simplex.
+# route scales them below it by a power of two.
 HIGHS_INFINITE_BOUND = 1e20
 
 # ThroughputReport.route values
-SIMPLEX = "simplex"
 CERTIFIED = "certified"
 FLOAT = "float"
 
@@ -130,7 +118,7 @@ class LpSolution:
     status: str
     x: tuple
     objective_value: Fraction | float
-    # HiGHS's (inequality, equality) marginals; empty from the simplex
+    # HiGHS's (inequality, equality) marginals; empty once exact
     duals: tuple = ()
 
 
@@ -159,8 +147,14 @@ def _highs_options(**values) -> _core.HighsOptions:
     return options
 
 
-# passed to every solve and never changed
+# passed to every float-route solve and never changed
 _HIGHS_OPTIONS = _highs_options()
+
+# the exact branch's kept solvers: the dual simplex without presolve, cold
+# on every LP. On the 1,092 distinct exact LPs of exact-small pool entries
+# 0-15 it took 0.21-0.25 ms (54 cells) and 0.52 ms (1,950-2,700 cells) per
+# LP against 0.31 and 0.90 ms with presolve (Python 3.11, 2-vCPU VM)
+_EXACT_OPTIONS = _highs_options(presolve="off")
 
 # HiGHS model status -> ours; any other status is a NUMERICAL_FAILURE
 _HIGHS_STATUS = {
@@ -173,26 +167,40 @@ _HIGHS_STATUS = {
 _FEASIBILITY_TOL = math.sqrt(1e-9) * 10
 
 
-def _highs(columns: tuple, b_ub: np.ndarray) -> LpSolution:
+def _highs(columns: tuple, b_ub: np.ndarray, solver: _core._Highs | None = None) -> LpSolution:
     """Maximize sum(x) s.t. A[:m].x <= b_ub, A[m:].x = 0 and x >= 0, on the
-    column-wise (start, index, value) arrays of a 2m-row A, in a fresh
-    HiGHS solver: no basis is carried from one LP to the next."""
-    ncol, m = columns[0].size - 1, b_ub.size
-    model = _core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = ncol
-    model.num_row_ = model.a_matrix_.num_row_ = 2 * m
-    model.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = columns
-    model.col_cost_ = np.full(ncol, -1.0)
-    model.col_lower_ = np.zeros(ncol)
-    model.col_upper_ = np.full(ncol, _core.kHighsInf)
-    zeros = np.zeros(m)
-    model.row_lower_ = np.concatenate((np.full(m, -_core.kHighsInf), zeros))
-    model.row_upper_ = np.concatenate((b_ub, zeros))
-    solver = _core._Highs()
-    solver.passOptions(_HIGHS_OPTIONS)
-    if (solver.passModel(model) == _core.HighsStatus.kError
-            or solver.run() == _core.HighsStatus.kError):
+    column-wise (start, index, value) arrays of a 2m-row A.
+
+    Without `solver`, in a fresh HiGHS solver with _HIGHS_OPTIONS. A kept
+    `solver` gets the model and _EXACT_OPTIONS on its first LP; each later
+    LP changes only the limit rows' upper bounds and clears the last solve,
+    so every LP starts cold and its answer depends on its bounds alone, not
+    on the LPs solved before it.
+    """
+    m = b_ub.size
+    if solver is not None and solver.getNumRow():
+        solver.clearSolver()
+        for row, upper in enumerate(b_ub.tolist()):
+            solver.changeRowBounds(row, -_core.kHighsInf, upper)
+    else:
+        ncol = columns[0].size - 1
+        model = _core.HighsLp()
+        model.num_col_ = model.a_matrix_.num_col_ = ncol
+        model.num_row_ = model.a_matrix_.num_row_ = 2 * m
+        model.a_matrix_.format_ = _core.MatrixFormat.kColwise
+        model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = columns
+        model.col_cost_ = np.full(ncol, -1.0)
+        model.col_lower_ = np.zeros(ncol)
+        model.col_upper_ = np.full(ncol, _core.kHighsInf)
+        zeros = np.zeros(m)
+        model.row_lower_ = np.concatenate((np.full(m, -_core.kHighsInf), zeros))
+        model.row_upper_ = np.concatenate((b_ub, zeros))
+        options = _HIGHS_OPTIONS if solver is None else _EXACT_OPTIONS
+        solver = _core._Highs() if solver is None else solver
+        solver.passOptions(options)
+        if solver.passModel(model) == _core.HighsStatus.kError:
+            return LpSolution(NUMERICAL_FAILURE, (), 0.0)
+    if solver.run() == _core.HighsStatus.kError:
         return LpSolution(NUMERICAL_FAILURE, (), 0.0)
     status = solver.getModelStatus()
     if status != _core.HighsModelStatus.kOptimal:
@@ -215,12 +223,13 @@ def _highs(columns: tuple, b_ub: np.ndarray) -> LpSolution:
 
 class _LpForms:
     """One routing's LP forms, each built from its CSR arrays on first use
-    and kept with the routing: HiGHS's column-wise [F; F - B] and the
-    simplex's dense channel x path rows of F - B.
-    `exact_optima` maps tuple(bounds) to the finished exact
+    and kept with the routing: HiGHS's column-wise [F; F - B], and the
+    exact branch's HiGHS `solver`, which keeps the model between LPs and
+    each LP's optimal basis until the next LP, for _basis_solve.
+    `exact_optima` maps tuple(bounds) to the finished exact-branch
     ThroughputReport for those bounds, so a bound vector met again (a state
     and its mirror c - b give the same one) returns that report object,
-    with no solve on either exact route and no new FlowVector.
+    with no solve and no new FlowVector.
     `ceiling` is max_throughput's last optimum as (capacities, value, x),
     None until one is reached; min_throughput reuses it.
     It holds the arrays, not the routing, so the two form no cycle.
@@ -253,11 +262,8 @@ class _LpForms:
         return (start.astype(np.int32), row[order].astype(np.int32), value[order])
 
     @cached_property
-    def simplex_rows(self) -> list[list[int]]:
-        """The dense channel x path rows of F - B, the simplex's delta."""
-        delta = np.zeros(self.shape[::-1], dtype=np.int64)
-        delta[self.edge, self.path] = self.sign
-        return delta.tolist()
+    def solver(self) -> _core._Highs:
+        return _core._Highs()
 
 
 def _lp_forms(routing: RoutingSystem) -> _LpForms:
@@ -287,37 +293,39 @@ def _highs_bounds(bounds: list) -> np.ndarray:
     return b_ub
 
 
-def _scaled(values) -> tuple[list[int], np.ndarray, int, list[Fraction]]:
-    """Rationalize the distinct values only: their numerators over one
-    common denominator, the index of each value's numerator, that
-    denominator and the rationals themselves."""
+def _distinct(values: np.ndarray, read=Fraction) -> tuple[list[Fraction], np.ndarray]:
+    """`read` of each distinct value, and the index of every value's."""
     distinct, index = np.unique(values, return_inverse=True)
-    rationals = [Fraction(v).limit_denominator(CERTIFICATE_DENOMINATOR)
-                 for v in distinct.tolist()]
+    return [read(v) for v in distinct.tolist()], index.reshape(-1)
+
+
+def _rational(value: float) -> Fraction:
+    return Fraction(value).limit_denominator(CERTIFICATE_DENOMINATOR)
+
+
+def _integers(rationals: list[Fraction]) -> tuple[list[int], int]:
+    """The numerators of `rationals` over one common denominator, and it."""
     den = math.lcm(*(r.denominator for r in rationals))
-    return ([r.numerator * (den // r.denominator) for r in rationals],
-            index.reshape(-1), den, rationals)
+    return [r.numerator * (den // r.denominator) for r in rationals], den
 
 
-def _certify(routing: RoutingSystem, bounds: list, solution: LpSolution) -> LpSolution | None:
-    """The exact optimum read off HiGHS's primal and dual, or None.
+def _check(routing: RoutingSystem, bounds: list, x: tuple, dual: tuple) -> LpSolution | None:
+    """The exact optimum x, when the dual proves it, or None.
 
-    With x = X / dx, alpha, gamma = A / dy, G / dy and bounds = B / db over
-    integers, the rationalized x must satisfy F.X * db <= B * dx and
-    (F - B).X = 0 (x >= 0 holds since _highs clips it). The dual, alpha =
-    -ineq marginals clipped at 0 and gamma = -eq marginals, must give every
-    path a reduced cost sum_forward A_e + sum_hops +-G_e >= dy. Weak duality
-    then bounds every feasible flow total by bounds.alpha, so equality with
-    sum(x) proves x optimal.
+    `x` and `dual` are each (distinct rationals, index of every entry's
+    rational), the dual's entries alpha per limit row, then gamma per
+    net-shift row. With x = X / dx, alpha, gamma = A / dy, G / dy and
+    bounds = B / db over integers, X must be >= 0 and satisfy
+    F.X * db <= B * dx and (F - B).X = 0; A must be >= 0 and give every
+    path a reduced cost sum_forward A_e + sum_hops +-G_e >= dy. Weak
+    duality then bounds every feasible flow total by bounds.alpha, so
+    equality with sum(x) proves x optimal.
     """
-    if solution.status != OPTIMAL:
-        return None
     pcount, ecount = routing.path_count, routing.edge_count
-    ineq, eq = solution.duals
-    xs, x_index, dx, x_values = _scaled(np.asarray(solution.x))
-    duals, dual_index, dy, _ = _scaled(np.concatenate((np.maximum(-ineq, 0.0), -eq)))
-    db = math.lcm(*(b.denominator for b in bounds))
-    bs = [b.numerator * (db // b.denominator) for b in bounds]
+    (x_values, x_index), (dual_values, dual_index) = x, dual
+    xs, dx = _integers(x_values)
+    duals, dy = _integers(dual_values)
+    bs, db = _integers(bounds)
     # every sum below has at most 2 * nnz + paths + channels terms, each a
     # product of at most three factors no larger than m
     m = max(map(abs, xs + duals + bs + [dx, dy, db]))
@@ -327,6 +335,8 @@ def _certify(routing: RoutingSystem, bounds: list, solution: LpSolution) -> LpSo
     dual = np.array(duals, dtype=dtype)[dual_index]
     alpha, gamma = dual[:ecount], dual[ecount:]
     b = np.array(bs, dtype=dtype)
+    if not ((x >= 0).all() and (alpha >= 0).all()):
+        return None
     usage = channel_usage(routing, x)
     if not ((usage[0] == usage[1]).all() and (usage[0] * db <= b * dx).all()):
         return None
@@ -344,21 +354,89 @@ def _certify(routing: RoutingSystem, bounds: list, solution: LpSolution) -> LpSo
                       Fraction(int(total), dx))
 
 
-def _exact_solve(routing: RoutingSystem, forms: _LpForms, bounds: list,
-                 cells: int) -> tuple[LpSolution, str]:
-    """The certified optimum from cells >= CERTIFY_MIN_CELLS up, when every
-    bound is within HiGHS's range and the certificate holds; the simplex's
-    otherwise."""
-    if cells >= CERTIFY_MIN_CELLS:
-        try:
-            b_ub = _highs_bounds(bounds)
-        except ValueError:
-            pass  # no float vertex can be certified against such a bound
-        else:
-            certified = _certify(routing, bounds, _highs(forms.highs_columns, b_ub))
-            if certified is not None:
-                return certified, CERTIFIED
-    return LpSolution(*simplex.solve(forms.simplex_rows, bounds)), SIMPLEX
+def _certify(routing: RoutingSystem, bounds: list, solution: LpSolution) -> LpSolution | None:
+    """The exact optimum read off HiGHS's primal and dual, or None: alpha =
+    -ineq marginals clipped at 0 and gamma = -eq marginals, rationalized
+    with x and put to _check."""
+    if solution.status != OPTIMAL:
+        return None
+    ineq, eq = solution.duals
+    return _check(routing, bounds, _distinct(np.asarray(solution.x), _rational),
+                  _distinct(np.concatenate((np.maximum(-ineq, 0.0), -eq)), _rational))
+
+
+def _fraction_solve(matrix: np.ndarray, rhs: list) -> list[Fraction] | None:
+    """The x with matrix.x = rhs, by Gauss-Jordan elimination in Fractions,
+    or None when the square matrix is singular."""
+    n = len(rhs)
+    rows = [[*map(Fraction, row), Fraction(r)] for row, r in zip(matrix.tolist(), rhs)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inverse = 1 / rows[col][col]
+        prow = rows[col] = [v * inverse for v in rows[col]]
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if i != col and factor:
+                rows[i] = [a - factor * p for a, p in zip(row, prow)]
+    return [row[n] for row in rows]
+
+
+def _basis_solve(routing: RoutingSystem, forms: _LpForms, bounds: list) -> LpSolution | None:
+    """The optimum of the kept solver's last basis, solved exactly, or None.
+
+    The nonbasic rows are the active ones (limit rows at their bound, all
+    net-shift rows at 0) and as many as the basic path columns. On that
+    square B, B.x_B = b and B^T.y = 1 give the vertex and a dual, solved in
+    Fractions and put to _check; every other x and dual entry is 0.
+    """
+    basis = forms.solver.getBasis()
+    basic = _core.HighsBasisStatus.kBasic
+    cols = [j for j, status in enumerate(basis.col_status) if status == basic]
+    rows = [i for i, status in enumerate(basis.row_status) if status != basic]
+    if not basis.valid or len(cols) != len(rows):
+        return None
+    (pcount, ecount), (start, index, value) = forms.shape, forms.highs_columns
+    a = np.zeros((2 * ecount, pcount), dtype=np.int64)
+    a[index, np.repeat(np.arange(pcount), np.diff(start))] = value
+    square = a[np.ix_(rows, cols)]
+    x_basic = _fraction_solve(square, [bounds[i] if i < ecount else 0 for i in rows])
+    y_active = _fraction_solve(square.T, [1] * len(cols))
+    if x_basic is None or y_active is None:
+        return None
+    x, y = np.full(pcount, _ZERO, dtype=object), np.full(2 * ecount, _ZERO, dtype=object)
+    x[cols], y[rows] = x_basic, y_active
+    y[:ecount] = [max(v, _ZERO) for v in y[:ecount]]
+    return _check(routing, bounds, _distinct(x), _distinct(y))
+
+
+def _exact_solve(routing: RoutingSystem, forms: _LpForms, bounds: list) -> ThroughputReport:
+    """The certified optimum of the kept solver's answer, else of its basis
+    solved exactly; HiGHS's float optimum when neither check holds.
+
+    Bounds reaching HIGHS_INFINITE_BOUND are divided by 2**shift, which
+    keeps the largest below 1e19, and the optimum is multiplied back; such a
+    vector that neither check proves raises ValueError.
+    """
+    wide = max(bounds)
+    shift = (int(wide) // 10 ** 19).bit_length() if wide >= HIGHS_INFINITE_BOUND else 0
+    scaled = [Fraction(b, 2 ** shift) for b in bounds] if shift else bounds
+    b_ub = np.fromiter(map(float, scaled), dtype=float, count=len(bounds))
+    solution = _highs(forms.highs_columns, b_ub, forms.solver)
+    exact = _certify(routing, scaled, solution) or _basis_solve(routing, forms, scaled)
+    if exact is None:
+        if shift:
+            raise ValueError(f"channel {bounds.index(wide)}: balance bound at or above "
+                             f"{HIGHS_INFINITE_BOUND:g}; scaled into HiGHS's range, "
+                             "the bounds lie too close together or too far apart for "
+                             "a double, and no exact optimum could be proved")
+        return _report(solution, FLOAT)
+    if shift:
+        exact = LpSolution(OPTIMAL, tuple(v * 2 ** shift for v in exact.x),
+                           exact.objective_value * 2 ** shift)
+    return _report(exact, CERTIFIED)
 
 
 def _report(solution: LpSolution, route: str) -> ThroughputReport:
@@ -377,15 +455,14 @@ def _throughput(routing: RoutingSystem, bounds: list) -> ThroughputReport:
     report for `bounds`, solved and built on first use.
     """
     if routing.path_count == 0:
-        return ThroughputReport(_ZERO, FlowVector(()), OPTIMAL, SIMPLEX)
+        return ThroughputReport(_ZERO, FlowVector(()), OPTIMAL, CERTIFIED)
     forms = _lp_forms(routing)
-    cells = 3 * routing.edge_count * routing.path_count
-    if cells > EXACT_CELL_LIMIT:
+    if 3 * routing.edge_count * routing.path_count > EXACT_CELL_LIMIT:
         return _report(_highs(forms.highs_columns, _highs_bounds(bounds)), FLOAT)
     key = tuple(bounds)
     kept = forms.exact_optima.get(key)
     if kept is None:
-        kept = forms.exact_optima[key] = _report(*_exact_solve(routing, forms, bounds, cells))
+        kept = forms.exact_optima[key] = _exact_solve(routing, forms, bounds)
     return kept
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -25,7 +26,7 @@ from creditnet import (
     make_network,
     make_state,
 )
-from creditnet import lp, simplex
+from creditnet import lp
 from creditnet.cli import desk_scale_config, sweep_cells
 from creditnet.demand import DemandSpec, build_paths, sample_demand
 from creditnet.model import channel_usage
@@ -75,38 +76,45 @@ def _delta_residual(routing, flow):
     return worst
 
 
-# --- raw simplex ---
+# --- small LPs on the exact route ---
 #
-# simplex.solve(delta, bounds) maximizes sum(x) subject to
-# max(delta, 0).x <= bounds, delta.x = 0 and x >= 0.
+# HiGHS's dual simplex in the routing's kept solver, proved by the
+# certificate; every value and flow amount is a Fraction.
 
 
 def test_simplex_one_channel_both_ways():
     # one path each way over one channel: the limit row holds the forward one
-    status, x, value = simplex.solve(((1, -1),), (5,))
-    assert status == "Optimal"
-    assert x == (5, 5)
-    assert value == 10
+    net = make_network(2, [(0, 1)], [10])
+    routing = build_routing_system(net, PathSet.of_walks(net, ([0, 1], [1, 0])))
+    report = lp.one_step_throughput(net, routing, center_state(net))
+    assert report.route == lp.CERTIFIED
+    assert report.optimal_flow.amounts == (5, 5)
+    assert report.psi_value == 10
 
 
 def test_simplex_single_variable():
     # one path shifts the balance of every channel it crosses: it sends nothing
-    assert simplex.solve(((1,), (-1,)), (5, 5)) == ("Optimal", (0,), 0)
+    net = make_network(3, [(0, 2), (1, 2)], [10, 10])
+    routing = build_routing_system(net, PathSet.of_walks(net, ([0, 2, 1],)))
+    report = lp.one_step_throughput(net, routing, center_state(net))
+    assert (report.optimal_flow.amounts, report.psi_value) == ((0,), 0)
 
 
 def test_simplex_degenerate_optimum(line):
     # the line instance: 0->2, 2->0, 1->2 and 1->0 over two channels
-    delta = dense_views(line[2])[2]
-    status, x, value = simplex.solve(delta, (10, 10))
-    assert status == "Optimal"
-    assert value == 20 and sum(x) == 20
+    net, _, routing = line
+    report = lp.one_step_throughput(net, routing, center_state(net))
+    assert report.psi_value == 20 and sum(report.optimal_flow.amounts) == 20
     # a zero bound on channel 0 holds every path at zero, a degenerate vertex
-    assert simplex.solve(delta, (0, 10)) == ("Optimal", (0, 0, 0, 0), 0)
+    report = lp.one_step_throughput(net, routing, make_state(net, [0, 10]))
+    assert (report.optimal_flow.amounts, report.psi_value) == ((0, 0, 0, 0), 0)
 
 
 def test_simplex_exact_fractions():
-    status, x, value = simplex.solve(((1, -1),), (Fraction(1, 7),))
-    assert status == "Optimal"
+    net = make_network(2, [(0, 1)], [Fraction(2, 7)])
+    routing = build_routing_system(net, PathSet.of_walks(net, ([0, 1], [1, 0])))
+    report = lp.one_step_throughput(net, routing, center_state(net))
+    x, value = report.optimal_flow.amounts, report.psi_value
     assert x == (Fraction(1, 7), Fraction(1, 7))
     assert value == Fraction(2, 7)
     assert all(type(v) is Fraction for v in x) and type(value) is Fraction
@@ -116,30 +124,28 @@ def test_simplex_agrees_with_float_route():
     rng = random.Random(20260814)
     for k in range(25):
         nodes = rng.randint(5, 7)
-        _, _, routing = _er_instance(nodes, nodes + rng.randint(1, 4),
-                                     rng.randint(2, 8), seed=k, demand_seed=k)
-        delta = dense_views(routing)[2]
-        bounds = [rng.randint(0, 12) for _ in delta]
-        status, _, value = simplex.solve(delta, bounds)
-        forward = np.maximum(delta, 0)
-        approx = linprog(-np.ones(routing.path_count), A_ub=forward, b_ub=bounds,
-                         A_eq=delta, b_eq=np.zeros(len(delta)),
-                         bounds=(0, None), method="highs-ds")
-        assert status == "Optimal"
-        assert approx.status == 0
-        assert abs(float(value) + approx.fun) < 1e-7
+        net, paths, routing = _er_instance(nodes, nodes + rng.randint(1, 4),
+                                           rng.randint(2, 8), seed=k, demand_seed=k)
+        state = make_state(net, [rng.randint(0, int(c)) for c in net.capacities])
+        exact = lp.one_step_throughput(net, routing, state)
+        with _route(exact=False):
+            approx = lp.one_step_throughput(net, _fresh_routing(net, paths), state)
+        assert exact.route == lp.CERTIFIED and approx.route == lp.FLOAT
+        assert abs(float(exact.psi_value) - approx.psi_value) < 1e-7
 
 
-# --- integer tableau against a Fraction-tableau reference ---
+# --- the exact route against a Fraction-tableau reference ---
 #
 # _reference_solve_dense is a general two-phase simplex, maximize c.x
 # subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0, on a tableau of
-# Fractions: the pricing, ratio test, tie-break, Bland switch, phase-1
-# pricing and drive-out of simplex.solve, with every cell a rational.
-# Called with c = 1, A_ub = max(delta, 0), b_ub = bounds, A_eq = delta and
-# b_eq = 0, it builds simplex.solve's tableau. Both read
-# simplex.BLAND_SWITCH_FACTOR and ITERATION_CAP_FACTOR at call time, so
-# patching the module patches both sides.
+# Fractions: Dantzig pricing (first index on ties) that switches to
+# Bland's rule after _BLAND_SWITCH_FACTOR * (rows + columns) pivots, a
+# ratio test whose ties go to the lower basis index, and a drive-out of the
+# artificials after phase 1. It shares no code with lp, so it is the
+# independent oracle for the exact route's values.
+
+_BLAND_SWITCH_FACTOR = 5
+_ITERATION_CAP_FACTOR = 400
 
 
 def _reference_pivot(tab, obj, basis, row, col):
@@ -158,8 +164,8 @@ def _reference_pivot(tab, obj, basis, row, col):
 
 def _reference_optimize(tab, obj, basis, banned, rhs_col, ncols):
     size = len(tab) + ncols
-    bland_after = simplex.BLAND_SWITCH_FACTOR * size
-    cap = simplex.ITERATION_CAP_FACTOR * size + 1000
+    bland_after = _BLAND_SWITCH_FACTOR * size
+    cap = _ITERATION_CAP_FACTOR * size + 1000
     iters = 0
     while True:
         free = [j for j in range(ncols - 1) if j not in banned]
@@ -170,7 +176,7 @@ def _reference_optimize(tab, obj, basis, banned, rhs_col, ncols):
         else:
             entering = next((j for j in free if obj[j] < 0), None)
         if entering is None:
-            return simplex.OPTIMAL
+            return lp.OPTIMAL
         leave = best = None
         for i, trow in enumerate(tab):
             if trow[entering] > 0:
@@ -179,11 +185,11 @@ def _reference_optimize(tab, obj, basis, banned, rhs_col, ncols):
                         or (ratio == best and basis[i] < basis[leave])):
                     best, leave = ratio, i
         if leave is None:
-            return simplex.UNBOUNDED
+            return lp.UNBOUNDED
         _reference_pivot(tab, obj, basis, leave, entering)
         iters += 1
         if iters > cap:
-            return simplex.FAILURE
+            return lp.NUMERICAL_FAILURE
 
 
 def _reference_solve_dense(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
@@ -197,11 +203,11 @@ def _reference_solve_dense(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     if nvars == 0:
         bad = any(k == "eq" and b != 0 or k == "le" and b < 0
                   for k, b in zip(kinds, rhs))
-        return (simplex.INFEASIBLE if bad else simplex.OPTIMAL), (), zero
+        return (lp.INFEASIBLE if bad else lp.OPTIMAL), (), zero
     if m == 0:
         if any(v > 0 for v in c):
-            return simplex.UNBOUNDED, (), zero
-        return simplex.OPTIMAL, (zero,) * nvars, zero
+            return lp.UNBOUNDED, (), zero
+        return lp.OPTIMAL, (zero,) * nvars, zero
     for i in range(m):
         if rhs[i] < 0:
             rows[i] = [-v for v in rows[i]]
@@ -229,10 +235,10 @@ def _reference_solve_dense(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
         for i, bcol in enumerate(basis):
             if bcol in banned:
                 obj = [a - b for a, b in zip(obj, tab[i])]
-        if _reference_optimize(tab, obj, basis, set(), rhs_col, ncols) != simplex.OPTIMAL:
-            return simplex.FAILURE, (), zero
+        if _reference_optimize(tab, obj, basis, set(), rhs_col, ncols) != lp.OPTIMAL:
+            return lp.NUMERICAL_FAILURE, (), zero
         if obj[rhs_col] != 0:
-            return simplex.INFEASIBLE, (), zero
+            return lp.INFEASIBLE, (), zero
         for i in range(len(tab) - 1, -1, -1):
             if basis[i] not in banned:
                 continue
@@ -249,13 +255,13 @@ def _reference_solve_dense(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
         if factor:
             obj = [a - factor * b for a, b in zip(obj, tab[i])]
     status = _reference_optimize(tab, obj, basis, banned, rhs_col, ncols)
-    if status != simplex.OPTIMAL:
+    if status != lp.OPTIMAL:
         return status, (), zero
     x = [zero] * nvars
     for i, bcol in enumerate(basis):
         if bcol < nvars:
             x[bcol] = tab[i][rhs_col]
-    return simplex.OPTIMAL, tuple(x), obj[rhs_col]
+    return lp.OPTIMAL, tuple(x), obj[rhs_col]
 
 
 def _throughput_reference(delta, bounds):
@@ -271,60 +277,50 @@ _BOUNDS = st.one_of(st.just(0),
 
 
 @st.composite
-def _dense_lps(draw):
-    """Throughput LPs of small random routings, (delta, bounds): bounds
+def _bound_sequences(draw):
+    """Paths of a small random routing, with the reverse of some of them
+    so that most LPs have a positive optimum, and one to five bound vectors
     >= 0 with many zeros, Fractions and values past 1e20, so degenerate
-    bases and zero optima both occur."""
-    routing = draw(small_instance())[2]
-    delta = dense_views(routing)[2]
-    return delta, draw(st.lists(_BOUNDS, min_size=len(delta), max_size=len(delta)))
+    bases, zero optima and scaled bounds all occur."""
+    net, paths, _ = draw(_floor_cases())
+    return net, paths, draw(st.lists(
+        st.lists(_BOUNDS, min_size=net.edge_count, max_size=net.edge_count),
+        min_size=1, max_size=5))
 
 
-def _assert_matches_reference(lp_args):
-    got = simplex.solve(*lp_args)
-    assert got == _throughput_reference(*lp_args)
-    assert all(type(v) is Fraction for v in got[1])
-    assert type(got[2]) is Fraction
+def _solved(routing, bounds):
+    try:
+        return _signature(lp._throughput(routing, bounds))
+    except ValueError as error:
+        return str(error)
 
 
-# Pinned throughput LPs, each from a routing, on which one broken piece of
-# simplex.solve changes (status, x, value) under either pricing rule.
-_PINNED_LPS = [
-    # two channels in a line, a one-hop and a two-hop path each way: ratio
-    # ties where the higher basis index ends on the other optimum, x = (0, 2,
-    # 2, 0) instead of (2, 0, 0, 2)
-    (((1, 1, -1, -1), (0, 1, -1, 0)), (Fraction(2), 3)),
-    # a drive-out pivot on a negative entry: without the sign flip the row
-    # scale turns negative and the optimum 8/3 reads as 0
-    (((1, -1), (-1, 1)), (4, Fraction(4, 3))),
-    # a two-hop path against the direction of both channels: without the
-    # drive-out an artificial stays basic and the zero optimum reads as
-    # Unbounded
-    (((-1,), (-1,)), (4, Fraction(10, 7))),
-    # x = (1/6, 1/6); the optimum 1/3 needs the objective row's scale
-    (((-1, 1), (0, 0)), (Fraction(1, 6), 0)),
-]
-
-
-@pytest.mark.parametrize("lp_args", _PINNED_LPS)
-@pytest.mark.parametrize("bland", [simplex.BLAND_SWITCH_FACTOR, 0])
-def test_integer_tableau_matches_reference_on_pinned_lps(lp_args, bland, monkeypatch):
-    monkeypatch.setattr(simplex, "BLAND_SWITCH_FACTOR", bland)
-    _assert_matches_reference(lp_args)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_dense_lps())
-def test_integer_tableau_matches_reference(lp_args):
-    _assert_matches_reference(lp_args)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_dense_lps())
-def test_integer_tableau_matches_reference_under_bland(lp_args):
-    # BLAND_SWITCH_FACTOR = 0 runs Bland's rule from the first pivot
-    with mock.patch.object(simplex, "BLAND_SWITCH_FACTOR", 0):
-        _assert_matches_reference(lp_args)
+@settings(max_examples=150, deadline=None)
+@given(_bound_sequences())
+def test_kept_solver_matches_a_fresh_routing_and_the_reference(case):
+    # each LP in the kept solver starts cold, so it answers as a fresh
+    # routing does, vertex included, whatever it solved before
+    net, paths, sequence = case
+    kept = build_routing_system(net, paths)
+    delta = dense_views(kept)[2]
+    for bounds in sequence:
+        warm = _solved(kept, bounds)
+        assert warm == _solved(_fresh_routing(net, paths), bounds)
+        status, _, reference = _throughput_reference(delta, bounds)
+        assert status == lp.OPTIMAL
+        if isinstance(warm, str):
+            # bounds scaled into HiGHS's range that no check proves: those
+            # past 1e20 that lie too close together for a double to tell
+            # apart, or span more than it holds
+            assert max(bounds) >= lp.HIGHS_INFINITE_BOUND
+            assert re.match(r"channel \d+: balance bound", warm)
+            continue
+        value, value_type, amounts, amount_types, solver_status, route = warm
+        assert (solver_status, route) == (lp.OPTIMAL, lp.CERTIFIED)
+        assert value == reference and value_type is Fraction
+        assert set(amount_types) <= {Fraction}
+        fwd, bwd = _hop_walk_usage(kept, amounts)
+        assert fwd == bwd and all(f <= b for f, b in zip(fwd, bounds))
 
 
 # --- one-step throughput on the worked line instance ---
@@ -616,15 +612,12 @@ def _er_instance(nodes, channels, pairs, seed, demand_seed):
 def test_routes_by_size(line):
     # a routing keeps its exact optima, so each route setting gets its own
     net, paths, routing = line
-    assert 3 * routing.edge_count * routing.path_count < lp.CERTIFY_MIN_CELLS
     state = center_state(net)
-    assert lp.one_step_throughput(net, routing, state).route == lp.SIMPLEX
-    with _route(exact=False):
-        assert lp.one_step_throughput(net, _fresh_routing(net, paths), state).route == lp.FLOAT
-    with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
-        report = lp.one_step_throughput(net, _fresh_routing(net, paths), state)
+    report = lp.one_step_throughput(net, routing, state)
     assert report.route == lp.CERTIFIED
     assert report.psi_value == 20 and isinstance(report.psi_value, Fraction)
+    with _route(exact=False):
+        assert lp.one_step_throughput(net, _fresh_routing(net, paths), state).route == lp.FLOAT
 
 
 def test_certified_route_on_large_exact_instance():
@@ -647,29 +640,45 @@ def _perturbed_highs(kind):
 
 # x / 2 stays feasible, but sum(x) falls short of the dual bound; x = 0 and
 # alpha = gamma = 0 close the gap, but no reduced cost reaches 1; sum(x) on
-# one path still equals the dual bound, but that path alone shifts balances
+# one path still equals the dual bound, but that path alone shifts balances.
+# The exact solve of the simplex's optimal basis then proves the optimum.
 @pytest.mark.parametrize("kind", ["halve_primal", "zero_primal_and_dual",
                                   "optimum_on_one_path"], ids=lambda kind: f"_{kind}")
 def test_failed_certificate_falls_back_to_simplex(kind):
     net, paths, routing = _er_instance(10, 18, 50, seed=3, demand_seed=10)
     state = center_state(net)
-    reference = lp.one_step_throughput(net, routing, state)
-    assert reference.route == lp.CERTIFIED
+    bounds = [min(b, c - b) for c, b in zip(net.capacities, state.balances)]
+    status, _, reference = _throughput_reference(dense_views(routing)[2], bounds)
+    assert status == lp.OPTIMAL and reference > 0
 
-    # a fresh routing, since `routing` answers from its kept optimum
-    routing = _fresh_routing(net, paths)
-    with _perturbed_highs(kind):
+    basis_solves = []
+    with _perturbed_highs(kind), _counting(lp, "_basis_solve", basis_solves):
         report = lp.one_step_throughput(net, routing, state)
-    assert report.route == lp.SIMPLEX
-    assert report.psi_value == reference.psi_value
+    assert len(basis_solves) == 1
+    assert report.route == lp.CERTIFIED
+    assert report.psi_value == reference
     assert isinstance(report.psi_value, Fraction)
     assert check_feasible(net, routing, state, report.optimal_flow, tol=0)
     assert _delta_residual(routing, report.optimal_flow) == 0
 
 
+def test_both_failed_checks_return_the_float_optimum(line):
+    # no corpus reaches this: a certificate that fails and a basis that
+    # does not solve to a proof leave HiGHS's float, labelled as such
+    net, _, routing = line
+    with _perturbed_highs("halve_primal"), \
+            mock.patch.object(lp, "_basis_solve", lambda *args: None):
+        report = lp.one_step_throughput(net, routing, center_state(net))
+    assert report.route == lp.FLOAT
+    assert report.solver_status == lp.OPTIMAL
+    assert type(report.psi_value) is float and report.psi_value == 20.0
+    assert lp.one_step_throughput(net, routing, center_state(net)) is report
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_instance(), st.integers(min_value=1, max_value=6), st.data())
 def test_certified_value_matches_simplex(instance, denominator, data):
+    # the simplex here is _reference_solve_dense, on Fractions
     net, _, routing, _ = instance
     # balances on the lattice (1/denominator) Z inside [0, capacity]
     state = make_state(net, [
@@ -677,9 +686,8 @@ def test_certified_value_matches_simplex(instance, denominator, data):
                  denominator)
         for c in net.capacities])
     bounds = [min(b, c - b) for c, b in zip(net.capacities, state.balances)]
-    status, _, reference = simplex.solve(dense_views(routing)[2], bounds)
-    with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
-        report = lp.one_step_throughput(net, routing, state)
+    status, _, reference = _throughput_reference(dense_views(routing)[2], bounds)
+    report = lp.one_step_throughput(net, routing, state)
     assert status == "Optimal"
     assert report.route == lp.CERTIFIED
     assert report.psi_value == reference
@@ -710,15 +718,16 @@ def test_warm_routing_matches_a_fresh_one(instance, data):
     lp.one_step_throughput(net, routing, mirror)
     warm = lp.one_step_throughput(net, routing, state)
     fresh = lp.one_step_throughput(net, _fresh_routing(net, paths), state)
-    assert fresh.route == lp.SIMPLEX
+    assert fresh.route == lp.CERTIFIED
     assert _signature(warm) == _signature(fresh)
 
 
 def test_mirrored_states_share_one_simplex_solve(line):
+    # one run of HiGHS's dual simplex per bound vector
     net, _, routing = line
     solves = []
     state, mirror = make_state(net, [15, 5]), make_state(net, [5, 15])
-    with _counting(simplex, "solve", solves):
+    with _counting(lp, "_highs", solves):
         report = lp.one_step_throughput(net, routing, state)
         assert len(solves) == 1
         assert lp.one_step_throughput(net, routing, mirror) == report
@@ -728,66 +737,53 @@ def test_mirrored_states_share_one_simplex_solve(line):
         assert len(solves) == 1
         assert lp.max_throughput(net, routing) == 20
         assert len(solves) == 2
-    assert report.psi_value == 10 and report.route == lp.SIMPLEX
+    assert report.psi_value == 10 and report.route == lp.CERTIFIED
 
 
 def test_kept_exact_optimum_answers_a_repeat_on_either_route(line):
-    # 3 * 18 channels * 20 paths = 1,080 cells, on the certified route
+    # 3 * 18 channels * 20 paths = 1,080 cells
     net, paths, routing = _er_instance(10, 18, 20, seed=3, demand_seed=10)
     assert 3 * routing.edge_count * routing.path_count == 1_080
     rng = random.Random(5)
     state = make_state(net, [rng.randint(0, int(c)) for c in net.capacities])
     mirror = make_state(net, [c - b for c, b in zip(net.capacities, state.balances)])
-    highs_calls, solves = [], []
-    with _counting(lp, "_highs", highs_calls), _counting(simplex, "solve", solves):
+    highs_calls, basis_solves = [], []
+    with _counting(lp, "_highs", highs_calls), _counting(lp, "_basis_solve", basis_solves):
         reports = [lp.one_step_throughput(net, routing, s)
                    for s in (state, mirror, state, mirror)]
-        assert (len(highs_calls), len(solves)) == (1, 0)
+        assert (len(highs_calls), len(basis_solves)) == (1, 0)
         assert reports[0].route == lp.CERTIFIED and reports[0].psi_value > 0
         assert {_signature(r) for r in reports} == {_signature(reports[0])}
-        # the kept certified optimum answers where the simplex would run
-        with mock.patch.object(lp, "CERTIFY_MIN_CELLS", math.inf):
-            assert _signature(lp.one_step_throughput(net, routing, state)) \
-                == _signature(reports[0])
-            assert lp.one_step_throughput(
-                net, _fresh_routing(net, paths), state).psi_value == reports[0].psi_value
-        assert (len(highs_calls), len(solves)) == (1, 1)
 
-        # and a kept simplex optimum where HiGHS and the certificate would
+        # and a kept basis-solve optimum answers a repeat whose certificate
+        # would hold
         net, paths, routing = line
-        kept = lp.one_step_throughput(net, routing, center_state(net))
-        assert kept.route == lp.SIMPLEX
-        with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
-            assert _signature(lp.one_step_throughput(net, routing, center_state(net))) \
-                == _signature(kept)
-            certified = lp.one_step_throughput(net, _fresh_routing(net, paths),
-                                               center_state(net))
-            with _perturbed_highs("halve_primal"):
-                fallback = lp.one_step_throughput(net, _fresh_routing(net, paths),
-                                                  center_state(net))
-        assert (len(highs_calls), len(solves)) == (3, 3)
-    assert certified.route == lp.CERTIFIED
-    assert fallback.route == lp.SIMPLEX
-    assert fallback.psi_value == certified.psi_value == kept.psi_value == 20
-    assert _signature(fallback) == _signature(kept)
+        with _perturbed_highs("halve_primal"):
+            kept = lp.one_step_throughput(net, routing, center_state(net))
+        assert (len(highs_calls), len(basis_solves)) == (2, 1)
+        assert lp.one_step_throughput(net, routing, center_state(net)) is kept
+        certified = lp.one_step_throughput(net, _fresh_routing(net, paths), center_state(net))
+        assert (len(highs_calls), len(basis_solves)) == (3, 1)
+    assert kept.route == certified.route == lp.CERTIFIED
+    assert kept.psi_value == certified.psi_value == 20
 
 
 def test_repeats_return_the_kept_report_and_floats_keep_none(line):
-    # a state, its mirror and a repeat: one exact solve on each exact route
-    # and the same report object back, but a float solve on every call
+    # a state, its mirror and a repeat: one exact solve at either size and
+    # the same report object back, but a float solve on every call
     certified = _er_instance(10, 18, 20, seed=3, demand_seed=10)
     assert 3 * certified[2].edge_count * certified[2].path_count == 1_080
-    for (net, paths, routing), route in ((line, lp.SIMPLEX), (certified, lp.CERTIFIED)):
+    for net, paths, routing in (line, certified):
         rng = random.Random(5)
         state = make_state(net, [rng.randint(0, int(c)) for c in net.capacities])
         mirror = make_state(net, [c - b for c, b in zip(net.capacities, state.balances)])
-        highs_calls, solves = [], []
-        with _counting(lp, "_highs", highs_calls), _counting(simplex, "solve", solves):
+        highs_calls = []
+        with _counting(lp, "_highs", highs_calls):
             first, *again = [lp.one_step_throughput(net, routing, s)
                              for s in (state, mirror, state)]
-        assert first.route == route
+        assert first.route == lp.CERTIFIED
         assert all(report is first for report in again)
-        assert len(highs_calls) + len(solves) == 1
+        assert len(highs_calls) == 1
         # a repeat still checks the state: one entry too many would give
         # the kept bound vector, since min(b, c - b) zips to the shorter
         with pytest.raises(ValueError, match="entries for"):
@@ -861,8 +857,7 @@ def _line_with_a_one_way_spur():
 def test_floor_reuses_the_ceiling_only_when_it_fits(exact, unpeeled, solves, floor):
     net, routing = _line_with_a_one_way_spur()
     counted = []
-    with _route(exact), _counting(simplex, "solve", counted), \
-            _counting(lp, "_highs", counted):
+    with _route(exact), _counting(lp, "_highs", counted):
         assert lp.max_throughput(net, routing) == 20
         assert len(counted) == 1
         assert lp.min_throughput(net, routing, unpeeled) == pytest.approx(floor)
@@ -1064,12 +1059,13 @@ def test_certificate_matches_reference(instance, denominator, perturbation, rng,
         return seen[-1]
 
     real_highs = lp._highs
-    with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0), \
-            mock.patch.object(lp, "_highs", perturbed_highs):
+    with mock.patch.object(lp, "_highs", perturbed_highs):
         report = lp.one_step_throughput(net, routing, state)
     reference = _reference_certify(routing, bounds, seen[0])
     if reference is None:
-        assert report.route == lp.SIMPLEX
+        # the basis solve proves the optimum instead
+        assert report.route == lp.CERTIFIED
+        assert report.psi_value == _throughput_reference(dense_views(routing)[2], bounds)[2]
     else:
         assert report.route == lp.CERTIFIED
         assert report.optimal_flow.amounts == reference.x
@@ -1107,8 +1103,7 @@ def test_certificate_on_python_ints():
     # x near 1e16: its products overflow int64, yet the certificate holds
     net = make_network(3, [(0, 1), (1, 2)], [20 * 10 ** 15] * 2)
     routing = build_routing_system(net, line_instance()[1])
-    with mock.patch.object(lp, "CERTIFY_MIN_CELLS", 0):
-        report = lp.one_step_throughput(net, routing, center_state(net))
+    report = lp.one_step_throughput(net, routing, center_state(net))
     assert report.route == lp.CERTIFIED
     assert report.psi_value == 20 * 10 ** 15
 
@@ -1119,17 +1114,27 @@ def test_certificate_on_python_ints():
 @pytest.mark.parametrize("capacity", [10 ** 21, 10 ** 300, 10 ** 400],
                          ids=["1e21", "1e300", "1e400"])
 def test_bounds_beyond_highs_range(capacity):
+    # the exact route scales the bounds by a power of two into HiGHS's
+    # range; at 1e300 and past a double's range the other bounds then fall
+    # below HiGHS's tolerances, no check proves an optimum and the vector is
+    # refused
     base, _, routing = _er_instance(10, 18, 50, seed=3, demand_seed=10)
-    assert 3 * routing.edge_count * routing.path_count > lp.CERTIFY_MIN_CELLS
     capacities = list(base.capacities)
     capacities[5] = Fraction(capacity)
     net = make_network(base.node_count, base.edges, capacities)
     state = center_state(net)
-    _, _, reference = simplex.solve(dense_views(routing)[2], [c / 2 for c in capacities])
-    report = lp.one_step_throughput(net, routing, state)
-    assert report.route == lp.SIMPLEX
-    assert report.psi_value == reference > capacity // 2
-    assert lp.max_throughput(net, routing) == reference
+    if capacity < 10 ** 300:
+        _, _, reference = _throughput_reference(dense_views(routing)[2],
+                                                [c / 2 for c in capacities])
+        report = lp.one_step_throughput(net, routing, state)
+        assert report.route == lp.CERTIFIED
+        assert report.psi_value == reference > capacity // 2
+        assert lp.max_throughput(net, routing) == reference
+    else:
+        for call in (lambda: lp.one_step_throughput(net, routing, state),
+                     lambda: lp.max_throughput(net, routing)):
+            with pytest.raises(ValueError, match="channel 5"):
+                call()
     with _route(exact=False):
         with pytest.raises(ValueError, match="channel 5"):
             lp.one_step_throughput(net, routing, state)
