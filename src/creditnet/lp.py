@@ -38,12 +38,15 @@ Two solve routes, by size; ThroughputReport.route names the one that ran:
   returned as a Fraction with the rational x. When the rationalized floats
   fail, HiGHS's optimal basis is solved in Fractions (B.x_B = b on the
   active rows and basic columns, B^T.y = 1) and put to the same check.
-  Bounds reaching HIGHS_INFINITE_BOUND are first scaled into HiGHS's range
-  by an exact power of two (the LP is positively homogeneous in its
-  bounds), and the optimum scaled back; if no check then holds, ValueError
-  names the widest channel. Any other vector no check proves gets HiGHS's
-  float optimum, labelled "float". A routing without paths has the
-  certified optimum 0.
+  When that fails too, as bounds further apart than a double's 53 bits
+  can make it, one round of iterative refinement (Gleixner et al.) solves
+  the LP again, moved to HiGHS's x read exactly, and its corrected x and
+  dual go to the same check. Bounds reaching HIGHS_INFINITE_BOUND are
+  first scaled into HiGHS's range by an exact power of two (the LP is
+  positively homogeneous in its bounds), and the optimum scaled back; if
+  no check then holds, ValueError names the widest channel. Any other
+  vector no check proves gets HiGHS's float optimum, labelled "float". A
+  routing without paths has the certified optimum 0.
 
 Each routing keeps one table of exact-branch reports by bound vector (the
 LP depends only on the routing and the bounds). A vector met again returns
@@ -167,6 +170,23 @@ _HIGHS_STATUS = {
 _FEASIBILITY_TOL = math.sqrt(1e-9) * 10
 
 
+def _highs_lp(columns: tuple, row_lower: np.ndarray, row_upper: np.ndarray,
+              col_lower: np.ndarray) -> _core.HighsLp:
+    """HiGHS's model of maximizing sum(x) s.t. row_lower <= A.x <= row_upper
+    and x >= col_lower, on the column-wise (start, index, value) arrays of A."""
+    ncol = columns[0].size - 1
+    model = _core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = ncol
+    model.num_row_ = model.a_matrix_.num_row_ = row_lower.size
+    model.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = columns
+    model.col_cost_ = np.full(ncol, -1.0)
+    model.col_lower_ = col_lower
+    model.col_upper_ = np.full(ncol, _core.kHighsInf)
+    model.row_lower_, model.row_upper_ = row_lower, row_upper
+    return model
+
+
 def _highs(columns: tuple, b_ub: np.ndarray, solver: _core._Highs | None = None) -> LpSolution:
     """Maximize sum(x) s.t. A[:m].x <= b_ub, A[m:].x = 0 and x >= 0, on the
     column-wise (start, index, value) arrays of a 2m-row A.
@@ -183,18 +203,9 @@ def _highs(columns: tuple, b_ub: np.ndarray, solver: _core._Highs | None = None)
         for row, upper in enumerate(b_ub.tolist()):
             solver.changeRowBounds(row, -_core.kHighsInf, upper)
     else:
-        ncol = columns[0].size - 1
-        model = _core.HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = ncol
-        model.num_row_ = model.a_matrix_.num_row_ = 2 * m
-        model.a_matrix_.format_ = _core.MatrixFormat.kColwise
-        model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = columns
-        model.col_cost_ = np.full(ncol, -1.0)
-        model.col_lower_ = np.zeros(ncol)
-        model.col_upper_ = np.full(ncol, _core.kHighsInf)
         zeros = np.zeros(m)
-        model.row_lower_ = np.concatenate((np.full(m, -_core.kHighsInf), zeros))
-        model.row_upper_ = np.concatenate((b_ub, zeros))
+        model = _highs_lp(columns, np.concatenate((np.full(m, -_core.kHighsInf), zeros)),
+                          np.concatenate((b_ub, zeros)), np.zeros(columns[0].size - 1))
         options = _HIGHS_OPTIONS if solver is None else _EXACT_OPTIONS
         solver = _core._Highs() if solver is None else solver
         solver.passOptions(options)
@@ -354,15 +365,19 @@ def _check(routing: RoutingSystem, bounds: list, x: tuple, dual: tuple) -> LpSol
                       Fraction(int(total), dx))
 
 
+def _float_dual(ineq: np.ndarray, eq: np.ndarray) -> tuple[list[Fraction], np.ndarray]:
+    """HiGHS's row marginals as _check's dual: alpha = -ineq clipped at 0
+    and gamma = -eq, rationalized."""
+    return _distinct(np.concatenate((np.maximum(-ineq, 0.0), -eq)), _rational)
+
+
 def _certify(routing: RoutingSystem, bounds: list, solution: LpSolution) -> LpSolution | None:
-    """The exact optimum read off HiGHS's primal and dual, or None: alpha =
-    -ineq marginals clipped at 0 and gamma = -eq marginals, rationalized
-    with x and put to _check."""
+    """The exact optimum read off HiGHS's primal and dual, or None: both
+    rationalized and put to _check."""
     if solution.status != OPTIMAL:
         return None
-    ineq, eq = solution.duals
     return _check(routing, bounds, _distinct(np.asarray(solution.x), _rational),
-                  _distinct(np.concatenate((np.maximum(-ineq, 0.0), -eq)), _rational))
+                  _float_dual(*solution.duals))
 
 
 def _fraction_solve(matrix: np.ndarray, rhs: list) -> list[Fraction] | None:
@@ -412,9 +427,48 @@ def _basis_solve(routing: RoutingSystem, forms: _LpForms, bounds: list) -> LpSol
     return _check(routing, bounds, _distinct(x), _distinct(y))
 
 
+def _refine(routing: RoutingSystem, forms: _LpForms, bounds: list,
+            solution: LpSolution) -> LpSolution | None:
+    """The optimum proved after one round of iterative refinement (Gleixner,
+    Steffy & Wolter), or None.
+
+    Bounds further apart than a double's 53 bits can leave HiGHS's answer
+    off by more than the smaller bounds: an optimum no double holds, flow
+    through a channel whose bound is 0, a dual charging a row the optimum
+    leaves slack, a basis whose exact vertex is infeasible. With x0 HiGHS's
+    x read exactly, the correction d maximizes sum(d) subject to
+    F.d <= bounds - F.x0, (F - B).d = -(F - B).x0 and d >= -x0: the same
+    LP moved to x0, its right-hand sides x0's residuals, small where the
+    error is. A fresh HiGHS solver gives d and its dual; x0 + d,
+    rationalized, and that dual go to _check.
+    """
+    if solution.status != OPTIMAL:
+        return None
+    x0 = np.asarray(solution.x)
+    usage = channel_usage(routing, np.array([Fraction(v) for v in x0.tolist()], dtype=object))
+    slack = np.array([float(b - u) for b, u in zip(bounds, usage[0].tolist())])
+    shift = np.array([float(v) for v in (usage[1] - usage[0]).tolist()])
+    solver = _core._Highs()
+    solver.passOptions(_EXACT_OPTIONS)
+    ecount = slack.size
+    solver.passModel(_highs_lp(forms.highs_columns,
+                               np.concatenate((np.full(ecount, -_core.kHighsInf), shift)),
+                               np.concatenate((slack, shift)), -x0))
+    solver.run()
+    if solver.getModelStatus() != _core.HighsModelStatus.kOptimal:
+        return None
+    correction = solver.getSolution()
+    x = [(Fraction(a) + Fraction(d)).limit_denominator(CERTIFICATE_DENOMINATOR)
+         for a, d in zip(x0.tolist(), correction.col_value)]
+    dual = np.array(correction.row_dual)
+    return _check(routing, bounds, _distinct(np.array(x, dtype=object)),
+                  _float_dual(dual[:ecount], dual[ecount:]))
+
+
 def _exact_solve(routing: RoutingSystem, forms: _LpForms, bounds: list) -> ThroughputReport:
     """The certified optimum of the kept solver's answer, else of its basis
-    solved exactly; HiGHS's float optimum when neither check holds.
+    solved exactly, else of one round of refinement; HiGHS's float optimum
+    when no check holds.
 
     Bounds reaching HIGHS_INFINITE_BOUND are divided by 2**shift, which
     keeps the largest below 1e19, and the optimum is multiplied back; such a
@@ -425,7 +479,8 @@ def _exact_solve(routing: RoutingSystem, forms: _LpForms, bounds: list) -> Throu
     scaled = [Fraction(b, 2 ** shift) for b in bounds] if shift else bounds
     b_ub = np.fromiter(map(float, scaled), dtype=float, count=len(bounds))
     solution = _highs(forms.highs_columns, b_ub, forms.solver)
-    exact = _certify(routing, scaled, solution) or _basis_solve(routing, forms, scaled)
+    exact = (_certify(routing, scaled, solution) or _basis_solve(routing, forms, scaled)
+             or _refine(routing, forms, scaled, solution))
     if exact is None:
         if shift:
             raise ValueError(f"channel {bounds.index(wide)}: balance bound at or above "

@@ -662,12 +662,52 @@ def test_failed_certificate_falls_back_to_simplex(kind):
     assert _delta_residual(routing, report.optimal_flow) == 0
 
 
+# Bounds further apart than a double's 53 bits, shrunk by hypothesis. On
+# each, HiGHS's optimal basis solves to an infeasible vertex, and HiGHS's
+# dual charges a limit row the optimum leaves slack, or its optimum is no
+# double, or it sends flow through a channel whose bound is 0.
+_WIDE_BOUND_LPS = {
+    "dual_on_a_slack_row": (
+        make_network(4, [(0, 1), (0, 3), (1, 2)], [2, 2, 2]),
+        ([0, 2, 2, 0, 3, 1], [1, 1, 3, 1, 2, 0], [0, 1, 2, 5, 6, 9, 10],
+         [0, 2, 2, 0, 1, 0, 1, 0, 2, 0], [1, -1, -1, -1, 1, 1, -1, 1, 1, -1]),
+        [Fraction(5 * 10 ** 19), 0, 1]),
+    "optimum_no_double_holds": (
+        make_network(4, [(0, 1), (0, 2), (1, 3)], [7, 8, 10]),
+        ([2, 2, 0, 1, 1, 0, 1, 2], [1, 0, 2, 3, 2, 2, 2, 0], [0, 2, 3, 4, 5, 7, 8, 10, 11],
+         [1, 0, 1, 1, 2, 0, 1, 1, 0, 1, 1], [-1, 1, -1, 1, 1, -1, 1, 1, -1, 1, -1]),
+        [2, Fraction(216697609084950675456, 7), 0]),
+    "flow_through_a_zero_bound": (
+        make_network(6, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5)], [4, 11, 8, 2, 4]),
+        ([0, 4, 0, 4, 2, 1, 0], [2, 1, 4, 0, 0, 4, 4], [0, 2, 3, 5, 7, 9, 10, 12],
+         [0, 2, 3, 0, 3, 3, 0, 2, 0, 3, 0, 3], [1, 1, -1, 1, 1, -1, -1, -1, -1, 1, 1, 1]),
+        [0, 0, 4, Fraction(107430397650567135232, 3), Fraction(9, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", _WIDE_BOUND_LPS)
+def test_wide_bounds_are_proved_after_refinement(name):
+    net, arrays, bounds = _WIDE_BOUND_LPS[name]
+    routing = build_routing_system(net, PathSet(*map(np.array, arrays)))
+    refinements = []
+    with _counting(lp, "_refine", refinements):
+        report = lp._throughput(routing, bounds)
+    assert len(refinements) == 1
+    assert report.route == lp.CERTIFIED
+    assert report.psi_value == _throughput_reference(dense_views(routing)[2], bounds)[2]
+    assert set(map(type, report.optimal_flow.amounts)) == {Fraction}
+    fwd, bwd = _hop_walk_usage(routing, report.optimal_flow.amounts)
+    assert fwd == bwd and all(f <= b for f, b in zip(fwd, bounds))
+
+
 def test_both_failed_checks_return_the_float_optimum(line):
-    # no corpus reaches this: a certificate that fails and a basis that
-    # does not solve to a proof leave HiGHS's float, labelled as such
+    # no corpus reaches this: a certificate that fails, and a basis and a
+    # refinement that do not solve to a proof, leave HiGHS's float,
+    # labelled as such
     net, _, routing = line
     with _perturbed_highs("halve_primal"), \
-            mock.patch.object(lp, "_basis_solve", lambda *args: None):
+            mock.patch.object(lp, "_basis_solve", lambda *args: None), \
+            mock.patch.object(lp, "_refine", lambda *args: None):
         report = lp.one_step_throughput(net, routing, center_state(net))
     assert report.route == lp.FLOAT
     assert report.solver_status == lp.OPTIMAL
@@ -1140,6 +1180,19 @@ def test_bounds_beyond_highs_range(capacity):
             lp.one_step_throughput(net, routing, state)
         with pytest.raises(ValueError, match="channel 5"):
             lp.max_throughput(net, routing)
+
+
+@pytest.mark.parametrize("bounds", [[10 ** 20 + 1, 10 ** 20], [10 ** 20, 10 ** 20 + 1]],
+                         ids=["wider_first", "wider_second"])
+def test_bounds_a_double_cannot_tell_apart(bounds):
+    # scaled into HiGHS's range the two bounds round to one double, so
+    # HiGHS may bind the wider channel's row; the refinement proves the
+    # optimum all the same
+    _, _, routing = line_instance()
+    report = lp._throughput(routing, bounds)
+    assert report.route == lp.CERTIFIED
+    assert report.psi_value == _throughput_reference(dense_views(routing)[2], bounds)[2]
+    assert report.psi_value == 2 * 10 ** 20
 
 
 # --- the direct HiGHS call against linprog ---
