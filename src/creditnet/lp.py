@@ -25,28 +25,26 @@ Two solve routes, by size; ThroughputReport.route names the one that ran:
 * "certified", at or below it: each routing keeps one HiGHS solver, which
   gets the model on the routing's first LP and after that only new limit
   row bounds. Every LP starts cold (the dual simplex without presolve), so
-  its answer, vertex included, depends on its bounds alone. An exact
-  certificate (after Applegate, Cook, Dash & Espinoza, Oper. Res. Lett.
-  2007, and Gleixner, Steffy & Wolter, INFORMS J. Comput. 2016) then proves
-  the optimum: x and the dual (alpha per limit row, gamma per net-shift
-  row) are rationalized, only their distinct values, and scaled to integers
-  over common denominators (int64 when no sum can overflow it, Python ints
-  otherwise). One integer check over the routing's CSR arrays asks that x
-  be exactly feasible and >= 0, that alpha >= 0 and every path's reduced
-  cost sum_forward alpha_e + sum_hops +-gamma_e be >= 1, and that
-  bounds.alpha equal sum(x); weak duality then proves sum(x) optimal,
-  returned as a Fraction with the rational x. When the rationalized floats
-  fail, HiGHS's optimal basis is solved in Fractions (B.x_B = b on the
-  active rows and basic columns, B^T.y = 1) and put to the same check.
-  When that fails too, as bounds further apart than a double's 53 bits
-  can make it, one round of iterative refinement (Gleixner et al.) solves
-  the LP again, moved to HiGHS's x read exactly, and its corrected x and
-  dual go to the same check. Bounds reaching HIGHS_INFINITE_BOUND are
-  first scaled into HiGHS's range by an exact power of two (the LP is
-  positively homogeneous in its bounds), and the optimum scaled back; if
-  no check then holds, ValueError names the widest channel. Any other
-  vector no check proves gets HiGHS's float optimum, labelled "float". A
-  routing without paths has the certified optimum 0.
+  its answer, vertex included, depends on its bounds alone. The bounds are
+  first scaled by the power of two that lifts the largest to at least 1
+  and keeps it below 1e19 (the LP is positively homogeneous in them). An
+  exact certificate (after Applegate, Cook, Dash & Espinoza, Oper. Res.
+  Lett. 2007, and Gleixner, Steffy & Wolter, INFORMS J. Comput. 2016) then
+  proves the optimum: x and the dual (alpha per limit row, gamma per
+  net-shift row) are rationalized, only their distinct values, and scaled
+  to integers over common denominators (int64 when no sum can overflow
+  it, Python ints otherwise). One integer check over the routing's CSR
+  arrays asks that x be exactly feasible and >= 0, that alpha >= 0 and
+  every path's reduced cost sum_forward alpha_e + sum_hops +-gamma_e be
+  >= 1, and that bounds.alpha equal sum(x); weak duality then proves
+  sum(x) optimal, returned as a Fraction with the rational x. When the
+  rationalized floats fail, one round of scaled iterative refinement
+  (Gleixner et al.) solves the LP again, moved to HiGHS's x and scaled so
+  that HiGHS's tolerances see x's violation and every bound, and the basis
+  it ends on is solved in Fractions and put to the same check. A vector neither proves gets HiGHS's float optimum,
+  labelled "float", or, at or above HIGHS_INFINITE_BOUND, ValueError
+  naming the widest channel. A routing without paths has the certified
+  optimum 0.
 
 Each routing keeps one table of exact-branch reports by bound vector (the
 LP depends only on the routing and the bounds). A vector met again returns
@@ -235,8 +233,7 @@ def _highs(columns: tuple, b_ub: np.ndarray, solver: _core._Highs | None = None)
 class _LpForms:
     """One routing's LP forms, each built from its CSR arrays on first use
     and kept with the routing: HiGHS's column-wise [F; F - B], and the
-    exact branch's HiGHS `solver`, which keeps the model between LPs and
-    each LP's optimal basis until the next LP, for _basis_solve.
+    exact branch's HiGHS `solver`, which keeps the model between LPs.
     `exact_optima` maps tuple(bounds) to the finished exact-branch
     ThroughputReport for those bounds, so a bound vector met again (a state
     and its mirror c - b give the same one) returns that report object,
@@ -365,19 +362,14 @@ def _check(routing: RoutingSystem, bounds: list, x: tuple, dual: tuple) -> LpSol
                       Fraction(int(total), dx))
 
 
-def _float_dual(ineq: np.ndarray, eq: np.ndarray) -> tuple[list[Fraction], np.ndarray]:
-    """HiGHS's row marginals as _check's dual: alpha = -ineq clipped at 0
-    and gamma = -eq, rationalized."""
-    return _distinct(np.concatenate((np.maximum(-ineq, 0.0), -eq)), _rational)
-
-
 def _certify(routing: RoutingSystem, bounds: list, solution: LpSolution) -> LpSolution | None:
-    """The exact optimum read off HiGHS's primal and dual, or None: both
-    rationalized and put to _check."""
+    """The exact optimum read off HiGHS's primal and dual (alpha and gamma
+    its negated marginals, alpha clipped at 0), rationalized, or None."""
     if solution.status != OPTIMAL:
         return None
+    ineq, eq = solution.duals
     return _check(routing, bounds, _distinct(np.asarray(solution.x), _rational),
-                  _float_dual(*solution.duals))
+                  _distinct(np.concatenate((np.maximum(-ineq, 0.0), -eq)), _rational))
 
 
 def _fraction_solve(matrix: np.ndarray, rhs: list) -> list[Fraction] | None:
@@ -399,15 +391,16 @@ def _fraction_solve(matrix: np.ndarray, rhs: list) -> list[Fraction] | None:
     return [row[n] for row in rows]
 
 
-def _basis_solve(routing: RoutingSystem, forms: _LpForms, bounds: list) -> LpSolution | None:
-    """The optimum of the kept solver's last basis, solved exactly, or None.
+def _basis_solve(routing: RoutingSystem, forms: _LpForms, bounds: list,
+                 solver: _core._Highs) -> LpSolution | None:
+    """The optimum of `solver`'s last basis, solved exactly, or None.
 
     The nonbasic rows are the active ones (limit rows at their bound, all
     net-shift rows at 0) and as many as the basic path columns. On that
     square B, B.x_B = b and B^T.y = 1 give the vertex and a dual, solved in
     Fractions and put to _check; every other x and dual entry is 0.
     """
-    basis = forms.solver.getBasis()
+    basis = solver.getBasis()
     basic = _core.HighsBasisStatus.kBasic
     cols = [j for j, status in enumerate(basis.col_status) if status == basic]
     rows = [i for i, status in enumerate(basis.row_status) if status != basic]
@@ -427,70 +420,74 @@ def _basis_solve(routing: RoutingSystem, forms: _LpForms, bounds: list) -> LpSol
     return _check(routing, bounds, _distinct(x), _distinct(y))
 
 
+def _exponent(low, high) -> int:
+    """The k for which 2**k lifts `low` to at least 1 (0 when `low` is 0 or
+    at least 1 already), lowered while high * 2**k would reach 1e19, so
+    that HiGHS reads no scaled bound as infinite."""
+    k = (math.ceil(1 / Fraction(low)) - 1).bit_length() if low else 0
+    if high >= 10 ** 19:
+        return -(int(high) // 10 ** 19).bit_length()
+    return min(k, (math.ceil(10 ** 19 / Fraction(high)) - 1).bit_length() - 1) if high else k
+
+
 def _refine(routing: RoutingSystem, forms: _LpForms, bounds: list,
             solution: LpSolution) -> LpSolution | None:
-    """The optimum proved after one round of iterative refinement (Gleixner,
-    Steffy & Wolter), or None.
+    """The optimum of the basis of one round of scaled iterative refinement
+    (Gleixner, Steffy & Wolter), solved exactly, or None.
 
-    Bounds further apart than a double's 53 bits can leave HiGHS's answer
-    off by more than the smaller bounds: an optimum no double holds, flow
-    through a channel whose bound is 0, a dual charging a row the optimum
-    leaves slack, a basis whose exact vertex is infeasible. With x0 HiGHS's
-    x read exactly, the correction d maximizes sum(d) subject to
-    F.d <= bounds - F.x0, (F - B).d = -(F - B).x0 and d >= -x0: the same
-    LP moved to x0, its right-hand sides x0's residuals, small where the
-    error is. A fresh HiGHS solver gives d and its dual; x0 + d,
-    rationalized, and that dual go to _check.
+    Bounds further apart than a double's 53 bits, or below HiGHS's
+    tolerances, can leave HiGHS's answer off by more than the smaller ones.
+    With x0 HiGHS's x read exactly (0 when it gave no optimum), d maximizes
+    sum(d) s.t. F.d <= s(bounds - F.x0), (F - B).d = -s(F - B).x0 and
+    d >= -s.x0: the LP moved to x0, its right-hand sides x0's residuals,
+    scaled by s = 2**_exponent(low, high). That lifts x0's largest
+    violation (|net shift|, overdrawn limit) and every nonzero bound to at
+    least 1, so HiGHS's tolerances see them, while the violation stays
+    below 1e19; any larger scaled slack or x0 is cut to 1e19. Its rows are
+    the LP's, and d at its lower bound -s.x0 is a path with no flow, so the
+    basis a fresh HiGHS solver ends on is a basis of the LP, for
+    _basis_solve.
     """
-    if solution.status != OPTIMAL:
-        return None
-    x0 = np.asarray(solution.x)
-    usage = channel_usage(routing, np.array([Fraction(v) for v in x0.tolist()], dtype=object))
-    slack = np.array([float(b - u) for b, u in zip(bounds, usage[0].tolist())])
-    shift = np.array([float(v) for v in (usage[1] - usage[0]).tolist()])
+    x0 = [Fraction(v) for v in solution.x] or [_ZERO] * routing.path_count
+    usage = channel_usage(routing, np.array(x0, dtype=object))
+    slack = [b - u for b, u in zip(bounds, usage[0].tolist())]
+    shift = (usage[1] - usage[0]).tolist()
+    violation = max([0, *map(abs, shift), *(-v for v in slack)])
+    scale = Fraction(2) ** _exponent(min([v for v in (violation, *bounds) if v], default=0),
+                                     violation)
+    slack, shift, x0 = (np.array([float(min(v * scale, 10 ** 19)) for v in values])
+                        for values in (slack, shift, x0))
     solver = _core._Highs()
     solver.passOptions(_EXACT_OPTIONS)
-    ecount = slack.size
     solver.passModel(_highs_lp(forms.highs_columns,
-                               np.concatenate((np.full(ecount, -_core.kHighsInf), shift)),
+                               np.concatenate((np.full(slack.size, -_core.kHighsInf), shift)),
                                np.concatenate((slack, shift)), -x0))
     solver.run()
-    if solver.getModelStatus() != _core.HighsModelStatus.kOptimal:
-        return None
-    correction = solver.getSolution()
-    x = [(Fraction(a) + Fraction(d)).limit_denominator(CERTIFICATE_DENOMINATOR)
-         for a, d in zip(x0.tolist(), correction.col_value)]
-    dual = np.array(correction.row_dual)
-    return _check(routing, bounds, _distinct(np.array(x, dtype=object)),
-                  _float_dual(dual[:ecount], dual[ecount:]))
+    return _basis_solve(routing, forms, bounds, solver)
 
 
 def _exact_solve(routing: RoutingSystem, forms: _LpForms, bounds: list) -> ThroughputReport:
-    """The certified optimum of the kept solver's answer, else of its basis
-    solved exactly, else of one round of refinement; HiGHS's float optimum
-    when no check holds.
-
-    Bounds reaching HIGHS_INFINITE_BOUND are divided by 2**shift, which
-    keeps the largest below 1e19, and the optimum is multiplied back; such a
-    vector that neither check proves raises ValueError.
-    """
+    """The certified optimum of the kept solver's answer, else of the basis
+    of one round of refinement, else HiGHS's float optimum; all for the
+    bounds times 2**_exponent(max, max), and divided back. A vector reaching
+    HIGHS_INFINITE_BOUND that neither proves raises ValueError."""
     wide = max(bounds)
-    shift = (int(wide) // 10 ** 19).bit_length() if wide >= HIGHS_INFINITE_BOUND else 0
-    scaled = [Fraction(b, 2 ** shift) for b in bounds] if shift else bounds
+    k = _exponent(wide, wide)
+    scaled = [b * Fraction(2) ** k for b in bounds] if k else bounds
     b_ub = np.fromiter(map(float, scaled), dtype=float, count=len(bounds))
     solution = _highs(forms.highs_columns, b_ub, forms.solver)
-    exact = (_certify(routing, scaled, solution) or _basis_solve(routing, forms, scaled)
-             or _refine(routing, forms, scaled, solution))
+    exact = _certify(routing, scaled, solution) or _refine(routing, forms, scaled, solution)
     if exact is None:
-        if shift:
+        if wide >= HIGHS_INFINITE_BOUND:
             raise ValueError(f"channel {bounds.index(wide)}: balance bound at or above "
-                             f"{HIGHS_INFINITE_BOUND:g}; scaled into HiGHS's range, "
-                             "the bounds lie too close together or too far apart for "
-                             "a double, and no exact optimum could be proved")
+                             f"{HIGHS_INFINITE_BOUND:g}, and no exact optimum in HiGHS's range")
+        if k:
+            solution = LpSolution(solution.status, tuple(np.ldexp(solution.x, -k).tolist()),
+                                  math.ldexp(solution.objective_value, -k))
         return _report(solution, FLOAT)
-    if shift:
-        exact = LpSolution(OPTIMAL, tuple(v * 2 ** shift for v in exact.x),
-                           exact.objective_value * 2 ** shift)
+    if k:
+        exact = LpSolution(OPTIMAL, tuple(v * Fraction(2) ** -k for v in exact.x),
+                           exact.objective_value * Fraction(2) ** -k)
     return _report(exact, CERTIFIED)
 
 

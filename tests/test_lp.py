@@ -641,20 +641,21 @@ def _perturbed_highs(kind):
 # x / 2 stays feasible, but sum(x) falls short of the dual bound; x = 0 and
 # alpha = gamma = 0 close the gap, but no reduced cost reaches 1; sum(x) on
 # one path still equals the dual bound, but that path alone shifts balances.
-# The exact solve of the simplex's optimal basis then proves the optimum.
+# One round of refinement from that x then ends on an optimal basis, and its
+# exact solve proves the optimum.
 @pytest.mark.parametrize("kind", ["halve_primal", "zero_primal_and_dual",
                                   "optimum_on_one_path"], ids=lambda kind: f"_{kind}")
-def test_failed_certificate_falls_back_to_simplex(kind):
+def test_failed_certificate_falls_back_to_refinement(kind):
     net, paths, routing = _er_instance(10, 18, 50, seed=3, demand_seed=10)
     state = center_state(net)
     bounds = [min(b, c - b) for c, b in zip(net.capacities, state.balances)]
     status, _, reference = _throughput_reference(dense_views(routing)[2], bounds)
     assert status == lp.OPTIMAL and reference > 0
 
-    basis_solves = []
-    with _perturbed_highs(kind), _counting(lp, "_basis_solve", basis_solves):
+    refinements = []
+    with _perturbed_highs(kind), _counting(lp, "_refine", refinements):
         report = lp.one_step_throughput(net, routing, state)
-    assert len(basis_solves) == 1
+    assert len(refinements) == 1
     assert report.route == lp.CERTIFIED
     assert report.psi_value == reference
     assert isinstance(report.psi_value, Fraction)
@@ -665,7 +666,12 @@ def test_failed_certificate_falls_back_to_simplex(kind):
 # Bounds further apart than a double's 53 bits, shrunk by hypothesis. On
 # each, HiGHS's optimal basis solves to an infeasible vertex, and HiGHS's
 # dual charges a limit row the optimum leaves slack, or its optimum is no
-# double, or it sends flow through a channel whose bound is 0.
+# double, or it sends flow through a channel whose bound is 0. The next two
+# put bounds over large prime denominators on the first two routings: far
+# below HiGHS's tolerances, or 1e-7 of a bound near 1e19, they leave HiGHS's
+# rationalized answer unproved. On the last, bounds from 1.5e-4 to 1e21
+# leave HiGHS's x outside linprog's tolerances, so the refinement starts
+# from x = 0.
 _WIDE_BOUND_LPS = {
     "dual_on_a_slack_row": (
         make_network(4, [(0, 1), (0, 3), (1, 2)], [2, 2, 2]),
@@ -683,6 +689,19 @@ _WIDE_BOUND_LPS = {
          [0, 2, 3, 0, 3, 3, 0, 2, 0, 3, 0, 3], [1, 1, -1, 1, 1, -1, -1, -1, -1, 1, 1, 1]),
         [0, 0, 4, Fraction(107430397650567135232, 3), Fraction(9, 5)]),
 }
+_WIDE_BOUND_LPS["tiny_bounds_on_a_slack_row"] = (
+    *_WIDE_BOUND_LPS["dual_on_a_slack_row"][:2],
+    [Fraction(1, 10000079), 0, Fraction(8, 10000019)])
+_WIDE_BOUND_LPS["tiny_bound_beside_no_double"] = (
+    *_WIDE_BOUND_LPS["optimum_no_double_holds"][:2],
+    [Fraction(5, 10000019), Fraction(2 * 10 ** 19, 3), 47])
+_WIDE_BOUND_LPS["highs_gives_no_optimum"] = (
+    make_network(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 5), (2, 5), (3, 4)], [1] * 7),
+    ([4, 1, 5, 2, 3, 2, 3, 0, 0], [1, 0, 3, 3, 0, 0, 5, 3, 1],
+     [0, 3, 4, 7, 9, 10, 11, 14, 15, 16], [6, 2, 0, 0, 4, 0, 2, 1, 2, 2, 1, 2, 0, 4, 2, 0],
+     [-1, -1, 1, -1, -1, -1, 1, -1, 1, -1, -1, -1, 1, 1, 1, 1]),
+    [Fraction(2174492990343857457837, 2), Fraction(4, 5), 226229422706660802431,
+     Fraction(572906, 1000000007), 46, 2, Fraction(1529, 10000019)])
 
 
 @pytest.mark.parametrize("name", _WIDE_BOUND_LPS)
@@ -701,13 +720,11 @@ def test_wide_bounds_are_proved_after_refinement(name):
 
 
 def test_both_failed_checks_return_the_float_optimum(line):
-    # no corpus reaches this: a certificate that fails, and a basis and a
-    # refinement that do not solve to a proof, leave HiGHS's float,
-    # labelled as such
+    # no corpus reaches this: a certificate that fails, and a refinement
+    # whose basis does not solve to a proof, leave HiGHS's float, labelled
+    # as such
     net, _, routing = line
-    with _perturbed_highs("halve_primal"), \
-            mock.patch.object(lp, "_basis_solve", lambda *args: None), \
-            mock.patch.object(lp, "_refine", lambda *args: None):
+    with _perturbed_highs("halve_primal"), mock.patch.object(lp, "_refine", lambda *args: None):
         report = lp.one_step_throughput(net, routing, center_state(net))
     assert report.route == lp.FLOAT
     assert report.solver_status == lp.OPTIMAL
@@ -787,23 +804,23 @@ def test_kept_exact_optimum_answers_a_repeat_on_either_route(line):
     rng = random.Random(5)
     state = make_state(net, [rng.randint(0, int(c)) for c in net.capacities])
     mirror = make_state(net, [c - b for c, b in zip(net.capacities, state.balances)])
-    highs_calls, basis_solves = [], []
-    with _counting(lp, "_highs", highs_calls), _counting(lp, "_basis_solve", basis_solves):
+    highs_calls, refinements = [], []
+    with _counting(lp, "_highs", highs_calls), _counting(lp, "_refine", refinements):
         reports = [lp.one_step_throughput(net, routing, s)
                    for s in (state, mirror, state, mirror)]
-        assert (len(highs_calls), len(basis_solves)) == (1, 0)
+        assert (len(highs_calls), len(refinements)) == (1, 0)
         assert reports[0].route == lp.CERTIFIED and reports[0].psi_value > 0
         assert {_signature(r) for r in reports} == {_signature(reports[0])}
 
-        # and a kept basis-solve optimum answers a repeat whose certificate
+        # and a kept refined optimum answers a repeat whose certificate
         # would hold
         net, paths, routing = line
         with _perturbed_highs("halve_primal"):
             kept = lp.one_step_throughput(net, routing, center_state(net))
-        assert (len(highs_calls), len(basis_solves)) == (2, 1)
+        assert (len(highs_calls), len(refinements)) == (2, 1)
         assert lp.one_step_throughput(net, routing, center_state(net)) is kept
         certified = lp.one_step_throughput(net, _fresh_routing(net, paths), center_state(net))
-        assert (len(highs_calls), len(basis_solves)) == (3, 1)
+        assert (len(highs_calls), len(refinements)) == (3, 1)
     assert kept.route == certified.route == lp.CERTIFIED
     assert kept.psi_value == certified.psi_value == 20
 
@@ -1155,15 +1172,17 @@ def test_certificate_on_python_ints():
                          ids=["1e21", "1e300", "1e400"])
 def test_bounds_beyond_highs_range(capacity):
     # the exact route scales the bounds by a power of two into HiGHS's
-    # range; at 1e300 and past a double's range the other bounds then fall
-    # below HiGHS's tolerances, no check proves an optimum and the vector is
-    # refused
+    # range, where the other bounds fall below HiGHS's tolerances. At 1e300
+    # HiGHS's x is off by some 360 at the wide bound, which keeps the
+    # refinement from lifting the other bounds (near 1e-279) into view, and
+    # the vector is refused. Past a double's range they read 0, HiGHS's x
+    # is exactly feasible, and the refinement lifts them to 1: proved.
     base, _, routing = _er_instance(10, 18, 50, seed=3, demand_seed=10)
     capacities = list(base.capacities)
     capacities[5] = Fraction(capacity)
     net = make_network(base.node_count, base.edges, capacities)
     state = center_state(net)
-    if capacity < 10 ** 300:
+    if capacity != 10 ** 300:
         _, _, reference = _throughput_reference(dense_views(routing)[2],
                                                 [c / 2 for c in capacities])
         report = lp.one_step_throughput(net, routing, state)
@@ -1182,17 +1201,41 @@ def test_bounds_beyond_highs_range(capacity):
             lp.max_throughput(net, routing)
 
 
-@pytest.mark.parametrize("bounds", [[10 ** 20 + 1, 10 ** 20], [10 ** 20, 10 ** 20 + 1]],
-                         ids=["wider_first", "wider_second"])
-def test_bounds_a_double_cannot_tell_apart(bounds):
+@pytest.mark.parametrize("bounds, optimum", [([10 ** 20 + 1, 10 ** 20], 2 * 10 ** 20),
+                                             ([10 ** 20, 10 ** 20 + 1], 2 * 10 ** 20),
+                                             ([0, Fraction(1, 10 ** 7)], 0)],
+                         ids=["wider_first", "wider_second", "within_tolerance_of_0"])
+def test_bounds_a_double_cannot_tell_apart(bounds, optimum):
     # scaled into HiGHS's range the two bounds round to one double, so
     # HiGHS may bind the wider channel's row; the refinement proves the
-    # optimum all the same
+    # optimum all the same. A bound of 1e-7 is within HiGHS's tolerance of
+    # the 0 beside it unless the vector is first lifted to 1.
     _, _, routing = line_instance()
     report = lp._throughput(routing, bounds)
     assert report.route == lp.CERTIFIED
     assert report.psi_value == _throughput_reference(dense_views(routing)[2], bounds)[2]
-    assert report.psi_value == 2 * 10 ** 20
+    assert report.psi_value == optimum
+
+
+# bounds in [0, 6] over denominators up to 1e9, and k / 10**m down to 1e-12
+_FINE_BOUNDS = st.one_of(
+    st.fractions(min_value=0, max_value=6, max_denominator=10 ** 9),
+    st.builds(Fraction, st.integers(min_value=0, max_value=1000),
+              st.sampled_from([10 ** m for m in range(6, 13)])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_floor_cases(), st.data())
+def test_fine_bounds_are_proved(case, data):
+    # below HiGHS's tolerances and over denominators no certificate reads
+    # back, every optimum is still proved and exact
+    net, paths, _ = case
+    routing = build_routing_system(net, paths)
+    bounds = data.draw(st.lists(_FINE_BOUNDS, min_size=net.edge_count,
+                                max_size=net.edge_count))
+    report = lp._throughput(routing, bounds)
+    assert report.route == lp.CERTIFIED
+    assert report.psi_value == _throughput_reference(dense_views(routing)[2], bounds)[2]
 
 
 # --- the direct HiGHS call against linprog ---
