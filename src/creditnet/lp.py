@@ -18,33 +18,34 @@ Two solve routes, by size; ThroughputReport.route names the one that ran:
   sets, one module-level options object that no call changes. Each routing
   keeps the column-wise arrays of [F; F - B], built once from its CSR
   arrays, so the ceiling, the floor and every one-step LP of a routing pass
-  the same model with their own row bounds. Each solve starts a fresh
-  solver with no basis carried over, so results are linprog's, bit for bit.
-  A bound HiGHS would read as infinite (HIGHS_INFINITE_BOUND and above)
-  raises ValueError. Nothing is kept.
+  the same model with their own row bounds. Each one-step LP and each
+  ceiling starts a fresh solver with no basis carried over, so its result,
+  x included, is linprog's, bit for bit. The ceiling's solver is kept for
+  the floor, which re-optimizes it (below). A bound HiGHS would read as
+  infinite (HIGHS_INFINITE_BOUND and above) raises ValueError.
 * "certified", at or below it: each routing keeps one HiGHS solver, which
-  gets the model on the routing's first LP and after that only new limit
-  row bounds. Every LP starts cold (the dual simplex without presolve), so
-  its answer, vertex included, depends on its bounds alone. The bounds are
-  first scaled by the power of two that lifts the largest to at least 1
-  and keeps it below 1e19 (the LP is positively homogeneous in them). An
-  exact certificate (after Applegate, Cook, Dash & Espinoza, Oper. Res.
-  Lett. 2007, and Gleixner, Steffy & Wolter, INFORMS J. Comput. 2016) then
-  proves the optimum: x and the dual (alpha per limit row, gamma per
-  net-shift row) are rationalized, only their distinct values, and scaled
-  to integers over common denominators (int64 when no sum can overflow
-  it, Python ints otherwise). One integer check over the routing's CSR
-  arrays asks that x be exactly feasible and >= 0, that alpha >= 0 and
-  every path's reduced cost sum_forward alpha_e + sum_hops +-gamma_e be
-  >= 1, and that bounds.alpha equal sum(x); weak duality then proves
-  sum(x) optimal, returned as a Fraction with the rational x. When the
-  rationalized floats fail, one round of scaled iterative refinement
+  gets the model on the routing's first LP and after that only the limit row
+  bounds that differ from the last LP's. Every LP starts cold (the dual
+  simplex without presolve), so its answer, vertex included, depends on its
+  bounds alone. The bounds are first scaled by the power of two that lifts
+  the largest to at least 1 and keeps it below 1e19 (the LP is positively
+  homogeneous in them). An exact certificate (after Applegate, Cook, Dash &
+  Espinoza, Oper. Res. Lett. 2007, and Gleixner, Steffy & Wolter, INFORMS J.
+  Comput. 2016) then proves the optimum: x and the dual (alpha per limit
+  row, gamma per net-shift row) are rationalized, only their distinct
+  values, and scaled to integers over common denominators (int64 when no sum
+  can overflow it, Python ints otherwise). One integer check over the
+  routing's CSR arrays asks that x be exactly feasible and >= 0, that alpha
+  >= 0 and every path's reduced cost sum_forward alpha_e + sum_hops
+  +-gamma_e be >= 1, and that bounds.alpha equal sum(x); weak duality then
+  proves sum(x) optimal, returned as a Fraction with the rational x. When
+  the rationalized floats fail, one round of scaled iterative refinement
   (Gleixner et al.) solves the LP again, moved to HiGHS's x and scaled so
   that HiGHS's tolerances see x's violation and every bound, and the basis
-  it ends on is solved in Fractions and put to the same check. A vector neither proves gets HiGHS's float optimum,
-  labelled "float", or, at or above HIGHS_INFINITE_BOUND, ValueError
-  naming the widest channel. A routing without paths has the certified
-  optimum 0.
+  it ends on is solved in Fractions and put to the same check. A vector
+  neither proves gets HiGHS's float optimum, labelled "float", or, at or
+  above HIGHS_INFINITE_BOUND, ValueError naming the widest channel. A
+  routing without paths has the certified optimum 0.
 
 Each routing keeps one table of exact-branch reports by bound vector (the
 LP depends only on the routing and the bounds). A vector met again returns
@@ -57,8 +58,18 @@ the ceiling's optimum x, keyed by the capacities it was solved for, and the
 floor returns the ceiling's value without a solve when x sends exactly no
 flow over any path through an unpeeled channel. Proof: the floor's feasible
 set lies inside the ceiling's, so floor <= ceiling, and such an x is
-feasible for the floor and reaches the ceiling. Any other unpeeled set, or
-a routing with no kept optimum for these capacities, is solved as before.
+feasible for the floor and reaches the ceiling. The floor is 0, with no
+solve, when every path crosses an unpeeled channel: each such path's
+forward usage is bounded by 0 there, and steady state then zeroes its
+backward usage too. Any other unpeeled set is solved. On the float route
+the ceiling's solver re-optimizes from the ceiling's basis (the dual
+simplex after a bound change, Huangfu & Hall) with the unpeeled rows'
+upper bounds set to 0; the solver remembers the bounds it holds, so a later
+floor changes only the rows that differ, the last set's restored included.
+The floor returns its value alone, never x, so the vertex a warm start
+lands on shows nowhere; the value is within 1e-9 of a cold solve. On the
+exact branch, or with no kept optimum for these capacities, the floor is
+solved as any other LP.
 
 worst_state_throughput is that floor with the deadlocked set zeroed: a
 channel frozen at 0 or its capacity has the bound min(b, c - b) = 0.
@@ -75,7 +86,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy.optimize._highspy import _core
@@ -185,30 +196,44 @@ def _highs_lp(columns: tuple, row_lower: np.ndarray, row_upper: np.ndarray,
     return model
 
 
-def _highs(columns: tuple, b_ub: np.ndarray, solver: _core._Highs | None = None) -> LpSolution:
+class _KeptSolver:
+    """A HiGHS solver kept between LPs on one model, and the limit rows'
+    upper bounds its model holds (None until its first LP passes the model
+    and `options`). Each later LP changes only the rows whose bound differs.
+    A `cold` solver clears the last solve first, so that its answer, vertex
+    included, depends on the bounds alone; any other re-optimizes from the
+    last basis, the dual simplex after a bound change."""
+
+    def __init__(self, options: _core.HighsOptions, cold: bool):
+        self.highs = _core._Highs()
+        self.options, self.cold = options, cold
+        self.b_ub: np.ndarray | None = None
+
+
+def _highs(columns: tuple, b_ub: np.ndarray, kept: _KeptSolver | None = None) -> LpSolution:
     """Maximize sum(x) s.t. A[:m].x <= b_ub, A[m:].x = 0 and x >= 0, on the
     column-wise (start, index, value) arrays of a 2m-row A.
 
-    Without `solver`, in a fresh HiGHS solver with _HIGHS_OPTIONS. A kept
-    `solver` gets the model and _EXACT_OPTIONS on its first LP; each later
-    LP changes only the limit rows' upper bounds and clears the last solve,
-    so every LP starts cold and its answer depends on its bounds alone, not
-    on the LPs solved before it.
+    Without `kept`, in a fresh HiGHS solver with _HIGHS_OPTIONS; with it,
+    in its solver, whose first LP is solved as a fresh one with its options.
     """
     m = b_ub.size
-    if solver is not None and solver.getNumRow():
-        solver.clearSolver()
-        for row, upper in enumerate(b_ub.tolist()):
-            solver.changeRowBounds(row, -_core.kHighsInf, upper)
+    if kept is not None and kept.b_ub is not None:
+        solver = kept.highs
+        if kept.cold:
+            solver.clearSolver()
+        for row in np.flatnonzero(b_ub != kept.b_ub).tolist():
+            solver.changeRowBounds(row, -_core.kHighsInf, float(b_ub[row]))
     else:
         zeros = np.zeros(m)
         model = _highs_lp(columns, np.concatenate((np.full(m, -_core.kHighsInf), zeros)),
                           np.concatenate((b_ub, zeros)), np.zeros(columns[0].size - 1))
-        options = _HIGHS_OPTIONS if solver is None else _EXACT_OPTIONS
-        solver = _core._Highs() if solver is None else solver
-        solver.passOptions(options)
+        solver = _core._Highs() if kept is None else kept.highs
+        solver.passOptions(_HIGHS_OPTIONS if kept is None else kept.options)
         if solver.passModel(model) == _core.HighsStatus.kError:
             return LpSolution(NUMERICAL_FAILURE, (), 0.0)
+    if kept is not None:
+        kept.b_ub = b_ub
     if solver.run() == _core.HighsStatus.kError:
         return LpSolution(NUMERICAL_FAILURE, (), 0.0)
     status = solver.getModelStatus()
@@ -230,16 +255,29 @@ def _highs(columns: tuple, b_ub: np.ndarray, solver: _core._Highs | None = None)
                       (dual[:m], dual[m:]))
 
 
+class _Ceiling(NamedTuple):
+    """max_throughput's optimum: the capacities it was solved for, its value
+    and x, and on the float route the solver it ran in, kept for the floor,
+    with the ceiling's float bounds (None on the exact route)."""
+    capacities: tuple
+    value: Fraction | float
+    x: np.ndarray
+    solver: _KeptSolver | None
+    b_ub: np.ndarray | None
+
+
 class _LpForms:
     """One routing's LP forms, each built from its CSR arrays on first use
     and kept with the routing: HiGHS's column-wise [F; F - B], and the
-    exact branch's HiGHS `solver`, which keeps the model between LPs.
+    exact branch's cold HiGHS `solver`, which keeps the model between LPs.
     `exact_optima` maps tuple(bounds) to the finished exact-branch
     ThroughputReport for those bounds, so a bound vector met again (a state
     and its mirror c - b give the same one) returns that report object,
     with no solve and no new FlowVector.
-    `ceiling` is max_throughput's last optimum as (capacities, value, x),
-    None until one is reached; min_throughput reuses it.
+    `ceiling` is max_throughput's last _Ceiling, None until one is reached;
+    min_throughput reuses its x and, on the float route, re-optimizes its
+    solver. The kept solver holds HiGHS's model and factorization until the
+    next ceiling replaces it or the routing is freed.
     It holds the arrays, not the routing, so the two form no cycle.
     A routing with a path without hops has no LP forms: no bound limits
     the flow of a path that crosses no channel."""
@@ -253,7 +291,7 @@ class _LpForms:
         self.path = routing.path
         self.shape = (routing.path_count, routing.edge_count)
         self.exact_optima: dict[tuple, ThroughputReport] = {}
-        self.ceiling: tuple | None = None
+        self.ceiling: _Ceiling | None = None
 
     @cached_property
     def highs_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,8 +308,8 @@ class _LpForms:
         return (start.astype(np.int32), row[order].astype(np.int32), value[order])
 
     @cached_property
-    def solver(self) -> _core._Highs:
-        return _core._Highs()
+    def solver(self) -> _KeptSolver:
+        return _KeptSolver(_EXACT_OPTIONS, cold=True)
 
 
 def _lp_forms(routing: RoutingSystem) -> _LpForms:
@@ -499,23 +537,32 @@ def _report(solution: LpSolution, route: str) -> ThroughputReport:
     return ThroughputReport(solution.objective_value, FlowVector(solution.x), OPTIMAL, route)
 
 
-def _throughput(routing: RoutingSystem, bounds: list) -> ThroughputReport:
+def _float_route(routing: RoutingSystem) -> bool:
+    """Whether the routing's LPs are solved in floats: above EXACT_CELL_LIMIT
+    cells, and never without paths, whose certified optimum is 0."""
+    cells = 3 * routing.edge_count * routing.path_count
+    return routing.path_count > 0 and cells > EXACT_CELL_LIMIT
+
+
+def _throughput(routing: RoutingSystem, bounds: list,
+                kept: _KeptSolver | None = None) -> ThroughputReport:
     """The one-step LP's optimum under per-channel limits F.x <= bounds
     (min(b, c - b) for a balance state b) and (F - B).x = 0.
 
-    A float solve above EXACT_CELL_LIMIT, else the routing's kept exact
-    report for `bounds`, solved and built on first use.
+    A float solve on the float route, in `kept`'s solver when given, else
+    the routing's kept exact report for `bounds`, solved and built on first
+    use.
     """
     if routing.path_count == 0:
         return ThroughputReport(_ZERO, FlowVector(()), OPTIMAL, CERTIFIED)
     forms = _lp_forms(routing)
-    if 3 * routing.edge_count * routing.path_count > EXACT_CELL_LIMIT:
-        return _report(_highs(forms.highs_columns, _highs_bounds(bounds)), FLOAT)
+    if _float_route(routing):
+        return _report(_highs(forms.highs_columns, _highs_bounds(bounds), kept), FLOAT)
     key = tuple(bounds)
-    kept = forms.exact_optima.get(key)
-    if kept is None:
-        kept = forms.exact_optima[key] = _exact_solve(routing, forms, bounds)
-    return kept
+    report = forms.exact_optima.get(key)
+    if report is None:
+        report = forms.exact_optima[key] = _exact_solve(routing, forms, bounds)
+    return report
 
 
 def _optimal_value(report: ThroughputReport) -> Fraction | float:
@@ -542,13 +589,16 @@ def one_step_throughput(network: CreditNetwork, routing: RoutingSystem,
 def max_throughput(network: CreditNetwork, routing: RoutingSystem) -> Fraction | float:
     """Throughput ceiling: the one-step value at the perfectly balanced state.
 
-    The optimum is kept with the routing for min_throughput.
+    The optimum is kept with the routing for min_throughput, and on the
+    float route so is the solver it ran in.
     """
     _check_routing(network, routing)
-    report = _throughput(routing, [c / 2 for c in network.capacities])
+    kept = _KeptSolver(_HIGHS_OPTIONS, cold=False) if _float_route(routing) else None
+    report = _throughput(routing, [c / 2 for c in network.capacities], kept)
     value = _optimal_value(report)
-    _lp_forms(routing).ceiling = (network.capacities, value,
-                                  np.asarray(report.optimal_flow.amounts))
+    _lp_forms(routing).ceiling = _Ceiling(network.capacities, value,
+                                          np.asarray(report.optimal_flow.amounts),
+                                          kept, None if kept is None else kept.b_ub)
     return value
 
 
@@ -557,20 +607,32 @@ def min_throughput(network: CreditNetwork, routing: RoutingSystem,
     """Throughput floor estimate: channels in `unpeeled` admit no flow.
 
     Zeroing a channel's capacity and balancing the rest is equivalent to
-    deleting every path through the zeroed channels. The ceiling's kept
-    optimum answers without a solve when it uses none of those paths.
+    deleting every path through the zeroed channels, so the floor is 0 with
+    no solve when every path crosses one. The ceiling's kept optimum answers
+    without a solve when it uses none of those paths; otherwise, on the
+    float route, the ceiling's solver re-optimizes with the zeroed rows.
     """
     _check_routing(network, routing)
     for k in unpeeled:
         if not 0 <= k < network.edge_count:
             raise ValueError(f"unpeeled channel index {k} out of range")
-    kept = _lp_forms(routing).ceiling
-    if kept is not None and kept[0] == network.capacities:
-        _, value, x = kept
-        zeroed = np.zeros(network.edge_count, dtype=bool)
-        zeroed[list(unpeeled)] = True
-        if not (x[routing.path[zeroed[routing.edge]]] != 0).any():
-            return value
+    zeroed = np.zeros(network.edge_count, dtype=bool)
+    zeroed[list(unpeeled)] = True
+    # the path of every hop over a zeroed channel
+    through = routing.path[zeroed[routing.edge]]
+    crossed = np.zeros(routing.path_count, dtype=bool)
+    crossed[through] = True
+    if crossed.all():
+        return 0.0 if _float_route(routing) else _ZERO
+    forms = _lp_forms(routing)
+    ceiling = forms.ceiling
+    if ceiling is not None and ceiling.capacities == network.capacities:
+        if not (ceiling.x[through] != 0).any():
+            return ceiling.value
+        if ceiling.solver is not None:
+            b_ub = np.where(zeroed, 0.0, ceiling.b_ub)
+            return _optimal_value(_report(_highs(forms.highs_columns, b_ub, ceiling.solver),
+                                          FLOAT))
     half = [c / 2 if k not in unpeeled else _ZERO
             for k, c in enumerate(network.capacities)]
     return _optimal_value(_throughput(routing, half))

@@ -27,7 +27,7 @@ from creditnet import (
     make_state,
 )
 from creditnet import lp
-from creditnet.cli import desk_scale_config, sweep_cells
+from creditnet.cli import _fmt_value, desk_scale_config, sweep_cells
 from creditnet.demand import DemandSpec, build_paths, sample_demand
 from creditnet.model import channel_usage
 from creditnet.peeling import residue
@@ -919,6 +919,92 @@ def test_floor_reuses_the_ceiling_only_when_it_fits(exact, unpeeled, solves, flo
         assert len(counted) == 1
         assert lp.min_throughput(net, routing, unpeeled) == pytest.approx(floor)
     assert len(counted) == 1 + solves
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_floor_is_zero_without_a_solve_when_every_path_crosses_a_zeroed_channel(exact):
+    # both paths cross channel 1; the ceiling sends 10 each way over it
+    net = make_network(3, [(0, 1), (1, 2)], [20, 20])
+    paths = PathSet.of_walks(net, ([0, 1, 2], [2, 1, 0]))
+    counted = []
+    with _route(exact), _counting(lp, "_highs", counted):
+        fresh = lp.min_throughput(net, _fresh_routing(net, paths), {1})
+        assert not counted
+        routing = _fresh_routing(net, paths)
+        assert lp.max_throughput(net, routing) == 20
+        after_ceiling = lp.min_throughput(net, routing, {1})
+    assert len(counted) == 1
+    for floor in (fresh, after_ceiling):
+        assert floor == 0 and type(floor) is (Fraction if exact else float)
+
+
+def test_float_floor_reoptimizes_the_ceilings_solver():
+    # the ceiling sends flow over channel 0, so the floor is solved, in the
+    # one HiGHS solver the ceiling built
+    net, routing = _line_with_a_one_way_spur()
+    built, solves = [], []
+    with (_route(exact=False), _counting(lp._core, "_Highs", built),
+          _counting(lp, "_highs", solves)):
+        assert lp.max_throughput(net, routing) == 20
+        assert lp.min_throughput(net, routing, {0}) == 0
+    assert (len(built), len(solves)) == (1, 2)
+    assert solves[1][2] is lp._lp_forms(routing).ceiling.solver
+
+
+@pytest.mark.parametrize("order", [("a", "b", "a"), ("b", "a", "b")])
+def test_reoptimized_floors_restore_the_previous_sets_rows(order):
+    # floors 5833.3 ({0}), 5555.6 ({7}) and 5000 ({0, 7}) below the ceiling
+    # 6111.1: a floor that kept the last set's zeros would read the union's
+    net, paths, routing = _er_instance(10, 18, 50, seed=3, demand_seed=10)
+    sets = {"a": {0}, "b": {7}}
+    with _route(exact=False):
+        cold = {name: lp.min_throughput(net, _fresh_routing(net, paths), unpeeled)
+                for name, unpeeled in sets.items()}
+        union = lp.min_throughput(net, _fresh_routing(net, paths), sets["a"] | sets["b"])
+        ceiling = lp.max_throughput(net, routing)
+        solves = []
+        with _counting(lp, "_highs", solves):
+            warm = [lp.min_throughput(net, routing, sets[name]) for name in order]
+    assert union < min(cold.values()) and max(cold.values()) < ceiling
+    assert cold["a"] != cold["b"]
+    assert len(solves) == 3
+    for name, floor in zip(order, warm):
+        assert floor == pytest.approx(cold[name], rel=1e-9, abs=1e-9)
+
+
+def _desk_cells(entries):
+    """The desk-sweep benchmark's cells of pool entries `entries`: each desk
+    family at 300 and 3000 Uniform pairs on graph seed `entry` and demand
+    seed `entry + 1`, as (network, paths)."""
+    for entry in entries:
+        config = replace(desk_scale_config(entry), densities=(300, 3000),
+                         graph_instances=1, demand_matrices=1)
+        for spec, pairs, graph_seed, demand_seed, mode, *_ in sweep_cells(config):
+            net = gen_topology(replace(spec, seed=graph_seed))
+            demand = sample_demand(net, DemandSpec(pair_count=pairs, mode=mode,
+                                                   seed=demand_seed))
+            yield net, build_paths(net, demand, seed=demand_seed)
+
+
+def test_desk_floors_match_cold_floors():
+    # every floor, zero floors included, against the floor LP solved cold
+    warm_solves = 0
+    for net, paths in _desk_cells(range(4)):
+        routing = build_routing_system(net, paths)
+        unpeeled = set(residue(routing).unpeeled_edges)
+        lp.max_throughput(net, routing)
+        solves = []
+        with _counting(lp, "_highs", solves):
+            warm = lp.min_throughput(net, routing, unpeeled)
+        warm_solves += len(solves)
+        bounds = [Fraction(0) if k in unpeeled else c / 2 for k, c in enumerate(net.capacities)]
+        cold = lp._throughput(_fresh_routing(net, paths), bounds).psi_value
+        assert type(warm) is type(cold) is float
+        assert warm == pytest.approx(cold, rel=1e-9, abs=1e-9)
+        assert _fmt_value(warm) == _fmt_value(cold)
+    # entries 0-3 re-optimize 5 floors: RandomRegular/300 on entries 0 and
+    # 2, ScaleFreeBA/3000 on entries 0-2
+    assert warm_solves == 5
 
 
 def test_floor_never_reads_another_networks_ceiling(line):
