@@ -28,11 +28,11 @@ calls `randrange`, the wiring calls `getrandbits` itself and retries as
 `randrange` does, so it reads the same Mersenne Twister words (see
 `demand`'s module note) for a fraction of the call overhead.
 
-Every path-length mix here comes from one helper, `_full_pair_mix`,
-over `_level_counts`, which yields per source the number of nodes at
-each hop count.  It counts the levels of the package's one hop-distance
-kernel, `model.hop_levels`: a breadth-first search from all sources at
-once on bitset rows, which also routes every demand pair.
+Every path-length mix here comes from one helper, `_full_pair_mix`: one
+whole-array popcount per level of the package's one hop-distance kernel,
+`model.hop_levels`, a breadth-first search from all sources at once on
+bitset rows, which also routes every demand pair.  Candidates are scored
+on edge arrays; only a kept realization becomes a `CreditNetwork`.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 import networkx as nx
 import numpy as np
@@ -485,19 +486,35 @@ def patch_jdd_sequence(counts: dict[int, dict[int, int]]
 
 
 def _realize_edges(jdd: JointDegreeDistribution, channel_budget: int,
-                   seed: int) -> tuple[int, list[tuple[int, int]]]:
-    """Node count and sorted edge list of one realization's largest
-    component, relabeled to 0..n-1 in node order.
+                   seed: int) -> tuple[int, np.ndarray]:
+    """Node count and sorted (m, 2) int64 edge array of one realization's
+    largest component, relabeled to 0..n-1 in node order.
 
     The patched counts are wired by `_wire_joint_degrees` (Gjoka et al.,
     INFOCOM 2015) into the graph `nx.joint_degree_graph(counts,
-    seed=seed)` builds, and the component kept is the one
-    `max(nx.connected_components(graph), key=len)` picks: the first
-    largest when components are scanned from the lowest node id.  So
-    every realization is bit-identical to networkx's.
+    seed=seed)` builds, and `_largest_component` keeps the component
+    networkx's `max(connected_components)` keeps.  So every realization
+    is bit-identical to networkx's.
     """
     counts = patch_jdd_sequence(sample_edge_counts(jdd, channel_budget, seed))
     adj = _wire_joint_degrees(counts, seed)
+    keep = _largest_component(adj)
+    n = len(keep)
+    fan = np.fromiter(map(len, map(adj.__getitem__, keep)), np.int64, n)
+    relabel = np.zeros(len(adj), dtype=np.int64)
+    relabel[keep] = np.arange(n)
+    heads = relabel[np.fromiter(chain.from_iterable(map(adj.__getitem__, keep)),
+                                np.int64, int(fan.sum()))]
+    tails = np.repeat(np.arange(n), fan)
+    key = (tails * n + heads)[tails < heads]
+    key.sort()
+    return n, np.stack(np.divmod(key, n), axis=1)
+
+
+def _largest_component(adj: list[dict[int, None]]) -> list[int]:
+    """Sorted nodes of the component `max(nx.connected_components(graph),
+    key=len)` picks: the first largest when components are scanned from
+    the lowest node id."""
     seen = [False] * len(adj)
     keep: list[int] = []
     for root in range(len(adj)):
@@ -512,11 +529,7 @@ def _realize_edges(jdd: JointDegreeDistribution, channel_budget: int,
                     component.append(v)
         if len(component) > len(keep):
             keep = component
-    keep.sort()
-    relabel = {old: new for new, old in enumerate(keep)}
-    edges = sorted((relabel[u], relabel[v]) for u in keep for v in adj[u]
-                   if u < v)
-    return len(keep), edges
+    return sorted(keep)
 
 
 def _wire_joint_degrees(counts: dict[int, dict[int, int]],
@@ -620,34 +633,18 @@ def synthesize_graph(jdd: JointDegreeDistribution, channel_budget: int,
     The realized size follows from the degree mix and the channel
     budget, and the largest-component cut shaves a few percent off both.
     """
-    return with_uniform_capacities(*_realize_edges(jdd, channel_budget, seed),
+    node_count, edges = _realize_edges(jdd, channel_budget, seed)
+    return with_uniform_capacities(node_count, edges.tolist(),
                                    DEFAULT_TOTAL_COLLATERAL)
-
-
-# Set bits per byte value: a popcount that needs no numpy 2 ufunc.
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
-
-
-def _level_counts(node_count: int, edges) -> np.ndarray:
-    """Hop-count histogram per source: entry [s, d - 1] is the number of
-    nodes exactly d hops from s, for d up to the largest finite distance.
-
-    A popcount over each level of `model.hop_levels` with every node as a
-    source; on an undirected graph row s of a level holds the nodes that
-    level's distance away from s.
-    """
-    levels = [np.take(_POPCOUNT, new.view(np.uint8)).sum(axis=1)
-              for new in hop_levels(closed_arcs(node_count, edges),
-                                    np.arange(node_count))]
-    if not levels:
-        return np.zeros((node_count, 0), dtype=np.int64)
-    return np.stack(levels, axis=1)
 
 
 def _full_pair_mix(node_count: int, edges) -> PathLengthDistribution:
     """Shortest-path length mix over every ordered pair of connected
-    nodes."""
-    counts = [int(c) for c in _level_counts(node_count, edges).sum(axis=0)]
+    nodes: one popcount per level of `model.hop_levels` with every node
+    as a source."""
+    counts = [np.count_nonzero(np.unpackbits(new.view(np.uint8)))
+              for new in hop_levels(closed_arcs(node_count, edges),
+                                    np.arange(node_count))]
     total = sum(counts)
     return PathLengthDistribution(tuple(c / total for c in counts))
 
@@ -692,7 +689,8 @@ def synthesize_matched(jdd: JointDegreeDistribution,
                                     "l1")
         if best is None or gap < best_gap:
             best, best_gap = realized, gap
-    return with_uniform_capacities(*best, DEFAULT_TOTAL_COLLATERAL)
+    return with_uniform_capacities(best[0], best[1].tolist(),
+                                   DEFAULT_TOTAL_COLLATERAL)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from unittest import mock
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
@@ -298,6 +298,20 @@ def test_move_mass_arithmetic_is_pinned():
     assert tuple(digests) == MOVE_WALK_DIGESTS
 
 
+def test_workload_size_search_is_pinned():
+    """Criterion 8's 30-evaluation search on the 1500/300/900 fit: any
+    change to the wiring, the component cut or the mix's counts moves
+    which matrices the anneal visits, and with them this digest."""
+    target = SynthesisTarget(channel_budget=1500, node_budget=300,
+                             flow_budget=900)
+    fit = optimize_path_length_dist(target).distribution
+    result = optimize_jdd(fit, target, seed=7, budget=30)
+    assert hashlib.sha256(result.jdd.entries.tobytes()).hexdigest() \
+        == "ec155bafab24b541ff8968e6d1d5dbc7a16bceda1c3b63b088d9cbf924dc8f6b"
+    assert repr(result.distance) == "0.049996109003689844"
+    assert result.evaluations == 30
+
+
 def test_sample_edge_counts_is_stratified():
     jdd = neutral_mixing_jdd({1: 10, 3: 4}, 3)
     counts = sample_edge_counts(jdd, 200, seed=3)
@@ -453,6 +467,20 @@ def test_matched_synthesis_keeps_the_first_wiring_without_a_lower_gap():
     assert network == synthesize_graph(jdd, 100, seed=9)
 
 
+def test_synthesized_networks_have_python_int_edges():
+    jdd = neutral_mixing_jdd({2: 20, 3: 25, 4: 15}, 8)
+    target = SynthesisTarget(channel_budget=100, node_budget=72,
+                             flow_budget=80, jdd_max_degree=8)
+    flat = PathLengthDistribution((0.2, 0.5, 0.3))
+    for network in (synthesize_graph(jdd, 100, seed=9),
+                    synthesize_matched(jdd, flat, target, seed=9,
+                                       restarts=3)):
+        assert network.edges
+        assert all(type(edge) is tuple and len(edge) == 2
+                   and all(type(end) is int for end in edge)
+                   for edge in network.edges)
+
+
 def test_jdd_search_recovers_a_self_target():
     jdd = neutral_mixing_jdd({2: 20, 3: 25, 4: 15}, 8)
     target = SynthesisTarget(channel_budget=100, node_budget=72,
@@ -594,20 +622,60 @@ def test_level_histograms_match_bfs_on_wide_graphs(graph):
             == _histogram(lengths)
 
 
+@given(wide_graphs())
+@settings(max_examples=60, deadline=None)
+def test_full_pair_mix_reads_edge_arrays_and_tuple_lists_alike(graph):
+    n, edges = graph
+    assume(edges)
+    as_array = synthesis._full_pair_mix(n, np.array(edges, dtype=np.int64))
+    assert as_array.probabilities \
+        == synthesis._full_pair_mix(n, edges).probabilities
+
+
+@pytest.mark.parametrize("node_count,edges,kept", [
+    # node 0 alone, then two components of three: the one holding
+    # node 1, the lower id, is kept
+    (7, [(1, 4), (4, 5), (2, 6), (3, 6)], [1, 4, 5]),
+    # a tie won by the component of node 0, whose edges are listed
+    # from its highest node down
+    (6, [(5, 3), (3, 0), (4, 1), (1, 2)], [0, 3, 5]),
+    # a later, strictly larger component wins over the first one
+    (6, [(0, 1), (2, 3), (3, 4), (4, 5)], [2, 3, 4, 5]),
+    # a lone node beats nothing, and ties between lone nodes go to node 0
+    (3, [], [0]),
+])
+def test_largest_component_keeps_what_networkx_keeps(node_count, edges,
+                                                     kept):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(node_count))
+    graph.add_edges_from(edges)
+    expected = sorted(max(nx.connected_components(graph), key=len))
+    adj = [dict.fromkeys(graph.adj[u]) for u in graph]
+    assert synthesis._largest_component(adj) == expected == kept
+
+
+def _realized(jdd, channels, seed):
+    """`_realize_edges` with its edge array checked and read back as a
+    list of tuples."""
+    node_count, edges = synthesis._realize_edges(jdd, channels, seed)
+    assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
+    return node_count, [tuple(edge) for edge in edges.tolist()]
+
+
 def test_realize_edges_leaves_no_reference_cycle():
     jdd = neutral_mixing_jdd({2: 30, 3: 30, 4: 10}, 6)
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        node_count, edges = synthesis._realize_edges(jdd, 105, seed=5)
+        realized = _realized(jdd, 105, seed=5)
         # everything was freed by reference counting alone
         assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
     network = synthesize_graph(jdd, 105, seed=5)
-    assert (node_count, edges) == (network.node_count, list(network.edges))
+    assert realized == (network.node_count, list(network.edges))
 
 
 def _networkx_realization(jdd, channels, seed):
@@ -657,7 +725,7 @@ def test_realization_is_networkx_construction(jdd, channels, seed):
     # same neighbours in the same insertion order, node by node
     assert [list(row) for row in
             synthesis._wire_joint_degrees(counts, seed)] == wiring
-    assert synthesis._realize_edges(jdd, channels, seed) == realized
+    assert _realized(jdd, channels, seed) == realized
 
 
 @pytest.mark.parametrize("degree,channels", [(3, 15), (4, 12), (3, 60)])
@@ -677,7 +745,7 @@ def test_realization_matches_networkx_through_neighbour_switches(
 
     with mock.patch.object(synthesis, "_switch_neighbour", spy):
         for seed in range(10):
-            assert synthesis._realize_edges(jdd, channels, seed) \
+            assert _realized(jdd, channels, seed) \
                 == _networkx_realization(jdd, channels, seed)[2]
     assert any(calls)
 
@@ -695,7 +763,7 @@ def test_workload_size_realization_is_networkx_construction():
         assert max(sum(row.values()) // k for k, row in counts.items()) > 64
         assert [list(row) for row in
                 synthesis._wire_joint_degrees(counts, seed)] == wiring
-        assert synthesis._realize_edges(warm, 1500, seed) == realized
+        assert _realized(warm, 1500, seed) == realized
 
 
 def test_wiring_refuses_a_pair_with_an_empty_class():
