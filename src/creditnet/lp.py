@@ -13,16 +13,16 @@ into one row per channel, F.x <= min(b, c - b), beside (F - B).x = 0.
 Two solve routes, by size; ThroughputReport.route names the one that ran:
 
 * "float", above EXACT_CELL_LIMIT cells (3 * channels * paths): HiGHS's
-  dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018), called directly
-  through scipy's bundled binding with the options linprog(method="highs-ds")
-  sets, one module-level options object that no call changes. Each routing
-  keeps the column-wise arrays of [F; F - B], built once from its CSR
-  arrays, so the ceiling, the floor and every one-step LP of a routing pass
-  the same model with their own row bounds. Each one-step LP and each
-  ceiling starts a fresh solver with no basis carried over, so its result,
-  x included, is linprog's, bit for bit. The ceiling's solver is kept for
-  the floor, which re-optimizes it (below). A bound HiGHS would read as
-  infinite (HIGHS_INFINITE_BOUND and above) raises ValueError.
+  dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018) without presolve,
+  as linprog(method="highs-ds", options={"presolve": False}) runs it, called
+  directly through scipy's bundled binding with _HIGHS_OPTIONS, the one
+  option set every solver gets. Each routing keeps the column-wise arrays
+  of [F; F - B], built once from its CSR arrays and passed to HiGHS in one
+  array call, so every LP of a routing passes the same model with its own
+  row bounds. Each one-step LP and each ceiling starts a fresh solver, so
+  its result, x included, is that linprog's, bit for bit. The ceiling's
+  solver is kept for the floor, which re-optimizes it (below). A bound
+  HiGHS reads as infinite (HIGHS_INFINITE_BOUND and up) raises ValueError.
 * "certified", at or below it: each routing keeps one HiGHS solver, which
   gets the model on the routing's first LP and after that only the limit row
   bounds that differ from the last LP's. Every LP starts cold (the dual
@@ -159,14 +159,12 @@ def _highs_options(**values) -> _core.HighsOptions:
     return options
 
 
-# passed to every float-route solve and never changed
-_HIGHS_OPTIONS = _highs_options()
-
-# the exact branch's kept solvers: the dual simplex without presolve, cold
-# on every LP. On the 1,092 distinct exact LPs of exact-small pool entries
-# 0-15 it took 0.21-0.25 ms (54 cells) and 0.52 ms (1,950-2,700 cells) per
-# LP against 0.31 and 0.90 ms with presolve (Python 3.11, 2-vCPU VM)
-_EXACT_OPTIONS = _highs_options(presolve="off")
+# passed to every solver and never changed: the dual simplex without
+# presolve, which removes almost nothing here. Summed over the four 3,000-pair
+# desk ceilings of pool entry 0, 66 ms against 79 ms with presolve; per exact
+# LP of exact-small pool entries 0-15, 0.21-0.25 ms (54 cells) and 0.52 ms
+# (1,950-2,700 cells) against 0.31 and 0.90 ms (Python 3.11, 2-vCPU VM)
+_HIGHS_OPTIONS = _highs_options(presolve="off")
 
 # HiGHS model status -> ours; any other status is a NUMERICAL_FAILURE
 _HIGHS_STATUS = {
@@ -179,34 +177,32 @@ _HIGHS_STATUS = {
 _FEASIBILITY_TOL = math.sqrt(1e-9) * 10
 
 
-def _highs_lp(columns: tuple, row_lower: np.ndarray, row_upper: np.ndarray,
-              col_lower: np.ndarray) -> _core.HighsLp:
-    """HiGHS's model of maximizing sum(x) s.t. row_lower <= A.x <= row_upper
-    and x >= col_lower, on the column-wise (start, index, value) arrays of A."""
-    ncol = columns[0].size - 1
-    model = _core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = ncol
-    model.num_row_ = model.a_matrix_.num_row_ = row_lower.size
-    model.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = columns
-    model.col_cost_ = np.full(ncol, -1.0)
-    model.col_lower_ = col_lower
-    model.col_upper_ = np.full(ncol, _core.kHighsInf)
-    model.row_lower_, model.row_upper_ = row_lower, row_upper
-    return model
+def _pass_lp(solver: _core._Highs, columns: tuple, row_lower: np.ndarray,
+             row_upper: np.ndarray, col_lower: np.ndarray) -> bool:
+    """Pass `solver` _HIGHS_OPTIONS and the LP max sum(x) s.t. row_lower <=
+    A.x <= row_upper and x >= col_lower, on A's column-wise (start, index,
+    value) arrays, in one array call; False when HiGHS refuses the model."""
+    start, index, value = columns
+    ncol = start.size - 1
+    solver.passOptions(_HIGHS_OPTIONS)
+    # the last argument, integrality, is an error when empty
+    return solver.passModel(ncol, row_lower.size, index.size, _core.MatrixFormat.kColwise,
+                            _core.ObjSense.kMinimize, 0.0, np.full(ncol, -1.0), col_lower,
+                            np.full(ncol, _core.kHighsInf), row_lower, row_upper, start,
+                            index, value, np.zeros(ncol, np.int32)) != _core.HighsStatus.kError
 
 
 class _KeptSolver:
     """A HiGHS solver kept between LPs on one model, and the limit rows'
-    upper bounds its model holds (None until its first LP passes the model
-    and `options`). Each later LP changes only the rows whose bound differs.
+    upper bounds its model holds (None until its first LP passes the
+    model). Each later LP changes only the rows whose bound differs.
     A `cold` solver clears the last solve first, so that its answer, vertex
     included, depends on the bounds alone; any other re-optimizes from the
     last basis, the dual simplex after a bound change."""
 
-    def __init__(self, options: _core.HighsOptions, cold: bool):
+    def __init__(self, cold: bool):
         self.highs = _core._Highs()
-        self.options, self.cold = options, cold
+        self.cold = cold
         self.b_ub: np.ndarray | None = None
 
 
@@ -214,8 +210,8 @@ def _highs(columns: tuple, b_ub: np.ndarray, kept: _KeptSolver | None = None) ->
     """Maximize sum(x) s.t. A[:m].x <= b_ub, A[m:].x = 0 and x >= 0, on the
     column-wise (start, index, value) arrays of a 2m-row A.
 
-    Without `kept`, in a fresh HiGHS solver with _HIGHS_OPTIONS; with it,
-    in its solver, whose first LP is solved as a fresh one with its options.
+    Without `kept`, in a fresh HiGHS solver; with it, in its solver, whose
+    first LP is solved as a fresh one.
     """
     m = b_ub.size
     if kept is not None and kept.b_ub is not None:
@@ -226,11 +222,9 @@ def _highs(columns: tuple, b_ub: np.ndarray, kept: _KeptSolver | None = None) ->
             solver.changeRowBounds(row, -_core.kHighsInf, float(b_ub[row]))
     else:
         zeros = np.zeros(m)
-        model = _highs_lp(columns, np.concatenate((np.full(m, -_core.kHighsInf), zeros)),
-                          np.concatenate((b_ub, zeros)), np.zeros(columns[0].size - 1))
         solver = _core._Highs() if kept is None else kept.highs
-        solver.passOptions(_HIGHS_OPTIONS if kept is None else kept.options)
-        if solver.passModel(model) == _core.HighsStatus.kError:
+        if not _pass_lp(solver, columns, np.concatenate((np.full(m, -_core.kHighsInf), zeros)),
+                        np.concatenate((b_ub, zeros)), np.zeros(columns[0].size - 1)):
             return LpSolution(NUMERICAL_FAILURE, (), 0.0)
     if kept is not None:
         kept.b_ub = b_ub
@@ -309,7 +303,7 @@ class _LpForms:
 
     @cached_property
     def solver(self) -> _KeptSolver:
-        return _KeptSolver(_EXACT_OPTIONS, cold=True)
+        return _KeptSolver(cold=True)
 
 
 def _lp_forms(routing: RoutingSystem) -> _LpForms:
@@ -327,10 +321,10 @@ def _float_bound(value) -> float:
         return math.inf
 
 
-def _highs_bounds(bounds: list) -> np.ndarray:
-    """The bounds as floats. Raises ValueError naming the first channel whose
-    bound HiGHS would read as infinite, which would make the LP unbounded."""
-    b_ub = np.fromiter(map(_float_bound, bounds), dtype=float, count=len(bounds))
+def _highs_bounds(bounds, scale: float = 1.0) -> np.ndarray:
+    """The bounds as floats, times `scale`. Raises ValueError naming the first
+    channel whose bound HiGHS would read as infinite (an unbounded LP)."""
+    b_ub = np.fromiter(map(_float_bound, bounds), dtype=float, count=len(bounds)) * scale
     wide = np.flatnonzero(b_ub >= HIGHS_INFINITE_BOUND)
     if wide.size:
         raise ValueError(f"channel {wide[0]}: balance bound at or above "
@@ -496,10 +490,9 @@ def _refine(routing: RoutingSystem, forms: _LpForms, bounds: list,
     slack, shift, x0 = (np.array([float(min(v * scale, 10 ** 19)) for v in values])
                         for values in (slack, shift, x0))
     solver = _core._Highs()
-    solver.passOptions(_EXACT_OPTIONS)
-    solver.passModel(_highs_lp(forms.highs_columns,
-                               np.concatenate((np.full(slack.size, -_core.kHighsInf), shift)),
-                               np.concatenate((slack, shift)), -x0))
+    free = np.full(slack.size, -_core.kHighsInf)
+    _pass_lp(solver, forms.highs_columns, np.concatenate((free, shift)),
+             np.concatenate((slack, shift)), -x0)
     solver.run()
     return _basis_solve(routing, forms, bounds, solver)
 
@@ -544,20 +537,18 @@ def _float_route(routing: RoutingSystem) -> bool:
     return routing.path_count > 0 and cells > EXACT_CELL_LIMIT
 
 
-def _throughput(routing: RoutingSystem, bounds: list,
-                kept: _KeptSolver | None = None) -> ThroughputReport:
+def _throughput(routing: RoutingSystem, bounds: list) -> ThroughputReport:
     """The one-step LP's optimum under per-channel limits F.x <= bounds
     (min(b, c - b) for a balance state b) and (F - B).x = 0.
 
-    A float solve on the float route, in `kept`'s solver when given, else
-    the routing's kept exact report for `bounds`, solved and built on first
-    use.
+    A float solve on the float route, else the routing's kept exact report
+    for `bounds`, solved and built on first use.
     """
     if routing.path_count == 0:
         return ThroughputReport(_ZERO, FlowVector(()), OPTIMAL, CERTIFIED)
     forms = _lp_forms(routing)
     if _float_route(routing):
-        return _report(_highs(forms.highs_columns, _highs_bounds(bounds), kept), FLOAT)
+        return _report(_highs(forms.highs_columns, _highs_bounds(bounds)), FLOAT)
     key = tuple(bounds)
     report = forms.exact_optima.get(key)
     if report is None:
@@ -593,8 +584,12 @@ def max_throughput(network: CreditNetwork, routing: RoutingSystem) -> Fraction |
     float route so is the solver it ran in.
     """
     _check_routing(network, routing)
-    kept = _KeptSolver(_HIGHS_OPTIONS, cold=False) if _float_route(routing) else None
-    report = _throughput(routing, [c / 2 for c in network.capacities], kept)
+    kept = _KeptSolver(cold=False) if _float_route(routing) else None
+    if kept is None:
+        report = _throughput(routing, [c / 2 for c in network.capacities])
+    else:  # halving a double is exact (short of subnormals): the floats of c / 2
+        report = _report(_highs(_lp_forms(routing).highs_columns,
+                                _highs_bounds(network.capacities, 0.5), kept), FLOAT)
     value = _optimal_value(report)
     _lp_forms(routing).ceiling = _Ceiling(network.capacities, value,
                                           np.asarray(report.optimal_flow.amounts),

@@ -41,6 +41,8 @@ Number = Union[int, Fraction]
 def rat(value) -> Fraction:
     """Coerce to an exact rational. Floats are refused: their binary
     expansion is almost never the decimal the caller meant."""
+    if type(value) is Fraction:  # immutable, so shared as it is
+        return value
     if isinstance(value, float):
         raise TypeError(
             "refusing to coerce float %r to a rational; pass int, str, or Fraction"

@@ -1329,15 +1329,16 @@ def test_fine_bounds_are_proved(case, data):
 # _linprog_solution is the float route as it ran through
 # scipy.optimize.linprog(method="highs-ds") on scipy.sparse F and F - B;
 # lp._highs passes the same LP to the same HiGHS binding with the same
-# options, so every result must agree bit for bit.
+# options (presolve off), so every result must agree bit for bit. With
+# linprog's default presolve the objective stays within 1e-9 relative.
 
 
-def _linprog_solution(routing, b_ub):
+def _linprog_solution(routing, b_ub, presolve=False):
     delta = sparse.csr_matrix((routing.sign.astype(float), routing.edge, routing.indptr),
                               shape=(routing.path_count, routing.edge_count)).T
     res = linprog(-np.ones(routing.path_count), A_ub=delta.maximum(0), b_ub=b_ub,
                   A_eq=delta, b_eq=np.zeros(routing.edge_count), bounds=(0, None),
-                  method="highs-ds")
+                  method="highs-ds", options={"presolve": presolve})
     assert res.status == 0
     return lp.LpSolution(lp.OPTIMAL, tuple(float(v) for v in np.maximum(res.x, 0.0)),
                          float(-res.fun) + 0.0, (res.ineqlin.marginals, res.eqlin.marginals))
@@ -1377,8 +1378,39 @@ def test_direct_highs_call_equals_linprog():
         b_ub = lp._highs_bounds(bounds)
         direct = lp._highs(lp._lp_forms(routing).highs_columns, b_ub)
         assert _bits(direct) == _bits(_linprog_solution(routing, b_ub))
+        presolved = _linprog_solution(routing, b_ub, presolve=True)
+        assert math.isclose(direct.objective_value, presolved.objective_value, rel_tol=1e-9)
         count += 1
     assert count == 2 * (200 + 8)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float-ceiling", "exact-branch"])
+def test_highs_holds_the_routings_lp(exact):
+    # the array passModel's fifteen arguments land where HiGHS keeps them:
+    # [F; F - B] column-wise, cost -1 (minimized), 0 <= x and the limit and
+    # net-shift rows' bounds, in the float ceiling's kept solver and in the
+    # exact branch's
+    net = make_network(3, [(0, 1), (0, 2), (1, 2)], [10, 6, 8])
+    paths = PathSet.of_walks(net, [[0, 1], [1, 2], [2, 0], [1, 0], [2, 1], [0, 2], [0, 1, 2]])
+    routing = build_routing_system(net, paths)
+    with _route(exact):
+        lp.max_throughput(net, routing)
+    forms = lp._lp_forms(routing)
+    model = (forms.solver if exact else forms.ceiling.solver).highs.getLp()
+    matrix = model.a_matrix_
+    a = np.zeros((model.num_row_, model.num_col_))
+    for j in range(model.num_col_):
+        rows = slice(matrix.start_[j], matrix.start_[j + 1])
+        a[np.array(matrix.index_[rows], dtype=int), j] = matrix.value_[rows]
+    forward, _, delta = dense_views(routing)
+    assert matrix.format_ == lp._core.MatrixFormat.kColwise
+    assert a.tolist() == [list(map(float, row)) for row in forward + delta]
+    assert model.sense_ == lp._core.ObjSense.kMinimize and model.offset_ == 0
+    assert list(model.col_cost_) == [-1.0] * 7
+    assert list(model.col_lower_) == [0.0] * 7
+    assert list(model.col_upper_) == [math.inf] * 7
+    assert list(model.row_lower_) == [-math.inf] * 3 + [0.0] * 3
+    assert list(model.row_upper_) == [5.0, 3.0, 4.0] + [0.0] * 3
 
 
 def _columns(start, index, value):
