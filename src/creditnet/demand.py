@@ -29,12 +29,13 @@ words, so a table holds the end of the draw that would start at every
 word and one walk from word 0 follows it.  Node ids stay below 2**31, so
 a pair's key s * n + r fits int64.
 
-Routes come off the package's one hop-distance kernel,
-`model.hop_levels`, run on 64 distinct roots at a time, and a next-hop
-table that keeps, for every node and root, the first closer neighbour
-in id order; the tie-break is the lexicographically smallest shortest
-route read from the lower-numbered endpoint, written straight into a
-`model.PathSet`'s arrays.
+Routes come off one all-sources run of the package's hop-distance
+kernel, `model.hop_levels` (the multi-source BFS of Then et al., PVLDB
+8(4), 2014): each walk step is the lowest set bit of the closed
+neighbourhood AND the root's level row one hop nearer, which gives the
+lexicographically smallest shortest route read from the lower-numbered
+endpoint, written straight into a `model.PathSet`'s arrays.  The run
+costs O(levels * arcs * n / 64) whatever the pair count (`build_paths`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CreditNetwork, PathSet, closed_arcs, hop_distances
+from .model import CreditNetwork, PathSet, closed_arcs, hop_levels
 
 UNIFORM = "Uniform"
 SKEWED = "Skewed"
@@ -55,9 +56,6 @@ MODES = (UNIFORM, SKEWED)
 
 DEFAULT_HEAVY_FRACTION = 0.10
 DEFAULT_HEAVY_PROBABILITY = 0.70
-
-# Roots routed together: one uint64 word of source bits per node row.
-_BLOCK = 64
 
 # Most stream words read at once (1 MiB), whatever the demand's size.
 _MAX_CHUNK_WORDS = 1 << 18
@@ -285,6 +283,19 @@ def sample_demand(network: CreditNetwork, spec: DemandSpec) -> DemandMatrix:
     return DemandMatrix(np.stack(np.divmod(keys, n), axis=1))
 
 
+# The bit arithmetic's scalars as np.uint64: under numpy 1.x's value-based
+# casting a Python int there can turn a uint64 result float64
+_M1, _M2, _M4, _H01 = (np.uint64(0x0101010101010101 * k) for k in (0x55, 0x33, 0x0F, 1))
+_U1, _U2, _U4, _U56 = map(np.uint64, (1, 2, 4, 56))
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits per uint64 word, by SWAR (numpy 1.24 has no np.bitwise_count)."""
+    x = x - ((x >> _U1) & _M1)
+    x = (x & _M2) + ((x >> _U2) & _M2)
+    return (((x + (x >> _U4)) & _M4) * _H01 >> _U56).astype(np.int64)
+
+
 def build_paths(network: CreditNetwork, demand: DemandMatrix,
                 seed: int = 0) -> PathSet:
     """One shortest route per pair, with a direction-blind tie-break.
@@ -296,17 +307,21 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
     channels, which keeps round-trip experiments symmetric.  The seed
     parameter is accepted for interface stability but unused.
 
-    Distances depend only on the higher endpoint, the pair's root.  The
-    distinct roots go through `model.hop_distances` in blocks of 64, one
-    uint64 word per node row.  For each (node, root) of a block the
-    next-hop table keeps the first arc in (tail, head) order that is one
-    hop closer to the root, so a walk from the lower endpoint that always
-    takes it is the lexicographically smallest shortest route.  Each
-    block's pairs then walk the table together, one gather per hop, and
-    the walks are scattered into the path set's arrays, reversed where
-    the root sends.  Raises ValueError for the first pair, in demand
-    order, that names a node outside the graph, else for the first that
-    has no route.
+    One `model.hop_levels` run with every node as a source gives the
+    levels: bit u of row v at level d says u lies d hops from v, level 0
+    being the identity.  A pair's length is the level whose row at the
+    higher endpoint, the root, holds the lower endpoint's bit.  The
+    pairs walk from the lower endpoint together, longest first so that
+    those still walking are a prefix; each step takes the smallest-id
+    closer neighbour, the lowest bit of the closed neighbourhood (levels
+    0 and 1) AND the root's row one level nearer.  A hop's arc is the
+    tail's first arc in the head's word plus the popcount of the
+    neighbourhood bits below the head; the walks are scattered into the
+    path set's arrays, reversed where the root sends.  The levels cost
+    O(levels * arcs * n / 64) whatever the pair count, so a few pairs on
+    a graph far past 1,000 nodes pay for rows they never walk.  Raises
+    ValueError for the first pair, in demand order, that names a node
+    outside the graph, else for the first that has no route.
     """
     del seed
     n = network.node_count
@@ -318,52 +333,49 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
         raise ValueError(f"pair ({source[i]}, {destination[i]}) names a node "
                          f"outside 0..{n - 1}")
     arcs = closed_arcs(n, network.edges)
-    arc_count = len(arcs.heads)
-    arc_sign = np.where(arcs.tails < arcs.heads, 1, -1)
-    self_arc = np.flatnonzero(arcs.edge < 0)[:, None]
-    arc_ids = np.arange(arc_count, dtype=np.int32)[:, None]
-
-    roots, root_of = np.unique(highs, return_inverse=True)
-    order = np.argsort(root_of, kind="stable")
-    bounds = np.searchsorted(root_of[order],
-                             np.arange(0, len(roots) + _BLOCK, _BLOCK))
-    length = np.zeros(len(source), dtype=np.int64)  # 0 until routed
-    blocks = []
-    for block, first in enumerate(range(0, len(roots), _BLOCK)):
-        dist = hop_distances(arcs, roots[first:first + _BLOCK])
-        # Next hop toward each root: the first arc one hop closer, or the
-        # node's self-arc where there is none (at the root, or out of
-        # reach).  Summed in place to hold fewer arcs x roots arrays.
-        closer = dist[arcs.heads]
-        closer += 1
-        closer = closer == dist[arcs.tails]
-        step = np.minimum.reduceat(
-            np.where(closer, arc_ids, arc_count), arcs.starts)
-        step = np.where(step < arc_count, step, self_arc)
-        members = order[bounds[block]:bounds[block + 1]]
-        hops = dist[lows[members], root_of[members] - first]
-        members, hops = members[hops > 0], hops[hops > 0]
-        column = root_of[members] - first
-        here = lows[members]
-        walks = np.empty((len(members), hops.max(initial=0)), dtype=np.int64)
-        for hop in range(walks.shape[1]):
-            walks[:, hop] = step[here, column]
-            here = arcs.heads[walks[:, hop]]
-        length[members] = hops
-        blocks.append((members, walks))
+    width = -(-n // 64)
+    nodes = np.arange(n)
+    bit = np.left_shift(_U1, (nodes & 63).astype(np.uint64))
+    identity = np.zeros((n, width), dtype=np.uint64)
+    identity[nodes, nodes >> 6] = bit
+    level = np.stack([identity, *hop_levels(arcs, nodes)])
+    near = np.bitwise_or.reduce(level[:2])
+    length = ((level[:, highs, lows >> 6] & bit[lows]) != 0).argmax(axis=0)
     if not length.all():
         i = int(np.argmin(length))
         raise ValueError(f"no route between {source[i]} and {destination[i]}")
+
+    order = np.argsort(-length)
+    hops = length[order]
+    span = length.max(initial=0)
+    walking = len(hops) - np.bincount(hops, minlength=span).cumsum()
+    # the row, among all levels' rows, of each walker's root one level
+    # nearer than its lower endpoint; one level nearer per hop after that
+    row = (hops - 1) * n + highs[order]
+    rows = level.reshape(-1, width)
+    walk = np.empty((span + 1, len(hops)), dtype=np.int64)
+    walk[0] = lows[order]
+    index = np.arange(len(hops))
+    for t, k in enumerate(walking[:span].tolist()):
+        closer = near[walk[t, :k]]
+        closer &= rows[row[:k] - t * n]
+        word = (closer != 0).argmax(axis=1)
+        low = closer[index[:k], word]
+        low &= ~low + _U1  # the lowest set bit, 2**i: its float exponent is i + 1
+        walk[t + 1, :k] = (word << 6) + np.frexp(low.astype(np.float64))[1] - 1
+
+    hop, walker = np.nonzero(np.arange(span)[:, None] < hops)
+    tail, head = walk[hop, walker], walk[hop + 1, walker]
+    fan = np.bincount(arcs.tails * width + (arcs.heads >> 6), minlength=n * width)
+    arc = (np.cumsum(fan) - fan)[tail * width + (head >> 6)] + _popcount(
+        near[tail, head >> 6] & (bit[head] - _U1))
+    # a walk runs from the lower endpoint to the root: it is the route
+    # when the lower endpoint sends, and the route reversed otherwise
+    pair = order[walker]
+    reverse = source[pair] > destination[pair]
     indptr = np.concatenate(([0], np.cumsum(length)))
+    place = indptr[pair] + np.where(reverse, length[pair] - 1 - hop, hop)
     edge, sign = np.empty((2, indptr[-1]), dtype=np.int64)
-    for members, walks in blocks:
-        # a walk runs from the lower endpoint to the root: it is the route
-        # when the lower endpoint sends, and the route reversed otherwise
-        hop = np.arange(walks.shape[1])
-        hops = length[members, None]
-        reverse = (source[members] > destination[members])[:, None]
-        place = indptr[members, None] + np.where(reverse, hops - 1 - hop, hop)
-        sent = hop < hops
-        edge[place[sent]] = arcs.edge[walks[sent]]
-        sign[place[sent]] = (np.where(reverse, -1, 1) * arc_sign[walks])[sent]
+    edge[place] = arcs.edge[arc]
+    sign[place] = np.where((tail < head) != reverse, 1, -1)
     return PathSet(source, destination, indptr, edge, sign)

@@ -17,7 +17,7 @@ come back through `PathSet.walks`, which runs that one check first.
 
 Hop distances come from one kernel, `hop_levels`: a breadth-first search
 from many sources at once on bitset rows.  Route building and every
-path-length mix in synthesis run on it.
+path-length mix in synthesis run it with every node as a source.
 """
 
 from __future__ import annotations
@@ -181,19 +181,6 @@ def hop_levels(arcs: Arcs, sources) -> Iterator[np.ndarray]:
             return
         reach = grown
         yield new
-
-
-def hop_distances(arcs: Arcs, sources) -> np.ndarray:
-    """Hop distance from sources[j] to node v at [v, j], -1 where v is
-    unreachable: the kernel's levels unpacked into distance columns."""
-    width = len(sources)
-    dist = np.full((len(arcs.starts), width), -1, dtype=np.int32)
-    dist[np.asarray(sources, dtype=np.int64), np.arange(width)] = 0
-    for level, new in enumerate(hop_levels(arcs, sources), 1):
-        bits = np.unpackbits(new.astype("<u8").view(np.uint8), axis=1,
-                             bitorder="little")[:, :width]
-        dist[bits.view(bool)] = level
-    return dist
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creditnet import demand, fileio
+from creditnet import demand, fileio, topology
 from creditnet.model import PathSet, make_network
 
 
@@ -294,7 +295,6 @@ def test_reversed_pair_rides_the_same_channels():
 
 
 def test_reversed_pairs_symmetric_on_random_graphs():
-    from creditnet import topology
     spec = topology.TopologySpec(kind=topology.ERDOS_RENYI, node_count=40,
                                  edge_budget=90, seed=13)
     net = topology.gen_topology(spec)
@@ -382,12 +382,13 @@ def _assert_routes_match(paths, reference):
 
 @st.composite
 def routing_cases(draw):
-    """A graph of 2-150 nodes (split into components with isolated nodes,
+    """A graph of 2-150 nodes, or of a count either side of one or two
+    64-bit words of node bits (split into components with isolated nodes,
     a star with a few chords, or a preferential-attachment graph) and up
     to 400 distinct pairs, some with their reverse and, sometimes, a few
     naming nodes outside the graph."""
     family = draw(st.sampled_from(["components", "star", "attachment"]))
-    n = draw(st.integers(2, 150))
+    n = draw(st.integers(2, 150) | st.sampled_from([63, 64, 65, 127, 128, 129]))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     edges = set()
     if family == "attachment":
@@ -450,13 +451,63 @@ def test_routes_match_plain_bfs_reference(case):
     assert PathSet.of_walks(net, paths.walks(net)) == paths
 
 
-def test_routes_cross_a_word_of_roots():
-    # 130 distinct roots on a preferential-attachment graph: three blocks
+def test_routes_cross_words_of_node_bits():
+    # 150 nodes, three 64-bit words per bitset row: many steps pick among
+    # closer neighbours in different words, and most take a neighbour
+    # outside the first word of the node's own neighbourhood
     graph = nx.barabasi_albert_graph(150, 2, seed=3)
     net = make_network(150, list(graph.edges()), [1] * graph.number_of_edges())
     pairs = tuple((v, v * 37 % 97 % v) for v in range(20, 150)) \
         + tuple((v * 37 % 97 % v, v) for v in range(20, 150))
     matrix = demand.DemandMatrix(pairs=pairs)
-    assert len({max(p) for p in pairs}) == 130
-    _assert_routes_match(demand.build_paths(net, matrix),
-                         _reference_paths(net, matrix))
+    reference = _reference_paths(net, matrix)
+    spread = skipped = 0
+    for (s, r), walk in zip(pairs, PathSet.of(reference).walks(net)):
+        dist = nx.single_source_shortest_path_length(graph, max(s, r))
+        walk = walk if s < r else walk[::-1]  # lower endpoint first
+        for here, step in zip(walk, walk[1:]):
+            closer = [v for v in graph[here] if dist[v] == dist[here] - 1]
+            spread += len({v >> 6 for v in closer}) > 1
+            skipped += step >> 6 != min(v >> 6 for v in [here, *graph[here]])
+    assert spread >= 20 and skipped >= 20
+    _assert_routes_match(demand.build_paths(net, matrix), reference)
+
+
+_STRESS_DIGESTS = (
+    (topology.ERDOS_RENYI, 400, 1600, 0, 12000, demand.UNIFORM,
+     "ad7edaeffc4e2922252e778b4e1cc16609a5b4c856a7d69a7f21b0a7e1fc925c"),
+    (topology.ERDOS_RENYI, 400, 1600, 0, 12000, demand.SKEWED,
+     "2ae3a0fc5cd649ba655782411f0a818c315941de888c64e3a4fd358b96fbd89b"),
+    (topology.SCALE_FREE_BA, 400, 1584, 0, 12000, demand.UNIFORM,
+     "cf4c9481a771f4df4fcdbf8a7e6294d68ebb667cabfc2f0d7cefa96d967ea36a"),
+    (topology.ERDOS_RENYI, 400, 1600, 15, 12000, demand.UNIFORM,
+     "dbaa7d42cd4c252754ebd934b357dd6bb01cf5a4351bd41c8cd410534c50d967"),
+    (topology.ERDOS_RENYI, 400, 1600, 15, 12000, demand.SKEWED,
+     "6adb592891a6abc67cc4b62750b2c0f73e249a768ff9d58937e4f4bbf33e4b8f"),
+    (topology.SCALE_FREE_BA, 400, 1584, 15, 12000, demand.UNIFORM,
+     "33d4e36e3fba122808f0ae6b16d3e290c589218bcbb6b299501b0ab119ecdf78"),
+    (topology.ERDOS_RENYI, 1000, 4000, 0, 40, demand.UNIFORM,
+     "2ee3cbdef3c249e90c1780b81751f4921c1d5c7429820df823b2a9c6d05c083e"),
+    (topology.ERDOS_RENYI, 1000, 4000, 0, 30000, demand.UNIFORM,
+     "69678b86944906ff8a35f699e29da1eceb36de2ff1702da06f499568d8b3bdd6"),
+    (topology.SCALE_FREE_BA, 1000, 3984, 0, 40, demand.UNIFORM,
+     "4b82ec55e1ef87294d66191fac62784c2135aa7ec251946e8709534639a14fb9"),
+    (topology.SCALE_FREE_BA, 1000, 3984, 0, 30000, demand.UNIFORM,
+     "58262e48b7685c8d762fa0cb13735904c7a9e6d3f7e696ae946bbb78d65c92fd"),
+)
+
+
+def test_routes_keep_their_recorded_digests_at_stress_size():
+    # SHA-256 over the five arrays, recorded from the per-root-block
+    # routing that came before: peel-stress's three cells on pool entries
+    # 0 and 15 (12,000 pairs on 400 nodes, graph seed = entry, demand seed
+    # one more), and ER and BA 1000/4000 cells with 40 and 30,000 pairs
+    for kind, n, budget, seed, pairs, mode, digest in _STRESS_DIGESTS:
+        net = topology.gen_topology(topology.TopologySpec(
+            kind=kind, node_count=n, edge_budget=budget, seed=seed))
+        paths = demand.build_paths(net, demand.sample_demand(
+            net, demand.DemandSpec(pair_count=pairs, mode=mode, seed=seed + 1)))
+        h = hashlib.sha256()
+        for name in ("source", "destination", "indptr", "edge", "sign"):
+            h.update(getattr(paths, name).astype("<i8").tobytes())
+        assert h.hexdigest() == digest, (kind, n, seed, pairs, mode)
