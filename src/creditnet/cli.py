@@ -582,7 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "corpus")
     p.add_argument("--corpus", required=True,
                    help="directory of *.graph with sibling *.paths")
-    p.add_argument("--max-edges", type=int, default=20)
+    p.add_argument("--max-edges", type=int, default=20,
+                   help="largest peeling core the exact search takes; an "
+                        "instance with a larger one counts as unsolved")
     p.add_argument("--time-budget", type=float, default=None)
     p.set_defaults(handler=cmd_verify)
 

@@ -2,8 +2,8 @@
 
 Three independent oracles live here:
 
-* an exhaustive maximum-deadlock search over per-channel imbalance
-  assignments (branch-and-bound with unit propagation),
+* the maximum-deadlock search, one 0/1 program over the peeling core in
+  HiGHS (Huangfu & Hall, Math. Prog. Comp. 10, 2018),
 * a discretized reachability enumeration over the balance lattice, and
 * the stuck-channel brute force built on top of it.
 
@@ -18,33 +18,33 @@ them.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
+import numpy as np
+from scipy.optimize._highspy import _core
+
+from .lp import _HIGHS_OPTIONS, _highs_options
 from .model import (
     BACKWARD,
-    FORWARD,
     BalanceState,
     CreditNetwork,
     PathSet,
     RoutingSystem,
     build_routing_system,
     check_balances,
-    make_state,
     rat,
 )
+from .peeling import residue
 
 OPTIMAL = "Optimal"
 UNSOLVED = "Unsolved"
 
-# Per-edge imbalance states. Blocking forward means the lower endpoint holds
-# zero balance, so nothing can move in the canonical direction; blocking
-# backward pins the full capacity there instead. An edge cannot be drained at
-# both ends at once, so these three states are exhaustive.
-BLOCK_FORWARD = 0
-BLOCK_BACKWARD = 1
-OPEN_BOTH = 2
+# A relaxation bit further than this from 0 or 1 is fractional
+_INTEGRALITY_TOL = 1e-6
 
 REACHABLE_STATE_GUARD = 10**6
 
@@ -69,6 +69,71 @@ class DeadlockAssignment:
         return {e: self.witness_state.balances[e] for e in sorted(self.deadlocked_edges)}
 
 
+def _core_model(routing: RoutingSystem, core: np.ndarray) -> tuple:
+    """HiGHS's row-wise (lower, upper, start, index, value) of the deadlock
+    program on the core channels. Column 2 * i + d is set when channel
+    core[i] is drained at the sending end of direction d, so it blocks its
+    hops in direction d. Row r, one per core hop, holds every core hop of
+    its path: +1 on their blocking bits, but -1 on the other bit of its own
+    channel, so that a channel drained against a path needs another core hop
+    of the path to block it. One row per core channel then sets at most one
+    of its bits."""
+    position = np.full(routing.edge_count, -1)
+    position[core] = np.arange(core.size)
+    at = position[routing.edge]
+    kept = at >= 0
+    column = 2 * at[kept] + (routing.sign[kept] < 0)
+    path = routing.path[kept]
+    counts = np.bincount(path, minlength=routing.path_count)
+    first, length = (np.cumsum(counts) - counts)[path], counts[path]
+    row = np.repeat(np.arange(column.size), length)
+    start = np.concatenate(([0], np.cumsum(length)))
+    entry = first[row] + np.arange(start[-1]) - start[row]
+    own = entry == row
+    pairs = np.arange(1, core.size + 1)
+    return (np.concatenate((np.zeros(column.size), np.full(core.size, -_core.kHighsInf))),
+            np.concatenate((np.full(column.size, _core.kHighsInf), np.ones(core.size))),
+            np.concatenate((start, start[-1] + 2 * pairs)).astype(np.int32),
+            np.concatenate((column[entry] ^ own, np.arange(2 * core.size))).astype(np.int32),
+            np.concatenate((np.where(own, -1.0, 1.0), np.ones(2 * core.size))))
+
+
+@cache
+def _solver(integral: bool) -> _core._Highs:
+    """The relaxation's solver, with lp's options, or the MIP's, with
+    presolve on (ten times faster than off on criterion-3 gadgets) and no
+    relative gap, so that Optimal is the maximum; kept for the process."""
+    solver = _core._Highs()
+    solver.passOptions(_highs_options(mip_rel_gap=0.0) if integral else _HIGHS_OPTIONS)
+    return solver
+
+
+def _solve(model: tuple, integral: bool, deadline: float) -> np.ndarray | None:
+    """The bits of `model` with the largest sum, as a 0/1 program or its
+    relaxation; None when the time left until `deadline` runs out first.
+    The model is passed with clearModel, so no call sees the one before."""
+    lower, upper, start, index, value = model
+    solver = _solver(integral)
+    # the last rows, one per core channel, hold every column
+    ncol = int(index.max()) + 1
+    ones = np.ones(ncol)
+    solver.clearModel()
+    solver.setOptionValue("time_limit", max(deadline - time.monotonic(), 0.0))
+    if solver.passModel(ncol, lower.size, index.size, _core.MatrixFormat.kRowwise,
+                        _core.ObjSense.kMaximize, 0.0, ones, np.zeros(ncol), ones, lower,
+                        upper, start, index, value,
+                        np.full(ncol, int(integral), np.int32)) == _core.HighsStatus.kError:
+        raise RuntimeError("HiGHS refused the deadlock model")
+    solver.run()
+    status = solver.getModelStatus()
+    if status == _core.HighsModelStatus.kTimeLimit:
+        return None
+    if status != _core.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"HiGHS ended the deadlock model with "
+                           f"{solver.modelStatusToString(status)}")
+    return np.array(solver.getSolution().col_value)
+
+
 def max_deadlock_exact(
     network: CreditNetwork,
     paths: PathSet,
@@ -79,109 +144,41 @@ def max_deadlock_exact(
 
     A channel can sit in a deadlock only if it is fully imbalanced and every
     path routed over it (in either direction) is blocked by some fully
-    imbalanced hop. The search branches per edge over the three imbalance
-    states, propagates forced blocks, and prunes with the optimistic count
-    of still-undecided edges. Budget overruns return an Unsolved result
-    rather than a silent bound.
+    imbalanced hop. A peeled channel can always move, so only the peeling
+    core (`peeling.residue`'s unpeeled edges) can deadlock, and the search
+    is one 0/1 program on it (`_core_model`). Its LP relaxation bounds it,
+    so an integral relaxation optimum is the maximum; otherwise HiGHS's MIP
+    solves it. A core of over `max_edges` channels, or a run past
+    `time_budget` seconds, returns Unsolved rather than a silent bound.
     """
+    if max_edges < 0:
+        raise ValueError(f"max_edges must be non-negative, got {max_edges}")
+    budget = math.inf if time_budget is None else time_budget
+    if not budget >= 0:
+        raise ValueError(f"time budget must be a non-negative number, got {time_budget}")
+    deadline = time.monotonic() + budget
     routing = build_routing_system(network, paths)
-    ecount = network.edge_count
-    if ecount > max_edges:
+    core = np.array(sorted(residue(routing).unpeeled_edges), dtype=np.intp)
+    bits = np.zeros(0)
+    if core.size > max_edges:
+        bits = None
+    elif core.size:
+        model = _core_model(routing, core)
+        bits = _solve(model, False, deadline)
+        if bits is not None and np.abs(bits - np.round(bits)).max() > _INTEGRALITY_TOL:
+            bits = _solve(model, True, deadline)
+    if bits is None:
         return DeadlockAssignment(UNSOLVED, frozenset(), (), None)
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
-
-    # BLOCK_* equal the directions: value v of edge e blocks the paths on
-    # channel 2 * e + v, and an open hop c blocks as value c & 1 of edge c >> 1
-    channel = routing.directed_paths
-    hops = routing.directed.tolist()
-    starts = routing.indptr.tolist()
-    order = sorted(range(ecount), key=lambda e: (-len(channel[2 * e] + channel[2 * e + 1]), e))
-
-    best_count = 0
-    best_blocking: dict[int, int] = {}
-    timed_out = False
-
-    def apply(state, edge, value) -> bool:
-        assign, nblock, nundec, needs = state
-        stack = [(edge, value)]
-        while stack:
-            e, v = stack.pop()
-            if assign[e] is not None:
-                if assign[e] != v:
-                    return False
-                continue
-            assign[e] = v
-            on_edge = channel[2 * e] + channel[2 * e + 1]
-            for p in on_edge:
-                nundec[p] -= 1
-            if v != OPEN_BOTH:
-                for p in on_edge:
-                    needs[p] = True
-                for p in channel[2 * e + v]:
-                    nblock[p] += 1
-            for p in on_edge:
-                if nblock[p] > 0 or not needs[p]:
-                    continue
-                if nundec[p] == 0:
-                    return False
-                if nundec[p] == 1:
-                    for c in hops[starts[p]:starts[p + 1]]:
-                        if assign[c >> 1] is None:
-                            stack.append((c >> 1, c & 1))
-                            break
-        return True
-
-    def search(state) -> None:
-        nonlocal best_count, best_blocking, timed_out
-        if timed_out:
-            return
-        if deadline is not None and time.monotonic() >= deadline:
-            timed_out = True
-            return
-        assign = state[0]
-        deadlocked = [e for e in range(ecount) if assign[e] in (BLOCK_FORWARD, BLOCK_BACKWARD)]
-        undecided = [e for e in order if assign[e] is None]
-        if len(deadlocked) + len(undecided) <= best_count:
-            return
-        if not undecided:
-            best_count = len(deadlocked)
-            best_blocking = {e: assign[e] for e in deadlocked}
-            return
-        edge = undecided[0]
-        for value in (BLOCK_FORWARD, BLOCK_BACKWARD, OPEN_BOTH):
-            if best_count == ecount or timed_out:
-                return
-            child = (
-                list(state[0]),
-                list(state[1]),
-                list(state[2]),
-                list(state[3]),
-            )
-            if apply(child, edge, value):
-                search(child)
-
-    search(([None] * ecount, [0] * routing.path_count,
-            [b - a for a, b in zip(starts, starts[1:])], [False] * routing.path_count))
-
-    if timed_out:
-        return DeadlockAssignment(UNSOLVED, frozenset(), (), None)
-
-    balances = []
-    for e, cap in enumerate(network.capacities):
-        if e in best_blocking:
-            balances.append(Fraction(0) if best_blocking[e] == BLOCK_FORWARD else cap)
-        else:
-            balances.append(cap / 2)
-    directions = tuple(
-        (e, FORWARD if best_blocking[e] == BLOCK_FORWARD else BACKWARD)
-        for e in sorted(best_blocking)
-    )
-    return DeadlockAssignment(
-        OPTIMAL,
-        frozenset(best_blocking),
-        directions,
-        make_state(network, balances),
-    )
+    # bit 2 * i + d blocks direction d, FORWARD (0) or BACKWARD (1), and its
+    # channel is drained at that direction's sending end: 0 forward, the
+    # capacity backward
+    drained = np.flatnonzero(np.round(bits))
+    blocking = dict(zip(core[drained >> 1].tolist(), (drained & 1).tolist()))
+    balances = [cap / 2 for cap in network.capacities]
+    for e, d in blocking.items():
+        balances[e] = network.capacities[e] if d == BACKWARD else Fraction(0)
+    return DeadlockAssignment(OPTIMAL, frozenset(blocking), tuple(sorted(blocking.items())),
+                              BalanceState(tuple(balances)))
 
 
 def export_ilp(network: CreditNetwork, paths: PathSet) -> str:

@@ -577,6 +577,16 @@ def test_invalid_input_exits_two(tmp_path, capsys):
         rc = main(argv + ["--out-dir", str(tmp_path)])
         assert rc == EXIT_BAD_INPUT, argv
         assert message in capsys.readouterr().err
+    # the exact search's limits: a NaN or negative time budget and a
+    # negative core cap are bad input, not an exhausted budget
+    (tmp_path / "corpus").mkdir()
+    _line_files(tmp_path / "corpus")
+    for flags, message in ((["--time-budget", "nan"], "time budget"),
+                           (["--time-budget=-1"], "time budget"),
+                           (["--max-edges=-5"], "max_edges must be non-negative")):
+        rc = main(["verify", "--corpus", str(tmp_path / "corpus")] + flags)
+        assert rc == EXIT_BAD_INPUT, flags
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, message", [

@@ -16,12 +16,10 @@ from creditnet import (
     make_network,
     make_state,
 )
-from creditnet import lp
+from creditnet import lp, oracle
+from creditnet.demand import DemandSpec, build_paths, sample_demand
 from creditnet.model import check_balances
 from creditnet.oracle import (
-    BLOCK_BACKWARD,
-    BLOCK_FORWARD,
-    OPEN_BOTH,
     OPTIMAL,
     REACHABLE_STATE_GUARD,
     DeadlockAssignment,
@@ -31,8 +29,9 @@ from creditnet.oracle import (
     export_ilp,
     max_deadlock_exact,
 )
-from creditnet.peeling import build_peeling_graph, peel
-from creditnet.reduction import cnf_to_creditnet
+from creditnet.peeling import build_peeling_graph, peel, residue
+from creditnet.reduction import CnfFormula, cnf_to_creditnet
+from creditnet.topology import SCALE_FREE_BA, TopologySpec, gen_topology
 from test_acceptance import criterion_2_instances, criterion_3_formulas
 from test_lp import _er_instance, _fresh_routing, _route
 from test_model import small_instance
@@ -121,7 +120,8 @@ def test_unpeeled_bounds_exact_deadlock_from_above(line):
 def test_unpeeled_count_bounds_exact_deadlock_size(instance, seed):
     net, paths, _, _ = instance
     exact = max_deadlock_exact(net, paths)
-    assert exact.status == "Optimal"
+    assert exact.size == _reference_deadlock(net, paths).size
+    _assert_witness(net, paths, exact)
     assert len(peel(build_peeling_graph(net, paths), seed=seed).unpeeled_edges) >= exact.size
 
 
@@ -161,6 +161,17 @@ def test_time_budget_returns_unsolved(line):
     result = max_deadlock_exact(net, paths, time_budget=0.0)
     assert result.status == "Unsolved"
     assert result.deadlocked_edges == frozenset()
+
+
+@pytest.mark.parametrize("limits, message", [
+    (dict(time_budget=float("nan")), "time budget must be a non-negative number"),
+    (dict(time_budget=-1.0), "time budget must be a non-negative number"),
+    (dict(max_edges=-5), "max_edges must be non-negative"),
+])
+def test_search_refuses_bad_limits(line, limits, message):
+    net, paths, _ = line
+    with pytest.raises(ValueError, match=message):
+        max_deadlock_exact(net, paths, **limits)
 
 
 def _reference_ilp_maximum(net, paths):
@@ -242,6 +253,15 @@ def test_search_matches_reference_milp(line):
 
 
 # --- tuple-based references ---
+#
+# Per-edge imbalance states of the reference search. Blocking forward means
+# the lower endpoint holds zero balance, so nothing can move in the canonical
+# direction; blocking backward pins the full capacity there instead. An edge
+# cannot be drained at both ends at once, so these three states are
+# exhaustive.
+BLOCK_FORWARD = 0
+BLOCK_BACKWARD = 1
+OPEN_BOTH = 2
 #
 # The maximum-deadlock search and the ILP export on (edge, direction) hop
 # tuples and a channel -> (path, direction) index, both rebuilt from the
@@ -335,14 +355,88 @@ def _reference_ilp(net, paths):
     return "\n".join(lines + ["Binaries", " " + " ".join(names), "End"]) + "\n"
 
 
+def _assert_witness(net, paths, deadlock):
+    """The deadlock's witness, checked without the search: each deadlocked
+    channel sits at the balance of its blocking direction, 0 forward or the
+    capacity backward, every other at the midpoint, and every path over a
+    deadlocked channel has a hop whose sending balance is 0."""
+    assert deadlock.status == OPTIMAL
+    balances, caps = deadlock.witness_state.balances, net.capacities
+    assert {e for e, _ in deadlock.blocking_directions} == deadlock.deadlocked_edges
+    expected = [caps[e] / 2 for e in range(net.edge_count)]
+    for e, d in deadlock.blocking_directions:
+        expected[e] = Fraction(0) if d == FORWARD else caps[e]
+    assert list(balances) == expected
+    for path in paths:
+        if any(e in deadlock.deadlocked_edges for e, _ in path.hops):
+            assert any((balances[e] if d == FORWARD else caps[e] - balances[e]) == 0
+                       for e, d in path.hops)
+
+
 def test_oracles_match_tuple_reference_on_criterion_corpora(line):
+    # maximum sets may tie, so the search must match the reference's size,
+    # not its set, with a witness that passes the independent check
     corpus = [(line[0], line[1], 20)]
     corpus += [(net, paths, 20) for _, _, net, paths in criterion_2_instances()]
     corpus += [(*cnf_to_creditnet(cnf), 80) for cnf in criterion_3_formulas()]
     for net, paths, max_edges in corpus:
-        assert max_deadlock_exact(net, paths, max_edges=max_edges) == \
-            _reference_deadlock(net, paths)
+        deadlock = max_deadlock_exact(net, paths, max_edges=max_edges)
+        assert deadlock.size == _reference_deadlock(net, paths).size
+        _assert_witness(net, paths, deadlock)
         assert export_ilp(net, paths) == _reference_ilp(net, paths)
+
+
+# criterion-3 formula 189, whose gadget's LP relaxation is fractional
+_FRACTIONAL_GADGET = CnfFormula(variable_count=2, clauses=((2, 1), (-2, -1), (2, -1)))
+
+
+def test_fractional_relaxation_runs_the_mip(monkeypatch):
+    solved = []
+    solve = oracle._solve
+
+    def spy(model, integral, deadline):
+        bits = solve(model, integral, deadline)
+        solved.append((integral, bits))
+        return bits
+
+    monkeypatch.setattr(oracle, "_solve", spy)
+    net, paths = cnf_to_creditnet(_FRACTIONAL_GADGET)
+    deadlock = max_deadlock_exact(net, paths)
+    (_, relaxed), (integral, bits) = solved
+    assert np.abs(relaxed - np.round(relaxed)).max() > 0.1
+    assert integral and set(bits.tolist()) <= {0.0, 1.0}
+    assert deadlock.size == _reference_deadlock(net, paths).size
+    _assert_witness(net, paths, deadlock)
+
+
+def test_kept_solvers_carry_nothing_between_calls(line):
+    # the MIP gadget, an instance whose relaxation is integral, and the line
+    _, _, net, paths = next(
+        case for case in criterion_2_instances()
+        if max_deadlock_exact(case[2], case[3]).size > 2)
+    instances = [cnf_to_creditnet(_FRACTIONAL_GADGET), (net, paths), line[:2]]
+    alone = []
+    for instance in instances:
+        # new solvers, which no other instance has passed through
+        oracle._solver.cache_clear()
+        alone.append(max_deadlock_exact(*instance))
+    for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2, 0, 1]):
+        for i in order:
+            assert max_deadlock_exact(*instances[i]) == alone[i]
+
+
+def test_stress_core_is_solved_whole():
+    # 3,984 channels and a core of 363, where the search once recursed once
+    # per channel into a RecursionError
+    net = gen_topology(TopologySpec(kind=SCALE_FREE_BA, node_count=1000,
+                                    edge_budget=4000, seed=0))
+    paths = build_paths(net, sample_demand(net, DemandSpec(pair_count=30000, seed=0)))
+    core = residue(build_routing_system(net, paths)).unpeeled_edges
+    assert net.edge_count > 3000 and 300 < len(core) < 500
+    deadlock = max_deadlock_exact(net, paths, max_edges=len(core))
+    assert deadlock.deadlocked_edges == core
+    _assert_witness(net, paths, deadlock)
+    assert max_deadlock_exact(net, paths, max_edges=len(core) - 1).status == "Unsolved"
 
 
 # --- exported 0/1 program ---
@@ -616,11 +710,12 @@ def test_worst_state_is_the_floor_on_small_instances(instance):
 
 
 def test_worst_state_refuses_an_unsolved_search():
-    # 24 channels, over the search's 20-channel cap; an Unsolved result
-    # has no witness, and its empty freeze would read as the ceiling 16250/3
+    # a core of 8 channels, over a 7-channel cap; an Unsolved result has no
+    # witness, and its empty freeze would read as the ceiling 16250/3
     net, paths, routing = _er_instance(12, 24, 60, seed=1, demand_seed=1)
-    deadlock = max_deadlock_exact(net, paths)
-    assert net.edge_count == 24 and deadlock.status == "Unsolved"
+    assert len(residue(routing).unpeeled_edges) == 8
+    deadlock = max_deadlock_exact(net, paths, max_edges=7)
+    assert deadlock.status == "Unsolved"
     assert lp.max_throughput(net, routing) == Fraction(16250, 3)
     with pytest.raises(ValueError, match="status Unsolved"):
         lp.worst_state_throughput(net, routing, deadlock)
