@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -92,6 +93,12 @@ class SweepConfig:
         if not self.topologies or not self.densities:
             raise ValueError("sweep needs at least one topology and one "
                              "demand density")
+        for name, value in (*(("density", d) for d in self.densities),
+                            ("graph_instances", self.graph_instances),
+                            ("demand_matrices", self.demand_matrices),
+                            ("seed", self.base_seed)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.graph_instances < 1 or self.demand_matrices < 1:
             raise ValueError("trial counts must be positive")
         if self.demand_mode not in MODES:
@@ -120,13 +127,19 @@ def desk_scale_config(seed: int = 0) -> SweepConfig:
     )
 
 
+def _listed(data: dict, key: str) -> list:
+    if not isinstance(data[key], list):
+        raise ValueError(f"{key} must be a list, got {data[key]!r}")
+    return data[key]
+
+
 def load_sweep_config(path: Path) -> SweepConfig:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     specs = []
-    for entry in data["topologies"]:
+    for entry in _listed(data, "topologies"):
         specs.append(TopologySpec(
             kind=entry["kind"],
-            node_count=int(entry["nodes"]),
+            node_count=entry["nodes"],
             edge_budget=entry.get("edges"),
             degree=entry.get("degree"),
             rewire_prob=entry.get("rewire_prob", 0.1),
@@ -134,10 +147,10 @@ def load_sweep_config(path: Path) -> SweepConfig:
         ))
     return SweepConfig(
         topologies=tuple(specs),
-        densities=tuple(int(d) for d in data["densities"]),
-        graph_instances=int(data.get("graph_instances", DESK_GRAPHS)),
-        demand_matrices=int(data.get("demand_matrices", DESK_DEMANDS)),
-        base_seed=int(data.get("seed", 0)),
+        densities=tuple(_listed(data, "densities")),
+        graph_instances=data.get("graph_instances", DESK_GRAPHS),
+        demand_matrices=data.get("demand_matrices", DESK_DEMANDS),
+        base_seed=data.get("seed", 0),
         demand_mode=data.get("demand_mode", UNIFORM),
         with_phi_max=bool(data.get("phi_max", True)),
         with_phi_min=bool(data.get("phi_min", True)),

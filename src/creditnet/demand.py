@@ -332,7 +332,7 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
         i = int(np.argmax(outside))
         raise ValueError(f"pair ({source[i]}, {destination[i]}) names a node "
                          f"outside 0..{n - 1}")
-    arcs = closed_arcs(n, network.edges)
+    arcs = closed_arcs(n, network.edge_array)
     width = -(-n // 64)
     nodes = np.arange(n)
     bit = np.left_shift(_U1, (nodes & 63).astype(np.uint64))
@@ -356,26 +356,54 @@ def build_paths(network: CreditNetwork, demand: DemandMatrix,
     walk = np.empty((span + 1, len(hops)), dtype=np.int64)
     walk[0] = lows[order]
     index = np.arange(len(hops))
+    # a block of walkers at a time, so that the rows gathered for one
+    # step stay near 1 MiB whatever the pair count
+    block = max(1, (1 << 17) // width)
     for t, k in enumerate(walking[:span].tolist()):
-        closer = near[walk[t, :k]]
-        closer &= rows[row[:k] - t * n]
-        word = (closer != 0).argmax(axis=1)
-        low = closer[index[:k], word]
-        low &= ~low + _U1  # the lowest set bit, 2**i: its float exponent is i + 1
-        walk[t + 1, :k] = (word << 6) + np.frexp(low.astype(np.float64))[1] - 1
+        for a in range(0, k, block):
+            part = slice(a, min(a + block, k))
+            closer = near[walk[t, part]]
+            closer &= rows[row[part] - t * n]
+            word = (closer != 0).argmax(axis=1)
+            low = closer[index[:len(word)], word]
+            low &= ~low + _U1  # the lowest set bit, 2**i: its float exponent is i + 1
+            walk[t + 1, part] = (word << 6) + np.frexp(low.astype(np.float64))[1] - 1
 
-    hop, walker = np.nonzero(np.arange(span)[:, None] < hops)
-    tail, head = walk[hop, walker], walk[hop + 1, walker]
+    # each hop-sized array is dropped once it is read
+    del level, rows, row
+    # hop t of walker w, for every t below its length, in (t, w) order
+    hop = np.arange(span)[:, None] < hops
+    tail, head = walk[:-1][hop], walk[1:][hop]
+    del walk
+    forward = tail < head
+    cell = tail * width
+    cell += head >> 6
+    del tail
+    below = near.reshape(-1)[cell]
+    below &= (bit - _U1)[head]
+    del head
     fan = np.bincount(arcs.tails * width + (arcs.heads >> 6), minlength=n * width)
-    arc = (np.cumsum(fan) - fan)[tail * width + (head >> 6)] + _popcount(
-        near[tail, head >> 6] & (bit[head] - _U1))
+    arc = (np.cumsum(fan) - fan)[cell]
+    del cell
+    arc += _popcount(below)
+    del below
+    hop_edge = arcs.edge[arc]
+    del arc
+
     # a walk runs from the lower endpoint to the root: it is the route
-    # when the lower endpoint sends, and the route reversed otherwise
-    pair = order[walker]
-    reverse = source[pair] > destination[pair]
+    # when the lower endpoint sends, and the route reversed otherwise;
+    # hop t of a walk goes t places on from its route's first hop or
+    # back from its last
+    reverse = source[order] > destination[order]
+    forward ^= (hop & reverse)[hop]
     indptr = np.concatenate(([0], np.cumsum(length)))
-    place = indptr[pair] + np.where(reverse, length[pair] - 1 - hop, hop)
-    edge, sign = np.empty((2, indptr[-1]), dtype=np.int64)
-    edge[place] = arcs.edge[arc]
-    sign[place] = np.where((tail < head) != reverse, 1, -1)
+    first = indptr[order]
+    first[reverse] += hops[reverse] - 1
+    place = (first + np.where(reverse, -1, 1) * np.arange(span)[:, None])[hop]
+    edge = np.empty(indptr[-1], dtype=np.int64)
+    edge[place] = hop_edge
+    del hop_edge
+    sign = np.empty(indptr[-1], dtype=bool)
+    sign[place] = forward
+    sign = np.where(sign, 1, -1)
     return PathSet(source, destination, indptr, edge, sign)

@@ -57,7 +57,10 @@ class CreditNetwork:
 
     Edges are stored as (u, v) with u < v, sorted lexicographically. Every
     vector in the package (balances, capacities, routing hops)
-    indexes into this order.
+    indexes into this order.  `edge_array` holds the same edges as one
+    read-only (edge_count, 2) int64 array, which route building and the
+    path checks read; edges given as an array are checked on it and
+    stored as the tuple of its rows.
     """
 
     node_count: int
@@ -69,6 +72,22 @@ class CreditNetwork:
             raise ValueError("node_count must be positive")
         if len(self.edges) != len(self.capacities):
             raise ValueError("edges and capacities must have equal length")
+        ends = _int64_pairs(self.edges)
+        if isinstance(self.edges, np.ndarray):
+            object.__setattr__(self, "edges", tuple(zip(*self.edges.T.tolist())))
+        if ends is None or not _canonical(ends, self.node_count):
+            self._check_each_edge()
+        # once per distinct object: uniform capacities are one object
+        distinct = dict(zip(map(id, self.capacities), self.capacities)).values()
+        if not all(isinstance(c, Fraction) and c.numerator > 0 for c in distinct):
+            self._check_each_capacity()
+        if ends is not None:
+            ends.flags.writeable = False
+            self.__dict__["edge_array"] = ends
+
+    def _check_each_edge(self):
+        """Raise for the first edge that breaks the canonical form; edges
+        that will not convert to int64 may pass."""
         prev = None
         for k, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
@@ -81,11 +100,25 @@ class CreditNetwork:
             if prev is not None and (u, v) < prev:
                 raise ValueError("edges not sorted lexicographically")
             prev = (u, v)
+
+    def _check_each_capacity(self):
         for k, c in enumerate(self.capacities):
             if not isinstance(c, Fraction):
                 raise TypeError(f"capacity {k} is not a Fraction")
             if c <= 0:
                 raise ValueError(f"capacity {k} must be positive, got {c}")
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (edge_count, 2) int64 array."""
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        ends.flags.writeable = False
+        return ends
+
+    def __getstate__(self):
+        # the fields alone, as without the cached array, which is rebuilt
+        # read-only on demand
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def edge_count(self) -> int:
@@ -106,25 +139,86 @@ class CreditNetwork:
         return adj
 
 
+def _int64_pairs(pairs) -> np.ndarray | None:
+    """`pairs` as an (m, 2) int64 array, or None unless every entry is an
+    integer int64 holds and every pair has two (a float, a string or an
+    int past int64 would not convert exactly)."""
+    if not len(pairs):
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        ends = np.array(pairs)
+    except ValueError:  # pairs of unequal length
+        return None
+    if ends.dtype.kind != "i" or ends.shape != (len(pairs), 2):
+        return None
+    return ends.astype(np.int64, copy=False)
+
+
+_LEXICOGRAPHIC = np.array([2, 1])
+
+
+def _canonical(ends: np.ndarray, node_count) -> bool:
+    """Every edge in range with u < v, and the pairs strictly increasing,
+    compared u first, then v (u * n + v may be past int64): the sign of
+    each step in u, doubled, outweighs its sign in v."""
+    if not len(ends):
+        return True
+    if int(ends.min()) < 0 or int(ends.max()) >= node_count:
+        return False
+    later = np.sign(ends[1:] - ends[:-1]) @ _LEXICOGRAPHIC > 0
+    return bool((ends[:, 0] < ends[:, 1]).all() and later.all())
+
+
 def make_network(node_count: int, edges: Iterable[tuple[int, int]],
                  capacities: Iterable) -> CreditNetwork:
     """Build a CreditNetwork, normalizing edge orientation and ordering.
 
     Capacities are given in the same order as the input edges and are
-    permuted along with them into canonical order.
+    permuted along with them into canonical order.  Edges that hold
+    int64 ids are oriented and ordered at once; the loop below runs for
+    any others, and to name the first self-loop or the length mismatch.
     """
-    pairs = []
-    for (u, v), c in zip(edges, capacities, strict=True):
-        if u == v:
-            raise ValueError(f"self-loop at node {u}")
-        key = (u, v) if u < v else (v, u)
-        pairs.append((key, rat(c)))
-    pairs.sort(key=lambda item: item[0])
+    edges = edges if isinstance(edges, np.ndarray) else list(edges)
+    capacities = list(capacities)
+    ends = _int64_pairs(edges)
+    ordered = None if ends is None or len(ends) != len(capacities) else _oriented(ends)
+    if ordered is None:
+        pairs = []
+        for (u, v), c in zip(edges, capacities, strict=True):
+            if u == v:
+                raise ValueError(f"self-loop at node {u}")
+            key = (u, v) if u < v else (v, u)
+            pairs.append((key, rat(c)))
+        pairs.sort(key=lambda item: item[0])
+        return CreditNetwork(
+            node_count=node_count,
+            edges=tuple(p[0] for p in pairs),
+            capacities=tuple(p[1] for p in pairs),
+        )
+    capacities = list(map(rat, capacities))
+    ends, order = ordered
     return CreditNetwork(
         node_count=node_count,
-        edges=tuple(p[0] for p in pairs),
-        capacities=tuple(p[1] for p in pairs),
+        edges=ends,
+        capacities=tuple(map(capacities.__getitem__, order.tolist())),
     )
+
+
+def _oriented(ends: np.ndarray):
+    """The edges as (low, high) pairs in sorted order, and that order, from
+    one stable argsort of the keys low * span + high, ids counted from the
+    lowest; None on a self-loop, or where the ids span past 2**31 and the
+    keys would pass int64."""
+    oriented = np.empty_like(ends)
+    low, high = oriented.T
+    np.minimum(ends[:, 0], ends[:, 1], out=low)
+    np.maximum(ends[:, 0], ends[:, 1], out=high)
+    base = int(low.min()) if len(low) else 0
+    span = int(high.max(initial=base)) - base + 1
+    if span > 2 ** 31 or (low == high).any():
+        return None
+    order = np.argsort((low - base) * span + high - base, kind="stable")
+    return oriented[order], order
 
 
 class Arcs(NamedTuple):
@@ -143,7 +237,7 @@ class Arcs(NamedTuple):
 
 def closed_arcs(node_count: int, edges) -> Arcs:
     """The arc list of nodes 0..node_count-1 joined by (u, v) edges."""
-    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     nodes = np.arange(node_count)
     numbered = np.arange(len(ends))
     tails = np.concatenate([nodes, ends[:, 0], ends[:, 1]])
@@ -287,7 +381,7 @@ class PathSet:
         # ids out of range get key -1, so that low * n + high aliases no edge;
         # the last key, n * n, is no pair's and keeps the lookup in bounds
         pair = np.where((low >= 0) & (high < n), low * n + high, -1)
-        keys = np.append(np.array(network.edges, np.int64).reshape(-1, 2) @ [n, 1], n * n)
+        keys = np.append(network.edge_array @ [n, 1], n * n)
         edge = np.searchsorted(keys, pair)
         missing = keys[edge] != pair
         if missing.any():
@@ -369,9 +463,16 @@ def _hop_ends(network: CreditNetwork, paths: PathSet, edge: np.ndarray):
     """The tail of every hop, read as crossing `edge`, and all node walks,
     source first, in one array: path p's is [indptr[p] + p, indptr[p + 1] + p]."""
     # the placeholder row keeps the lookup valid on a network without edges
-    ends = np.array(network.edges or [(0, 0)], dtype=np.int64)[edge]
-    tail, head = np.where(paths.sign > 0, ends.T, ends[:, ::-1].T)
-    return tail, np.insert(head, paths.indptr[:-1], paths.source)
+    ends = (network.edge_array if network.edge_count else np.zeros((1, 2), np.int64)).ravel()
+    # a hop's tail is entry 2 * edge + direction of the flat edge array,
+    # its head the other entry of that pair
+    tail = 2 * edge + (paths.sign < 0)
+    walk = np.empty(len(edge) + len(paths), dtype=np.int64)
+    start = np.zeros(len(walk), dtype=bool)
+    start[paths.indptr[:-1] + np.arange(len(paths))] = True
+    walk[start] = paths.source
+    walk[~start] = ends[tail ^ 1]
+    return ends[tail], walk
 
 
 def build_routing_system(network: CreditNetwork, paths: PathSet) -> RoutingSystem:

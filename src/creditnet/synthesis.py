@@ -634,8 +634,7 @@ def synthesize_graph(jdd: JointDegreeDistribution, channel_budget: int,
     budget, and the largest-component cut shaves a few percent off both.
     """
     node_count, edges = _realize_edges(jdd, channel_budget, seed)
-    return with_uniform_capacities(node_count, edges.tolist(),
-                                   DEFAULT_TOTAL_COLLATERAL)
+    return with_uniform_capacities(node_count, edges, DEFAULT_TOTAL_COLLATERAL)
 
 
 def _full_pair_mix(node_count: int, edges) -> PathLengthDistribution:
@@ -652,7 +651,7 @@ def _full_pair_mix(node_count: int, edges) -> PathLengthDistribution:
 def exact_path_length_distribution(network: CreditNetwork
                                    ) -> PathLengthDistribution:
     """Full-pair shortest-path length mix of one concrete topology."""
-    return _full_pair_mix(network.node_count, network.edges)
+    return _full_pair_mix(network.node_count, network.edge_array)
 
 
 def distribution_distance(a: PathLengthDistribution,

@@ -5,18 +5,34 @@ capacities split a fixed collateral pool evenly, so throughput numbers
 stay comparable across topologies of different density.  Draws that come
 out disconnected are retried with the seed shifted by one; the retry
 count is part of the deterministic contract, not a tuning knob.
+
+Each draw is the (m, 2) int64 array of its canonical sorted edges, and
+one breadth-first search over it from node 0 tests connectivity.
+ErdosRenyi, ScaleFreeBA and Star build that array without a networkx
+graph, yet draw exactly the edge set of `nx.gnm_random_graph(n, m,
+seed=seed)`, `nx.barabasi_albert_graph(n, a, seed=seed)` and
+`nx.star_graph(n - 1)`: networkx picks a node as
+`random.Random(seed).choice(seq)`, which CPython builds as
+`getrandbits(len(seq).bit_length())` retried while the value is
+`len(seq)` or more, and these loops make the same calls in the same
+order (see `demand`'s module note).  RandomRegular, SmallWorld and
+PowerLawConfig keep networkx's generators.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import random
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 
 from .fileio import read_graph
 from .model import CreditNetwork, make_network
@@ -66,6 +82,19 @@ class TopologySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown topology kind {self.kind!r}")
+        for name in ("node_count", "edge_budget", "degree", "seed"):
+            value = getattr(self, name)
+            if value is None and name in ("edge_budget", "degree"):
+                continue
+            try:  # numpy integers too become ints, which the draws need
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        for name in ("rewire_prob", "exponent"):
+            value = getattr(self, name)
+            # the concrete types first: they skip the slower ABC check
+            if not isinstance(value, (float, int, numbers.Real)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def gen_topology(spec: TopologySpec) -> CreditNetwork:
@@ -78,27 +107,42 @@ def gen_topology(spec: TopologySpec) -> CreditNetwork:
             base.node_count, base.edges, spec.total_collateral)
 
     _validate(spec)
-    graph = None
     for attempt in range(CONNECTIVITY_RETRIES):
-        graph = _realize(spec, spec.seed + attempt)
-        if nx.is_connected(graph):
+        edges = _realize(spec, spec.seed + attempt)
+        if _connected(spec.node_count, edges):
             break
     else:
         raise RuntimeError(
             f"no connected {spec.kind} graph in {CONNECTIVITY_RETRIES} "
             f"attempts from seed {spec.seed}; the requested topology "
             f"is too sparse")
-    edges = [tuple(sorted(e)) for e in graph.edges()]
     return with_uniform_capacities(spec.node_count, edges,
                                    spec.total_collateral)
 
 
 def with_uniform_capacities(node_count, edges, total_collateral):
     """The network on `edges` with the collateral split evenly over them."""
-    if not edges:
+    if not len(edges):
         raise ValueError("topology has no channels to carry collateral")
     cap = Fraction(total_collateral) / len(edges)
     return make_network(node_count, edges, [cap] * len(edges))
+
+
+def _connected(node_count: int, edges: np.ndarray) -> bool:
+    """Whether a breadth-first search from node 0 reaches every node."""
+    adj: list[list[int]] = [[] for _ in range(node_count)]
+    for u, v in edges.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * node_count
+    seen[0] = True
+    queue = [0]
+    for u in queue:
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    return len(queue) == node_count
 
 
 def _validate(spec: TopologySpec) -> None:
@@ -133,25 +177,57 @@ def _validate(spec: TopologySpec) -> None:
             raise ValueError("power-law exponent must exceed 2")
 
 
-def _realize(spec: TopologySpec, seed: int) -> nx.Graph:
+def _realize(spec: TopologySpec, seed: int) -> np.ndarray:
     n = spec.node_count
     if spec.kind == ERDOS_RENYI:
-        return nx.gnm_random_graph(n, spec.edge_budget, seed=seed)
-    if spec.kind == RANDOM_REGULAR:
-        return nx.random_regular_graph(spec.degree, n, seed=seed)
+        return _erdos_renyi(n, spec.edge_budget, seed)
     if spec.kind == SCALE_FREE_BA:
         return _scale_free(n, spec.edge_budget, seed)
-    if spec.kind == POWER_LAW_CONFIG:
-        return _power_law(n, spec.edge_budget, spec.exponent, seed)
-    if spec.kind == SMALL_WORLD:
-        return nx.watts_strogatz_graph(n, spec.degree, spec.rewire_prob,
-                                       seed=seed)
     if spec.kind == STAR:
-        return nx.star_graph(n - 1)
-    raise AssertionError(spec.kind)
+        return np.stack((np.zeros(n - 1, dtype=np.int64), np.arange(1, n)), axis=1)
+    if spec.kind == RANDOM_REGULAR:
+        graph = nx.random_regular_graph(spec.degree, n, seed=seed)
+    elif spec.kind == POWER_LAW_CONFIG:
+        graph = _power_law(n, spec.edge_budget, spec.exponent, seed)
+    elif spec.kind == SMALL_WORLD:
+        graph = nx.watts_strogatz_graph(n, spec.degree, spec.rewire_prob,
+                                        seed=seed)
+    else:
+        raise AssertionError(spec.kind)
+    ends = np.fromiter(chain.from_iterable(graph.edges()), np.int64,
+                       2 * graph.number_of_edges()).reshape(-1, 2)
+    return _from_keys(ends.min(axis=1) * n + ends.max(axis=1), n)
 
 
-def _scale_free(n: int, budget: int, seed: int) -> nx.Graph:
+def _from_keys(key: np.ndarray, n: int) -> np.ndarray:
+    """The edges whose keys u * n + v these are, in sorted order."""
+    key.sort()
+    ends = np.empty((len(key), 2), dtype=np.int64)
+    np.divmod(key, n, out=(ends[:, 0], ends[:, 1]))
+    return ends
+
+
+def _erdos_renyi(n: int, m: int, seed: int) -> np.ndarray:
+    """The edges of `nx.gnm_random_graph(n, m, seed=seed)`: draw u, then v,
+    and keep the pair unless u == v or it is already an edge; m at the
+    simple-graph maximum is the complete graph, drawn without a call."""
+    if m >= n * (n - 1) // 2:
+        return np.stack(np.triu_indices(n, 1), axis=1).astype(np.int64)
+    getrandbits, bits = random.Random(seed).getrandbits, n.bit_length()
+    keys: set[int] = set()
+    while len(keys) < m:
+        u = getrandbits(bits)
+        while u >= n:
+            u = getrandbits(bits)
+        v = getrandbits(bits)
+        while v >= n:
+            v = getrandbits(bits)
+        if u != v:
+            keys.add(u * n + v if u < v else v * n + u)
+    return _from_keys(np.fromiter(keys, np.int64, m), n)
+
+
+def _scale_free(n: int, budget: int, seed: int) -> np.ndarray:
     attach = max(1, round(budget / n))
     produced = (n - attach) * attach
     if abs(produced - budget) > EDGE_BUDGET_SLACK * budget:
@@ -159,7 +235,32 @@ def _scale_free(n: int, budget: int, seed: int) -> nx.Graph:
             f"preferential attachment can only produce {produced} edges "
             f"here, outside the +-{EDGE_BUDGET_SLACK:.0%} band around "
             f"{budget}")
-    return nx.barabasi_albert_graph(n, attach, seed=seed)
+    return _barabasi_albert(n, attach, seed)
+
+
+def _barabasi_albert(n: int, m: int, seed: int) -> np.ndarray:
+    """The edges of `nx.barabasi_albert_graph(n, m, seed=seed)`: from the
+    star on nodes 0..m, each new node links to m distinct draws from the
+    list that holds every node once per edge end.  The draws gather in a
+    set and extend the list in that set's iteration order, as networkx
+    does; later draws index the list, so that order matters."""
+    getrandbits = random.Random(seed).getrandbits
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        size = len(repeated)
+        bits = size.bit_length()
+        targets: set[int] = set()
+        while len(targets) < m:
+            r = getrandbits(bits)
+            while r >= size:
+                r = getrandbits(bits)
+            targets.add(repeated[r])
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    # past the star, each node's block is its m targets, then m copies of it
+    block = np.array(repeated[2 * m:], dtype=np.int64).reshape(-1, 2, m)
+    star = np.arange(1, m + 1)
+    return _from_keys(np.concatenate((star, (block[:, 0] * n + block[:, 1]).ravel())), n)
 
 
 def _power_law(n: int, budget: int, exponent: float, seed: int) -> nx.Graph:

@@ -587,6 +587,29 @@ def test_invalid_input_exits_two(tmp_path, capsys):
         rc = main(["verify", "--corpus", str(tmp_path / "corpus")] + flags)
         assert rc == EXIT_BAD_INPUT, flags
         assert message in capsys.readouterr().err
+    # a sweep config value of the wrong type is refused, not truncated
+    # (20.7 nodes, 10.9 pairs) or drawn as given (40.5 channels)
+    er = {"kind": "ErdosRenyi", "nodes": 20, "edges": 40}
+    config = tmp_path / "typed.json"
+    for topo, extra, message in (
+            ({"kind": "RandomRegular", "nodes": 20, "degree": 4.5}, {},
+             "degree must be an integer, got 4.5"),
+            ({**er, "edges": "40"}, {}, "edge_budget must be an integer, got '40'"),
+            ({"kind": "SmallWorld", "nodes": 20, "degree": 4, "rewire_prob": "x"}, {},
+             "rewire_prob must be a number, got 'x'"),
+            ({**er, "exponent": "steep"}, {}, "exponent must be a number, got 'steep'"),
+            ({**er, "edges": 40.5}, {}, "edge_budget must be an integer, got 40.5"),
+            ({**er, "nodes": 20.7}, {}, "node_count must be an integer, got 20.7"),
+            (er, {"densities": [10.9]}, "density must be an integer, got 10.9"),
+            (er, {"densities": 10}, "densities must be a list, got 10"),
+            (er, {"graph_instances": 1.5}, "graph_instances must be an integer, got 1.5"),
+            (er, {"demand_matrices": "2"}, "demand_matrices must be an integer, got '2'"),
+            (er, {"seed": 0.5}, "seed must be an integer, got 0.5")):
+        config.write_text(json.dumps({"topologies": [topo], "densities": [10], **extra}),
+                          encoding="utf-8")
+        rc = main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)])
+        assert rc == EXIT_BAD_INPUT, (topo, extra)
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, message", [

@@ -1,4 +1,6 @@
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from creditnet.model import (
     CORNER,
     FORWARD,
     INTERIOR,
+    CreditNetwork,
     FlowVector,
     Path,
     PathSet,
@@ -46,6 +49,80 @@ def test_network_rejects_bad_input():
         make_network(2, [(0, 1)], [0])
     with pytest.raises(TypeError):
         make_network(2, [(0, 1)], [0.5])
+
+
+def test_network_names_the_first_failure_at_a_later_index():
+    # the failing edge or capacity is not the first, and the message is the
+    # one each check gave when it ran edge by edge
+    one = Fraction(1)
+    for edges, caps, error, message in (
+            (((0, 1), (1, 2), (1, 5)), (one,) * 3, ValueError,
+             "edge 2 endpoint out of range: (1, 5)"),
+            (((0, 1), (-1, 2)), (one,) * 2, ValueError,
+             "edge 1 endpoint out of range: (-1, 2)"),
+            (((0, 1), (1, 2), (2, 1)), (one,) * 3, ValueError,
+             "edge 2 not in canonical (u < v) form: (2, 1)"),
+            (((0, 1), (1, 2), (1, 2)), (one,) * 3, ValueError, "duplicate edge (1, 2)"),
+            (((0, 1), (1, 2), (0, 2)), (one,) * 3, ValueError,
+             "edges not sorted lexicographically"),
+            (((0, 1), (0, 2), (1, 2)), (one, one, 2), TypeError, "capacity 2 is not a Fraction"),
+            (((0, 1), (1, 2)), (one, Fraction(0)), ValueError,
+             "capacity 1 must be positive, got 0"),
+            # edges are checked before capacities
+            (((0, 1), (1, 2), (0, 2)), (one, Fraction(-1), 2), ValueError,
+             "edges not sorted lexicographically")):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            CreditNetwork(3, edges, caps)
+    for edges, caps, error, message in (
+            ([(0, 1), (1, 2), (2, 2)], [1, 1, 1], ValueError, "self-loop at node 2"),
+            ([(0, 1), (1, 2), (2, 2)], [1, 0.5, 1], TypeError,
+             "refusing to coerce float 0.5 to a rational; pass int, str, or Fraction"),
+            ([(0, 1), (2, 2), (1, 2)], [1, 1, 0.5], ValueError, "self-loop at node 2"),
+            ([(0, 1), (1, 2)], [1], ValueError, "zip() argument 2 is shorter than argument 1"),
+            ([(0, 0), (1, 2)], [1], ValueError, "self-loop at node 0"),
+            ([(0, 1), (2, 7)], [1, 1], ValueError, "edge 1 endpoint out of range: (2, 7)"),
+            ([(0, 1), (2, 1), (1, 0)], [1, 1, 1], ValueError, "duplicate edge (0, 1)"),
+            ([(0, 1), (2, 1)], [1, 0], ValueError, "capacity 1 must be positive, got 0"),
+            ([(0, 1), (1, 2, 3)], [1, 1], ValueError, "too many values to unpack (expected 2)")):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make_network(3, edges, caps)
+
+
+def test_network_ids_past_int64_and_far_apart():
+    # ids int64 cannot hold take the edge-by-edge route, both ways
+    big = make_network(2 ** 70, [(2 ** 65, 0), (1, 2)], [1, 1])
+    assert big.edges == ((0, 2 ** 65), (1, 2))
+    with pytest.raises(OverflowError):
+        big.edge_array
+    with pytest.raises(ValueError, match=re.escape("edge 1 endpoint out of range: (0, 36893488147419103232)")):
+        make_network(3, [(0, 1), (0, 2 ** 65)], [1, 1])
+    # u * n + v is past int64 here: the order and the check compare u, then v
+    n = 10 ** 12
+    net = make_network(n, [(n - 1, 9 * 10 ** 6), (10 ** 7 + 1, 10 ** 7), (5, 6)], [1, 2, 3])
+    assert net.edges == ((5, 6), (9 * 10 ** 6, n - 1), (10 ** 7, 10 ** 7 + 1))
+    assert net.capacities == (3, 1, 2)
+    assert net.edge_array.tolist() == [list(e) for e in net.edges]
+    one = Fraction(1)
+    assert CreditNetwork(n, ((9 * 10 ** 6, 10 ** 11), (10 ** 7, 10 ** 7 + 1)), (one, one))
+    with pytest.raises(ValueError, match="edges not sorted"):
+        CreditNetwork(n, ((10 ** 7, 10 ** 7 + 1), (9 * 10 ** 6, 10 ** 11)), (one, one))
+
+
+def test_edge_array_is_read_only_and_not_pickled():
+    net = make_network(4, [(3, 1), (0, 2), (1, 0)], [5, 7, 9])
+    assert net.edge_array.dtype == np.int64
+    assert net.edge_array.tolist() == [[0, 1], [0, 2], [1, 3]]
+    with pytest.raises(ValueError):
+        net.edge_array[0, 0] = 2
+    # the pickle holds the three fields alone, so its bytes, == and hash
+    # are those of the network without the array
+    copy = pickle.loads(pickle.dumps(net))
+    assert copy == net and hash(copy) == hash(net)
+    assert set(copy.__dict__) == {"node_count", "edges", "capacities"}
+    assert not copy.edge_array.flags.writeable
+    assert np.array_equal(copy.edge_array, net.edge_array)
+    empty = make_network(1, [], [])
+    assert empty.edge_array.shape == (0, 2)
 
 
 def routing_hops(routing):

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from creditnet import fileio, topology
 from creditnet.model import make_network
@@ -211,3 +214,120 @@ def test_snowball_trapped_in_small_component():
     for seed in range(20):
         sample = topology.snowball_sample(net, 4, seed=seed)
         assert sample.node_count in (2, 3)
+
+
+# (spec, SHA-256 of the int64 edge array, first 32 hex digits), recorded
+# from the networkx draws that came before: the desk families on pool
+# entries 0 and 15, the stress cells' two graphs (both ER cells draw
+# one), one exact-small recipe per family, a 4-node walk net, an ER spec
+# whose seed 0 needs five connectivity retries, and the kinds that keep
+# networkx's generators
+_DRAW_DIGESTS = (
+    (dict(kind=topology.ERDOS_RENYI, node_count=100, edge_budget=400, seed=0),
+     "d960daf7fbc0d231ed600be0a8bcd21d"),
+    (dict(kind=topology.ERDOS_RENYI, node_count=100, edge_budget=400, seed=15),
+     "9782e31ffe4d37e37fcfa0a9f91b9cb3"),
+    (dict(kind=topology.RANDOM_REGULAR, node_count=100, degree=8, seed=0),
+     "82d55459ff6a982948b4437341eb2c5c"),
+    (dict(kind=topology.RANDOM_REGULAR, node_count=100, degree=8, seed=15),
+     "38d10593e78331ab8564cc0718ea9c35"),
+    (dict(kind=topology.SCALE_FREE_BA, node_count=100, edge_budget=384, seed=0),
+     "d4fc35d4d3870305ad2ebd0f79bcfcb4"),
+    (dict(kind=topology.SCALE_FREE_BA, node_count=100, edge_budget=384, seed=15),
+     "fdc20c912ae1dd9a8df808e5dc0f4488"),
+    (dict(kind=topology.STAR, node_count=100, seed=0),
+     "dee67c1a5f052ecd65fc9357a4787448"),
+    (dict(kind=topology.STAR, node_count=100, seed=15),
+     "dee67c1a5f052ecd65fc9357a4787448"),
+    (dict(kind=topology.ERDOS_RENYI, node_count=400, edge_budget=1600, seed=0),
+     "00e0c888c16df9b9fd9f2f2bbd35b037"),
+    (dict(kind=topology.SCALE_FREE_BA, node_count=400, edge_budget=1584, seed=0),
+     "fc2844788f884a7cc82f35a55ff286ed"),
+    (dict(kind=topology.ERDOS_RENYI, node_count=10, edge_budget=18, seed=0),
+     "019b30c3f351dae91a4ce201994f5a07"),
+    (dict(kind=topology.RANDOM_REGULAR, node_count=12, degree=3, edge_budget=18,
+          seed=1000), "34d4e61db27c94f7fd5325c92f50b6ab"),
+    (dict(kind=topology.SCALE_FREE_BA, node_count=10, edge_budget=16, seed=2000),
+     "61e82ddb49bde62da3a80adb536f2967"),
+    (dict(kind=topology.STAR, node_count=14, edge_budget=13, seed=3000),
+     "834aa78ca0355ea6b3bca4631c4f106e"),
+    (dict(kind=topology.ERDOS_RENYI, node_count=4, edge_budget=3,
+          total_collateral=12, seed=656122), "7831c9cb5a67c3324de77aa656f53440"),
+    (dict(kind=topology.ERDOS_RENYI, node_count=30, edge_budget=40, seed=0),
+     "7df9a20e8cef353122ee86379eb6ac53"),
+    (dict(kind=topology.ERDOS_RENYI, node_count=12, edge_budget=66, seed=3),
+     "c793f82a83bcdc245296049616245a1b"),
+    (dict(kind=topology.SMALL_WORLD, node_count=100, degree=4, rewire_prob=0.3,
+          seed=42), "7d65c2d010f9086943670b249696c344"),
+    (dict(kind=topology.POWER_LAW_CONFIG, node_count=100, edge_budget=300,
+          seed=42), "2543db6dcfd5b2d4bb93f7699f2075ab"),
+)
+
+
+def test_draws_keep_their_recorded_digests():
+    for kwargs, digest in _DRAW_DIGESTS:
+        net = topology.gen_topology(topology.TopologySpec(**kwargs))
+        got = hashlib.sha256(net.edge_array.astype("<i8").tobytes()).hexdigest()
+        assert got[:32] == digest, kwargs
+        assert net.edge_array.tolist() == [list(e) for e in net.edges]
+        assert set(net.capacities) == {Fraction(kwargs.get("total_collateral", 10_000),
+                                                net.edge_count)}
+
+
+def _nx_edges(graph):
+    return sorted(sorted(e) for e in graph.edges())
+
+
+@st.composite
+def _gnm(draw):
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(n - 1, n * (n - 1) // 2))
+    return n, m, draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gnm())
+@example((2, 1, 0))
+@example((30, 29, 5))  # m = n - 1
+@example((12, 66, 3))  # the complete graph
+@example((40, 779, 8))  # one edge short of it
+def test_erdos_renyi_draws_networkx_edge_set(case):
+    n, m, seed = case
+    assert topology._erdos_renyi(n, m, seed).tolist() == _nx_edges(
+        nx.gnm_random_graph(n, m, seed=seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 60).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n - 1), st.integers(0, 2 ** 32))))
+@example((2, 1, 0))
+@example((400, 4, 0))
+def test_barabasi_albert_draws_networkx_edge_set(case):
+    n, attach, seed = case
+    assert topology._barabasi_albert(n, attach, seed).tolist() == _nx_edges(
+        nx.barabasi_albert_graph(n, attach, seed=seed))
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_star_is_networkx_star(n):
+    net = topology.gen_topology(topology.TopologySpec(kind=topology.STAR, node_count=n))
+    assert [list(e) for e in net.edges] == _nx_edges(nx.star_graph(n - 1))
+
+
+def test_spec_refuses_non_integral_and_non_numeric_fields():
+    for kwargs, message in (
+            (dict(node_count=20.7), "node_count must be an integer, got 20.7"),
+            (dict(node_count=20, edge_budget=40.5), "edge_budget must be an integer"),
+            (dict(node_count=20, edge_budget="40"), "edge_budget must be an integer"),
+            (dict(node_count=20, degree=4.5), "degree must be an integer"),
+            (dict(node_count=20, seed=1.0), "seed must be an integer"),
+            (dict(node_count=20, rewire_prob="x"), "rewire_prob must be a number"),
+            (dict(node_count=20, exponent=None), "exponent must be a number")):
+        with pytest.raises(ValueError, match=message):
+            topology.TopologySpec(kind=topology.ERDOS_RENYI, **kwargs)
+    # numpy integers are integers, and reach the draws as ints
+    spec = topology.TopologySpec(kind=topology.ERDOS_RENYI, node_count=np.int64(20),
+                                 edge_budget=np.int32(40), seed=np.int64(1))
+    assert type(spec.node_count) is int and type(spec.edge_budget) is int
+    assert topology.gen_topology(spec) == topology.gen_topology(topology.TopologySpec(
+        kind=topology.ERDOS_RENYI, node_count=20, edge_budget=40, seed=1))
