@@ -17,7 +17,6 @@ import json
 import numbers
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -222,6 +221,7 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> list[dict]:
     cells = sweep_cells(config)
     if threads <= 1:
         return [_sweep_cell(cell) for cell in cells]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(_sweep_cell, cells))
 

@@ -78,18 +78,31 @@ one_step_throughput reports the solver status with its value; the peak and
 floor functions raise RuntimeError when the solver stops short of an optimum.
 All three refuse, with ValueError, a routing with a path without hops: such
 a path crosses no channel, so no bound limits its flow.
+
+The HiGHS binding, _core, is scipy's compiled scipy.optimize._highspy._core,
+loaded at import straight from its file in scipy/optimize/_highspy, found by
+importlib's PathFinder. Importing it through scipy.optimize would first run
+that package's __init__ (about 0.4 s: linalg, sparse, fft), which none of
+these solves use. The module is put in sys.modules under its dotted name
+before it runs, so a later `import scipy.optimize` reuses it, and pybind11
+registers the binding's types once; if scipy.optimize loaded it first, that
+module is the one used. The load stays at import, not at the first LP, so a
+first pass pays nothing.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from scipy.optimize._highspy import _core
 
 from .model import (
     BalanceState,
@@ -99,6 +112,34 @@ from .model import (
     channel_usage,
     check_balances,
 )
+
+
+def _load_highs_binding():
+    """scipy's bundled HiGHS binding, loaded from its own file without
+    running scipy.optimize's package init; the module scipy.optimize
+    itself holds, when either side has loaded it first."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.machinery.PathFinder.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(root, "optimize", "_highspy")
+               for root in scipy.submodule_search_locations])
+    if spec is None:
+        raise ModuleNotFoundError(f"no module named {name!r}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    # registered first, so the import system hands scipy.optimize this
+    # module and pybind11 registers the binding's types once
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_core = _load_highs_binding()
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"

@@ -25,9 +25,8 @@ from fractions import Fraction
 from functools import cache
 
 import numpy as np
-from scipy.optimize._highspy import _core
 
-from .lp import _HIGHS_OPTIONS, _highs_options
+from .lp import _HIGHS_OPTIONS, _core, _highs_options
 from .model import (
     BACKWARD,
     BalanceState,

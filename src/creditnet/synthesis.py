@@ -33,6 +33,10 @@ whole-array popcount per level of the package's one hop-distance kernel,
 `model.hop_levels`, a breadth-first search from all sources at once on
 bitset rows, which also routes every demand pair.  Candidates are scored
 on edge arrays; only a kept realization becomes a `CreditNetwork`.
+
+scipy.optimize (SLSQP) is imported by the stage-one fit when it runs, and
+networkx only by `_initial_guess`'s fallback to a `gnm_random_graph` start,
+so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -42,14 +46,16 @@ import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .model import CreditNetwork, closed_arcs, hop_levels
 from .ripple import PathLengthDistribution, ripple_add_prob
 from .topology import DEFAULT_TOTAL_COLLATERAL, with_uniform_capacities
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 RIPPLE_SCALE = 1.7
 RIPPLE_DECAY = 2.5
@@ -181,6 +187,8 @@ def optimize_path_length_dist(target: SynthesisTarget) -> OptimizedPathLengths:
     residual history holds the start, every solver iterate and the
     result.
     """
+    from scipy.optimize import Bounds, minimize
+
     k = target.channel_budget
     m = float(target.flow_budget)
     bounds = _length_upper_bounds(target)
@@ -777,6 +785,7 @@ def _initial_guess(target_dist: PathLengthDistribution,
         guess = _hub_and_chain_jdd(target, chain_nodes, chain_len, 0)
         if guess is not None:
             return guess
+    import networkx as nx
     return _joint_degree_matrix(nx.gnm_random_graph(n, target.channel_budget,
                                                     seed=0),
                                 target.jdd_max_degree)

@@ -16,7 +16,9 @@ seed=seed)`, `nx.barabasi_albert_graph(n, a, seed=seed)` and
 `getrandbits(len(seq).bit_length())` retried while the value is
 `len(seq)` or more, and these loops make the same calls in the same
 order (see `demand`'s module note).  RandomRegular, SmallWorld and
-PowerLawConfig keep networkx's generators.
+PowerLawConfig keep networkx's generators; networkx is imported only by
+the calls that draw those three kinds, so a process that draws none of
+them never loads it.
 """
 
 from __future__ import annotations
@@ -30,12 +32,15 @@ from itertools import chain
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from .fileio import read_graph
 from .model import CreditNetwork, make_network
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 ERDOS_RENYI = "ErdosRenyi"
 RANDOM_REGULAR = "RandomRegular"
@@ -185,6 +190,7 @@ def _realize(spec: TopologySpec, seed: int) -> np.ndarray:
         return _scale_free(n, spec.edge_budget, seed)
     if spec.kind == STAR:
         return np.stack((np.zeros(n - 1, dtype=np.int64), np.arange(1, n)), axis=1)
+    import networkx as nx
     if spec.kind == RANDOM_REGULAR:
         graph = nx.random_regular_graph(spec.degree, n, seed=seed)
     elif spec.kind == POWER_LAW_CONFIG:
@@ -273,8 +279,10 @@ def _power_law(n: int, budget: int, exponent: float, seed: int) -> nx.Graph:
     Havel-Hakimi, and then shuffled with connectivity-preserving double
     edge swaps so the deterministic layout does not leak structure.  A
     disconnected layout is shuffled with plain double edge swaps instead,
-    which may join its pieces.
+    which may join its pieces.  Below four nodes the layout is connected
+    and admits no swap, so it is returned as laid out.
     """
+    import networkx as nx
     rng = random.Random(seed)
     mean_degree = 2 * budget / n
     # the ratio first, so a huge exponent cannot overflow the product
@@ -303,6 +311,8 @@ def _power_law(n: int, budget: int, exponent: float, seed: int) -> nx.Graph:
         seq[min(range(n), key=seq.__getitem__)] += 1
 
     graph = nx.havel_hakimi_graph(seq)
+    if n < 4:
+        return graph
     if nx.is_connected(graph):
         nx.connected_double_edge_swap(graph, nswap=2 * budget, seed=seed)
         return graph

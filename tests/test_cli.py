@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -123,6 +127,17 @@ def test_gen_and_demand_are_deterministic(tmp_path, capsys):
     assert all(d == 4 for d in network.degree_sequence())
     pairs = read_demand(tmp_path / "a/demand.txt")
     assert len(pairs) == 12
+
+
+@pytest.mark.parametrize("nodes, edges", [("3", "2"), ("3", "3"), ("2", "1")])
+def test_power_law_gen_below_four_nodes(tmp_path, capsys, nodes, edges):
+    # networkx's connected double edge swap refuses fewer than four nodes
+    rc = main(["gen", "--kind", "PowerLawConfig", "--nodes", nodes,
+               "--edges", edges, "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == EXIT_OK
+    network = read_graph(tmp_path / "graph.txt")
+    assert (network.node_count, network.edge_count) == (int(nodes), int(edges))
 
 
 def test_sweep_two_cells_rerun_and_pool_identical(tmp_path, capsys):
@@ -657,3 +672,113 @@ def test_malformed_demand_file_exits_two(tmp_path, capsys, line, message):
     assert rc == EXIT_BAD_INPUT
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert message in err[0]
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this creditnet."""
+    src = str(Path(lp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+_LINE = """
+    from dataclasses import replace
+    from fractions import Fraction
+    from creditnet import lp
+    from creditnet.model import (BACKWARD, FORWARD, Path, PathSet,
+                                 build_routing_system, make_network)
+    net = make_network(3, [(0, 1), (1, 2)], [20, 20])
+    paths = PathSet.of((Path(0, 2, ((0, FORWARD), (1, FORWARD))),
+                        Path(2, 0, ((1, BACKWARD), (0, BACKWARD))),
+                        Path(1, 2, ((1, FORWARD),)), Path(1, 0, ((0, BACKWARD),))))
+
+    def line_lps():
+        exact = lp.max_throughput(net, build_routing_system(net, paths))
+        lp.EXACT_CELL_LIMIT, limit = -1, lp.EXACT_CELL_LIMIT
+        approx = lp.max_throughput(net, build_routing_system(net, replace(paths)))
+        lp.EXACT_CELL_LIMIT = limit
+        assert type(exact) is Fraction and type(approx) is float, (exact, approx)
+        assert abs(approx - exact) <= 1e-9 * exact, (exact, approx)
+"""
+
+
+def test_cold_import_loads_neither_scipy_optimize_nor_networkx():
+    done = _python(_LINE + """
+    import sys
+    import creditnet, creditnet.cli, creditnet.lp, creditnet.oracle
+    import creditnet.synthesis, creditnet.topology
+    from creditnet.oracle import OPTIMAL, max_deadlock_exact
+    from creditnet.synthesis import SynthesisTarget, optimize_path_length_dist
+    from creditnet.topology import RANDOM_REGULAR, TopologySpec, gen_topology
+
+    def heavy():
+        return sorted(m for m in sys.modules if m in ("scipy.optimize", "networkx"))
+
+    assert heavy() == [], heavy()
+    line_lps()
+    assert max_deadlock_exact(net, paths).status == OPTIMAL
+    assert heavy() == [], heavy()
+    # the calls that need them import them
+    network = gen_topology(TopologySpec(kind=RANDOM_REGULAR, node_count=12, degree=3))
+    assert network.degree_sequence() == [3] * 12
+    fit = optimize_path_length_dist(SynthesisTarget(channel_budget=40, node_budget=20,
+                                                    flow_budget=30))
+    assert fit.converged
+    assert heavy() == ["networkx", "scipy.optimize"], heavy()
+    # scipy.optimize holds the binding creditnet.lp loaded, and solves
+    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core
+    assert _core is creditnet.lp._core
+    assert sys.modules["scipy.optimize._highspy._core"] is creditnet.lp._core
+    solved = linprog([-1, -1], A_ub=[[1, 2], [3, 1]], b_ub=[4, 6], method="highs")
+    assert solved.status == 0 and abs(solved.fun + 2.8) < 1e-9, solved
+    line_lps()
+    """)
+    assert done.returncode == 0, done.stderr
+
+
+def test_binding_loaded_by_scipy_first_is_reused():
+    done = _python("""
+    import sys
+    import scipy.optimize
+    binding = sys.modules["scipy.optimize._highspy._core"]
+    """ + _LINE + """
+    assert lp._core is binding
+    line_lps()
+    """)
+    assert done.returncode == 0, done.stderr
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# A lean process without the pinned malloc thresholds unmaps numpy's
+# per-call temporaries on free and faults them in again: about 1,000 minor
+# faults on this cell's third run, and 1,090-1,160 in a process that also
+# imports scipy.optimize and networkx.  Pinned, the third run reads 0.
+HEAP_FAULT_BOUND = 64
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds are pinned on glibc only")
+def test_repeated_sweep_cell_stays_faulted_in():
+    done = _python("""
+    import resource
+    from creditnet.cli import SweepConfig, run_sweep
+    from creditnet.topology import ERDOS_RENYI, TopologySpec
+    config = SweepConfig(
+        topologies=(TopologySpec(kind=ERDOS_RENYI, node_count=400, edge_budget=1600),),
+        densities=(12000,), graph_instances=1, demand_matrices=1,
+        with_phi_max=False, with_phi_min=False, measure_runtime=False)
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_sweep(config)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < HEAP_FAULT_BOUND

@@ -89,6 +89,18 @@ def test_power_law_exact_budget_and_heavy_tail():
     assert degrees[-1] >= 4 * degrees[250]
 
 
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (3, 3)])
+def test_power_law_below_four_nodes_is_its_layout(n, m):
+    for seed in range(5):
+        net = topology.gen_topology(topology.TopologySpec(
+            kind=topology.POWER_LAW_CONFIG, node_count=n, edge_budget=m, seed=seed))
+        assert net.edge_count == m
+        assert nx.is_connected(_nx_view(net))
+        # the only connected graph on n nodes and m channels, up to labels
+        assert sorted(net.degree_sequence()) == {(2, 1): [1, 1], (3, 2): [1, 1, 2],
+                                                 (3, 3): [2, 2, 2]}[n, m]
+
+
 def test_same_seed_same_bytes():
     for kind, kwargs in (
         (topology.ERDOS_RENYI, {"edge_budget": 300}),
